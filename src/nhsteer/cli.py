@@ -218,10 +218,19 @@ def _cmd_plan_so3(args) -> int:
 
 
 def _load_plan_file(path: str):
-    data = json.loads(Path(path).read_text())
-    if data.get("system") == "so3":
-        return data
-    return SteeringPlan.from_json_dict(data)
+    """A SteeringPlan, or (rates, g0, g1, duration) of an attitude plan."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if data.get("system") != "so3":
+            return SteeringPlan.from_json_dict(data)
+        g0 = Rotation(np.array(data["g0"], dtype=float))
+        return _attitude_rates(data), g0, np.array(data["g1"], dtype=float), float(data["duration"])
+    except OSError as exc:
+        raise NhsteerError(f"cannot read plan file {path}: {exc.strerror or exc}") from exc
+    except KeyError as exc:
+        raise NhsteerError(f"plan file {path} lacks the field {exc}") from exc
+    except (TypeError, AttributeError, json.JSONDecodeError) as exc:
+        raise NhsteerError(f"malformed plan file {path}: {exc}") from exc
 
 
 def _attitude_rates(data: dict):
@@ -240,20 +249,14 @@ def _attitude_rates(data: dict):
     raise ValueError(f"cannot rebuild rate laws for mode {data['mode']!r}")
 
 
-def _attitude_simulate(data: dict, steps: int):
-    g0 = Rotation(np.array(data["g0"], dtype=float))
-    duration = float(data["duration"])
-    traj = integrate_so3(_attitude_rates(data), g0, (0.0, duration), steps=steps)
-    return traj
-
-
 def _cmd_simulate(args) -> int:
     loaded = _load_plan_file(args.plan)
     if isinstance(loaded, SteeringPlan):
         result = simulate_plan(loaded, steps=args.steps)
         _emit(args, _traj_csv(result.merged))
     else:
-        _emit(args, _traj_csv(_attitude_simulate(loaded, args.steps)))
+        rates, g0, _, duration = loaded
+        _emit(args, _traj_csv(integrate_so3(rates, g0, (0.0, duration), steps=args.steps)))
     return 0
 
 
@@ -266,12 +269,12 @@ def _cmd_verify(args) -> int:
             for name, value in loaded.predicted_endpoint.items()
         )
     else:
-        traj = _attitude_simulate(loaded, args.steps)
+        rates, g0, g1, duration = loaded
+        traj = integrate_so3(rates, g0, (0.0, duration), steps=args.steps)
         g_end = np.array(
             [[traj.columns[f"g{i}{j}"][-1] for j in (1, 2, 3)] for i in (1, 2, 3)]
         )
-        g_target = np.array(loaded["g1"], dtype=float)
-        err = float(np.sqrt(np.sum((g_end - g_target) ** 2)))
+        err = float(np.sqrt(np.sum((g_end - g1) ** 2)))
     print(f"endpoint error: {err:.6e}")
     if err < 1e-6:
         print("within tolerance 1e-06")

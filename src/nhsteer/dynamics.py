@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguityError, CapabilityError
+from .errors import AmbiguityError, CapabilityError, DomainError
 from .orthopoly import (
     CANONICAL_INTERVAL,
     InputSignal,
@@ -55,8 +55,9 @@ class NhiState:
     x2: float = 0.0
     x3: float = 0.0
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3], dtype=float)
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.x1, self.x2, self.x3])):
+            raise DomainError("state coordinates must be finite")
 
     @classmethod
     def from_array(cls, arr) -> "NhiState":
@@ -88,6 +89,8 @@ class GnhiState:
             raise CapabilityError("at most 8 input channels are supported")
         if self.xx.shape != (m, m):
             raise ValueError("xx must be an m-by-m matrix")
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.xx))):
+            raise DomainError("state coordinates must be finite")
         scale = max(1.0, float(np.max(np.abs(self.xx))))
         if np.max(np.abs(self.xx + self.xx.T)) > 1e-12 * scale:
             raise ValueError("xx must be antisymmetric")

@@ -12,9 +12,10 @@ and cross-checks it against a dense logarithmic grid; ``compare_families``
 ranks several shape pairs for the same target and refuses to return a report
 whose transfer does not survive simulation.
 
-Fuel integrals of |u| never meet the quadrature rule directly: the sign
-pattern is bracketed first and each constant-sign panel is integrated with
-the singularity-aware rule (see ``orthopoly.l1_norm``).
+Shape norms come from ``orthopoly.l1_norm`` / ``lp_norm``: sign changes are
+found first (a degree-sized scan in s, t = -cos s, then batched bisection) and
+each constant-sign panel is summed from closed-form running integrals or
+integrated in s by a doubled fixed Gauss rule, so |u| never meets a kink.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import PlannerError
 from .dynamics import coupling_displacement, integrate_nhi
-from .orthopoly import InputSignal, integrate, l1_norm, scale_signal
+from .orthopoly import InputSignal, l1_norm, lp_norm, scale_signal
 from .steering import pair_signals
 
 __all__ = [
@@ -191,49 +192,6 @@ class LpFuelReport:
     min_value: float
 
 
-def _lp_norm(signal: InputSignal, p: float, scan_points: int = 512) -> float:
-    """integral of |u|^p using the same sign-bracketing panels as l1_norm."""
-    lo, hi = signal.interval
-    if not signal.terms:
-        return 0.0
-    exps = {term.exponents for term in signal.terms}
-    if len(exps) > 1:
-        raise ValueError("Lp norms require all terms to share one weight structure")
-    a_exp, b_exp = exps.pop()
-    inset = (hi - lo) * 1e-9
-    grid = np.linspace(lo + inset, hi - inset, scan_points)
-    vals = np.asarray(signal(grid), dtype=float)
-
-    def smooth_abs(ts):
-        ts = np.asarray(ts, dtype=float)
-        acc = np.zeros(np.shape(ts))
-        for term in signal.terms:
-            acc = acc + np.asarray(term.smooth(ts), dtype=float)
-        return np.abs(acc) ** p
-
-    roots = []
-    for k in range(scan_points - 1):
-        x, y = vals[k], vals[k + 1]
-        if x == 0.0:
-            roots.append(float(grid[k]))
-        elif (x < 0) != (y < 0):
-            aa, bb = float(grid[k]), float(grid[k + 1])
-            for _ in range(90):
-                mm = 0.5 * (aa + bb)
-                if (float(signal(mm)) < 0) == (x < 0):
-                    aa = mm
-                else:
-                    bb = mm
-            roots.append(0.5 * (aa + bb))
-    cuts = [lo] + sorted(set(roots)) + [hi]
-    total = 0.0
-    for aa, bb in zip(cuts[:-1], cuts[1:]):
-        if bb - aa < 1e-14:
-            continue
-        total += integrate(smooth_abs, (aa, bb), (a_exp * p, b_exp * p), box=signal.interval)
-    return total
-
-
 def fuel_min_lp(u1, u2, a: float, p: float, interval=None) -> LpFuelReport:
     """Minimize integral(|u1|^p + |u2|^p) subject to the displacement constraint.
 
@@ -247,8 +205,8 @@ def fuel_min_lp(u1, u2, a: float, p: float, interval=None) -> LpFuelReport:
         raise ValueError("p must be at least 1")
     consts = fuel_constants(u1, u2, a, interval)
     c = consts.c
-    c1p = _lp_norm(u1, p)
-    c2p = _lp_norm(u2, p)
+    c1p = lp_norm(u1, p)
+    c2p = lp_norm(u2, p)
     if not (c1p > 0.0) or not (c2p > 0.0):
         raise ValueError("shape Lp norms must be positive")
 

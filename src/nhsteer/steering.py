@@ -126,7 +126,8 @@ def pair_signals(
 
 
 def _pair_coupling(family, pair, interval, jacobi_params) -> float:
-    key = (family, tuple(pair), interval, jacobi_params)
+    params = None if jacobi_params is None else tuple(float(x) for x in jacobi_params)
+    key = (family, tuple(pair), interval, params)
     if key not in _coupling_cache:
         odd, even = pair_signals(family, pair, interval, jacobi_params)
         _coupling_cache[key] = coupling_displacement(odd, even, interval)
@@ -191,10 +192,6 @@ class SteeringPlan:
     predicted_endpoint: dict
     cost: float
     closed_form: str | None = None
-
-    @property
-    def coordinate_names(self) -> tuple[str, ...]:
-        return tuple(self.predicted_endpoint.keys())
 
     def to_json_dict(self) -> dict:
         out = {

@@ -248,6 +248,28 @@ def test_domain_errors_exit_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_missing_plan_file_exits_one(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, "--plan", str(tmp_path / "absent.json"))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize(
+    "content",
+    ['{"system": "nhi"}', '{"system": "so3", "mode": "constant"}', "[1, 2]", "not json"],
+)
+def test_malformed_plan_file_exits_one(tmp_path, capsys, command, content):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(content)
+    code, out, err = run(capsys, command, "--plan", str(plan_file))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
 def test_out_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NHSTEER_OUT_DIR", str(tmp_path))
     code, _, err = run(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate as sp_integrate
 from scipy import special as sp_special
@@ -32,6 +34,7 @@ from nhsteer.orthopoly import (
     integrate,
     integrate_smooth,
     l1_norm,
+    lp_norm,
     scale_signal,
     shift,
     weight_fn,
@@ -390,6 +393,121 @@ def test_l1_norms():
     assert_allclose(l1_norm(basis_signal(TRIG_COS, 1)), 4.0 / math.pi, atol=1e-10)
     # int |T1| w dt = int_0^pi |cos s| ds = 2
     assert_allclose(l1_norm(basis_signal(CHEBYSHEV_FIRST, 1, weighted=True)), 2.0, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# L1/Lp norms against references built apart from the package
+
+
+def _cuts_sum(roots, antiderivative) -> float:
+    """Sum of |F(b) - F(a)| over the panels between sorted roots on [-1, 1]."""
+    cuts = np.concatenate(([-1.0], np.sort(np.real(roots)), [1.0]))
+    return float(np.sum(np.abs(np.diff(antiderivative(cuts)))))
+
+
+def _legendre_lp(n: int, p: int = 1) -> float:
+    u = np.polynomial.Legendre.basis(n)
+    return _cuts_sum(u.roots(), (u**p).integ())
+
+
+def _second_kind_weighted_l1(n: int) -> float:
+    # int |U_n| sqrt(1 - t^2) dt = int_0^pi |sin(k th)| sin(th) dth, k = n + 1
+    k = n + 1
+
+    def anti(th):
+        return 0.5 * (np.sin((k - 1) * th) / (k - 1) - np.sin((k + 1) * th) / (k + 1))
+
+    edges = np.pi * np.arange(k + 1) / k
+    return float(np.sum(np.abs(np.diff(anti(edges)))))
+
+
+def _jacobi_weighted_l1(n: int, g: float) -> float:
+    roots, _ = sp_special.roots_jacobi(n, g, g)
+    cuts = np.concatenate(([-1.0], np.sort(roots), [1.0]))
+    total = 0.0
+    for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        # on an end panel quad's algebraic weight carries the singular factor
+        if k == 0:
+            weight, factor = {"weight": "alg", "wvar": (g, 0.0)}, (lambda t: (1 - t) ** g)
+        elif k == len(cuts) - 2:
+            weight, factor = {"weight": "alg", "wvar": (0.0, g)}, (lambda t: (1 + t) ** g)
+        else:
+            weight, factor = {}, (lambda t: (1 - t * t) ** g)
+        value, _ = sp_integrate.quad(
+            lambda t: sp_special.eval_jacobi(n, g, g, t) * factor(t), a, b, epsabs=0.0, epsrel=1e-13, limit=200, **weight
+        )
+        total += abs(value)
+    return total
+
+
+def _l1_reference(family: str, n: int, weighted: bool, g: float) -> float:
+    if family == LEGENDRE:
+        return _legendre_lp(n)
+    if family in (TRIG_SIN, TRIG_COS):
+        return 4.0 / math.pi
+    if family == CHEBYSHEV_FIRST:
+        if weighted:
+            return 2.0
+        u = np.polynomial.Chebyshev.basis(n)
+        return _cuts_sum(u.roots(), u.integ())
+    if family == CHEBYSHEV_SECOND:
+        if weighted:
+            return _second_kind_weighted_l1(n)
+        # U_n has zeros cos(k pi / (n + 1)) and antiderivative T_{n+1} / (n + 1)
+        zeros = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+        return _cuts_sum(zeros, np.polynomial.Chebyshev.basis(n + 1) / (n + 1))
+    return _jacobi_weighted_l1(n, g)
+
+
+def test_l1_norm_finds_every_sign_change_at_degree_64():
+    reference = _legendre_lp(64)
+    assert abs(reference - 0.151548392600939) < 1e-14
+    assert abs(l1_norm(basis_signal(LEGENDRE, 64)) - reference) < 1e-12
+    # int |T_64| w dt = int_0^pi |cos 64 s| ds = 2
+    assert abs(l1_norm(basis_signal(CHEBYSHEV_FIRST, 64, weighted=True)) - 2.0) < 1e-12
+
+
+def test_lp_norm_cubic_at_degree_64():
+    assert_allclose(lp_norm(basis_signal(LEGENDRE, 64), 3.0), _legendre_lp(64, 3), rtol=1e-12)
+    assert_allclose(
+        lp_norm(basis_signal(LEGENDRE, 64, interval=SHIFTED_INTERVAL), 3.0), 0.5 * _legendre_lp(64, 3), rtol=1e-12
+    )
+
+
+def test_lp_norm_of_mixed_weights():
+    # u = 2t sqrt(1 - t^2) + 0.3: int u^2 = 4 (2/3 - 2/5) + 0.18, the cross term is odd
+    u = combine_signals(basis_signal(CHEBYSHEV_SECOND, 1, weighted=True), constant_signal(LEGENDRE, 0.3))
+    assert_allclose(lp_norm(u, 2.0), 16.0 / 15.0 + 0.18, rtol=1e-13)
+
+
+def test_lp_norm_rejects_non_integrable_powers_up_front():
+    with pytest.raises(IntegrabilityError):
+        lp_norm(basis_signal(CHEBYSHEV_FIRST, 3, weighted=True), 2.0)
+    with pytest.raises(IntegrabilityError):
+        lp_norm(basis_signal(JACOBI, 2, weighted=True, jacobi_params=(-0.6, 0.0)), 2.0)
+    with pytest.raises(ValueError):
+        lp_norm(basis_signal(LEGENDRE, 2), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(
+        [(LEGENDRE, False), (CHEBYSHEV_FIRST, False), (CHEBYSHEV_FIRST, True), (CHEBYSHEV_SECOND, False),
+         (CHEBYSHEV_SECOND, True), (TRIG_SIN, False), (TRIG_COS, False), (JACOBI, True)]
+    ),
+    n=st.integers(min_value=1, max_value=INDEX_CAP),
+    shifted=st.booleans(),
+    g=st.sampled_from([-0.3, 0.5, 1.7]),
+)
+def test_l1_norm_matches_reference(family, n, shifted, g):
+    family, weighted = family
+    interval = SHIFTED_INTERVAL if shifted else CANONICAL_INTERVAL
+    params = (g, g) if family == JACOBI else None
+    signal = basis_signal(family, n, interval=interval, weighted=weighted, jacobi_params=params)
+    reference = (0.5 if shifted else 1.0) * _l1_reference(family, n, weighted, g)
+    # Jacobi end panels carry the adaptive rule's 1e-10 relative tolerance
+    rtol = 1e-9 if family == JACOBI else 1e-12
+    assert_allclose(l1_norm(signal), reference, rtol=rtol)
 
 
 def test_harmonic_helper():

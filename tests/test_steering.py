@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nhsteer.dynamics import GnhiState, NhiState, integrate_nhi
-from nhsteer.errors import CapabilityError, PlannerError
+from nhsteer.errors import CapabilityError, DomainError, PlannerError
 from nhsteer.orthopoly import (
     CHEBYSHEV_FIRST,
     CHEBYSHEV_SECOND,
@@ -104,6 +104,30 @@ def test_jacobi_family_plan():
     end = simulate_plan(plan, steps=4000).terminal
     for name, want in plan.predicted_endpoint.items():
         assert abs(end[name] - want) < 1e-6
+
+
+def test_jacobi_params_given_as_a_list():
+    # the coupling cache key must not depend on the container type
+    as_list = plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), family=JACOBI, jacobi_params=[0.5, 0.5])
+    as_tuple = plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), family=JACOBI, jacobi_params=(0.5, 0.5))
+    assert as_list.to_json() == as_tuple.to_json()
+    sf = GnhiState.from_flat(3, [0.0, 0.0, 0.0, 1.0, -0.5, 0.25])
+    plan = plan_gnhi(GnhiState.zeros(3), sf, family=JACOBI, jacobi_params=[0.5, 0.5])
+    assert plan.to_json() == plan_gnhi(
+        GnhiState.zeros(3), sf, family=JACOBI, jacobi_params=(0.5, 0.5)
+    ).to_json()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_states_are_rejected(bad):
+    with pytest.raises(DomainError):
+        plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, bad))
+    with pytest.raises(DomainError):
+        plan_nhi((bad, 0.0, 0.0), (0.0, 0.0, 1.0))
+    with pytest.raises(DomainError):
+        plan_gnhi(GnhiState.zeros(3), GnhiState.from_flat(3, [0.0, 0.0, 0.0, bad, 0.0, 0.0]))
+    with pytest.raises(DomainError):
+        plan_gnhi(GnhiState.zeros(3), GnhiState.from_flat(3, [0.0, bad, 0.0, 0.0, 0.0, 0.0]))
 
 
 def test_negative_displacement_swaps_channels():
