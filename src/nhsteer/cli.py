@@ -33,11 +33,10 @@ from .orthopoly import (
     CHEBYSHEV_FIRST,
     LEGENDRE,
     SHIFTED_INTERVAL,
-    Harmonic,
     basis_signal,
     integrate_smooth,
 )
-from .so3_control import ConstantRate, constant_omega_plan, underactuated_plan
+from .so3_control import AttitudePlan, constant_omega_plan, underactuated_plan
 from .steering import (
     PLAN_FAMILIES,
     SteeringPlan,
@@ -177,15 +176,8 @@ def _cmd_plan_nhi(args) -> int:
 
 
 def _cmd_plan_gnhi(args) -> int:
-    m = args.m
-    expected = m + m * (m - 1) // 2
-    if len(args.src) != expected or len(args.dst) != expected:
-        raise ValueError(
-            f"gnhi states for m={m} take {expected} values: "
-            "x1..xm then x_ij in lexicographic order"
-        )
-    s0 = GnhiState.from_flat(m, args.src)
-    sf = GnhiState.from_flat(m, args.dst)
+    s0 = GnhiState.from_flat(args.m, args.src)
+    sf = GnhiState.from_flat(args.m, args.dst)
     plan = plan_gnhi(
         s0,
         sf,
@@ -217,64 +209,39 @@ def _cmd_plan_so3(args) -> int:
 # simulate / verify
 
 
-def _load_plan_file(path: str):
-    """A SteeringPlan, or (rates, g0, g1, duration) of an attitude plan."""
+def _simulate_plan_file(args):
+    """The plan in the file ``args.plan`` and its simulated trajectory."""
     try:
-        data = json.loads(Path(path).read_text())
-        if data.get("system") != "so3":
-            return SteeringPlan.from_json_dict(data)
-        g0 = Rotation(np.array(data["g0"], dtype=float))
-        return _attitude_rates(data), g0, np.array(data["g1"], dtype=float), float(data["duration"])
+        data = json.loads(Path(args.plan).read_text())
+        plan_type = AttitudePlan if data.get("system") == "so3" else SteeringPlan
+        plan = plan_type.from_json_dict(data)
     except OSError as exc:
-        raise NhsteerError(f"cannot read plan file {path}: {exc.strerror or exc}") from exc
+        raise NhsteerError(f"cannot read plan file {args.plan}: {exc.strerror or exc}") from exc
     except KeyError as exc:
-        raise NhsteerError(f"plan file {path} lacks the field {exc}") from exc
+        raise NhsteerError(f"plan file {args.plan} lacks the field {exc}") from exc
     except (TypeError, AttributeError, json.JSONDecodeError) as exc:
-        raise NhsteerError(f"malformed plan file {path}: {exc}") from exc
-
-
-def _attitude_rates(data: dict):
-    params = data["params"]
-    if data["mode"] == "constant":
-        return tuple(ConstantRate(float(params[k])) for k in ("w1", "w2", "w3"))
-    if data["mode"] == "underactuated":
-        r = float(params["r"])
-        phi = float(params["phi"])
-        c = float(params["c"])
-        return (
-            Harmonic("cos", c - 1.0, phi, r),
-            Harmonic("sin", c - 1.0, phi, -r),
-            ConstantRate(1.0),
-        )
-    raise ValueError(f"cannot rebuild rate laws for mode {data['mode']!r}")
+        raise NhsteerError(f"malformed plan file {args.plan}: {exc}") from exc
+    if isinstance(plan, SteeringPlan):
+        return plan, simulate_plan(plan, steps=args.steps).merged
+    return plan, integrate_so3(plan.omega, plan.g0, (0.0, plan.duration), steps=args.steps)
 
 
 def _cmd_simulate(args) -> int:
-    loaded = _load_plan_file(args.plan)
-    if isinstance(loaded, SteeringPlan):
-        result = simulate_plan(loaded, steps=args.steps)
-        _emit(args, _traj_csv(result.merged))
-    else:
-        rates, g0, _, duration = loaded
-        _emit(args, _traj_csv(integrate_so3(rates, g0, (0.0, duration), steps=args.steps)))
+    _emit(args, _traj_csv(_simulate_plan_file(args)[1]))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    loaded = _load_plan_file(args.plan)
-    if isinstance(loaded, SteeringPlan):
-        result = simulate_plan(loaded, steps=args.steps)
+    plan, traj = _simulate_plan_file(args)
+    if isinstance(plan, SteeringPlan):
         err = max(
-            abs(result.terminal[name] - value)
-            for name, value in loaded.predicted_endpoint.items()
+            abs(traj.terminal[name] - value) for name, value in plan.predicted_endpoint.items()
         )
     else:
-        rates, g0, g1, duration = loaded
-        traj = integrate_so3(rates, g0, (0.0, duration), steps=args.steps)
         g_end = np.array(
             [[traj.columns[f"g{i}{j}"][-1] for j in (1, 2, 3)] for i in (1, 2, 3)]
         )
-        err = float(np.sqrt(np.sum((g_end - g1) ** 2)))
+        err = float(np.sqrt(np.sum((g_end - plan.g1.matrix) ** 2)))
     print(f"endpoint error: {err:.6e}")
     if err < 1e-6:
         print("within tolerance 1e-06")

@@ -2,22 +2,26 @@
 
 Models:
 
-* ``integrate_nhi``  —  x1' = u1, x2' = u2, x3' = x1 u2 - x2 u1
 * ``integrate_gnhi`` —  x_i' = u_i, x_ij' = x_i u_j - x_j u_i  (i < j)
+* ``integrate_nhi``  —  its m = 2 case, with x12 named x3:
+  x1' = u1, x2' = u2, x3' = x1 u2 - x2 u1
 * ``integrate_so3``  —  g' = hat(omega) g on the rotation group
 
-The bilinear integrators implement classical RK4, but since the inputs
-depend on time only, the stage combinations collapse to closed-form per-step
-updates that vectorize over the whole grid (see ``_bilinear_paths``).  Inputs
-carrying endpoint weight factors are integrated in the arc variable
-t = mid - half*cos(s), where the weight times dt/ds is smooth, keeping the
-full fourth order; the trajectory then samples t non-uniformly and the input
-columns record the effective integrand u * dt/ds on the s-grid.
+Both bilinear integrators are views of one core, ``_integrate_bilinear``,
+which serves every m >= 2 and names the cross coordinates as asked; the
+pairs (i, j), i < j, always come in the lexicographic order of ``_pairs``.
+The core implements classical RK4, but since the inputs depend on time only,
+the stage combinations collapse to closed-form per-step updates that
+vectorize over the whole grid.  Inputs carrying endpoint weight factors are
+integrated in the arc variable t = mid - half*cos(s), where the weight times
+dt/ds is smooth, keeping the full fourth order; the trajectory then samples t
+non-uniformly and the input columns record the effective integrand u * dt/ds
+on the s-grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .errors import AmbiguityError, CapabilityError, DomainError
 from .orthopoly import (
     CANONICAL_INTERVAL,
     InputSignal,
+    _eval_array,
     integrate,
     integrate_smooth,
 )
@@ -67,9 +72,14 @@ class NhiState:
         return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
 
+def _pairs(m: int) -> list[tuple[int, int]]:
+    """Channel pairs (i, j), i < j, in the lexicographic order of the cross coordinates."""
+    return [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+
 def pair_names(m: int) -> list[str]:
     """Cross-coordinate names x12, x13, ..., in lexicographic order (1-based)."""
-    return [f"x{i}{j}" for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    return [f"x{i + 1}{j + 1}" for i, j in _pairs(m)]
 
 
 @dataclass
@@ -107,20 +117,20 @@ class GnhiState:
     def from_flat(cls, m: int, values) -> "GnhiState":
         """Build from [x1..xm, x12, x13, ..., x(m-1)m]."""
         values = np.asarray(values, dtype=float)
-        n_pairs = m * (m - 1) // 2
-        if values.shape != (m + n_pairs,):
-            raise ValueError(f"expected {m + n_pairs} values for m={m}")
+        pairs = _pairs(m)
+        if values.shape != (m + len(pairs),):
+            raise ValueError(
+                f"expected {m + len(pairs)} values for m={m}: "
+                "x1..xm then x_ij in lexicographic order"
+            )
         xx = np.zeros((m, m))
-        k = m
-        for i in range(m):
-            for j in range(i + 1, m):
-                xx[i, j] = values[k]
-                xx[j, i] = -values[k]
-                k += 1
+        for k, (i, j) in enumerate(pairs, start=m):
+            xx[i, j] = values[k]
+            xx[j, i] = -values[k]
         return cls(values[:m], xx)
 
     def flat(self) -> np.ndarray:
-        vals = [self.xx[i, j] for i in range(self.m) for j in range(i + 1, self.m)]
+        vals = [self.xx[i, j] for i, j in _pairs(self.m)]
         return np.concatenate([self.x, np.array(vals)])
 
 
@@ -183,18 +193,8 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Input evaluation helpers
+# The bilinear core
 # ---------------------------------------------------------------------------
-
-
-def _eval_vec(f, ts: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(ts), dtype=float)
-        if vals.shape != ts.shape:
-            raise TypeError
-        return vals
-    except (TypeError, ValueError):
-        return np.array([float(f(t)) for t in ts])
 
 
 def _infer_interval(inputs, interval):
@@ -207,19 +207,6 @@ def _infer_interval(inputs, interval):
     if not sig_intervals:
         raise ValueError("interval cannot be inferred from bare callables; pass it")
     return sig_intervals.pop()
-
-
-def _needs_reparam(inputs) -> bool:
-    return any(isinstance(u, InputSignal) and u.is_weighted for u in inputs)
-
-
-def _check_singular_support(inputs, interval):
-    for u in inputs:
-        if isinstance(u, InputSignal) and u.is_singular and interval != CANONICAL_INTERVAL:
-            raise CapabilityError(
-                "inputs with singular endpoint weights are only supported on "
-                f"the canonical interval {CANONICAL_INTERVAL}"
-            )
 
 
 def _grids(inputs, interval, steps, reparam):
@@ -237,7 +224,7 @@ def _grids(inputs, interval, steps, reparam):
             if isinstance(u, InputSignal):
                 return np.asarray(u.theta_factor(s), dtype=float)
             t = mid - half * np.cos(s)
-            return _eval_vec(u, t) * half * np.sin(s)
+            return _eval_array(u, t) * half * np.sin(s)
 
         u_nodes = np.stack([eff(u, s_nodes) for u in inputs])
         u_mid = np.stack([eff(u, s_mid) for u in inputs])
@@ -245,31 +232,45 @@ def _grids(inputs, interval, steps, reparam):
     t_nodes = np.linspace(lo, hi, steps + 1)
     t_mid = 0.5 * (t_nodes[:-1] + t_nodes[1:])
     h = (hi - lo) / steps
-    u_nodes = np.stack([_eval_vec(u, t_nodes) for u in inputs])
-    u_mid = np.stack([_eval_vec(u, t_mid) for u in inputs])
+    u_nodes = np.stack([_eval_array(u, t_nodes) for u in inputs])
+    u_mid = np.stack([_eval_array(u, t_mid) for u in inputs])
     return t_nodes, h, u_nodes, u_mid
 
 
-def _bilinear_paths(u_nodes, u_mid, h, x0, xx0, pairs):
-    """Classical-RK4 paths of the direct and cross coordinates.
+def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps) -> Trajectory:
+    """Classical-RK4 trajectory of the m-input model, m = len(u).
 
-    With inputs depending on time only, the four stages combine exactly into
-    a Simpson update for each direct coordinate and, for each cross
+    ``x0`` holds the m direct coordinates, ``xx0`` the cross coordinates in
+    the order of ``_pairs(m)`` and ``cross_names`` their column names.  With
+    inputs depending on time only, the four stages combine exactly into a
+    Simpson update for each direct coordinate and, for each cross
     coordinate, a Simpson term in the direct states plus an h^2 correction
     in the stage inputs; this reproduces RK4 to the last bit while running
-    as pure array arithmetic.
+    as pure array arithmetic.  Each cross coordinate gets its own 1-D pass:
+    one stacked (pairs x steps) array costs more time and memory at m = 8.
     """
+    if steps < _MIN_STEPS:
+        raise ValueError(f"steps must be at least {_MIN_STEPS}")
+    interval = _infer_interval(u, interval)
+    signals = [sig for sig in u if isinstance(sig, InputSignal)]
+    if interval != CANONICAL_INTERVAL and any(sig.is_singular for sig in signals):
+        raise CapabilityError(
+            "inputs with singular endpoint weights are only supported on "
+            f"the canonical interval {CANONICAL_INTERVAL}"
+        )
+    reparam = any(sig.is_weighted for sig in signals)
+    t_nodes, h, u_nodes, u_mid = _grids(u, interval, steps, reparam)
+    m = len(u)
     u0 = u_nodes[:, :-1]
     u1 = u_nodes[:, 1:]
     s_sum = u0 + 4.0 * u_mid + u1
-    steps = u_mid.shape[1]
-    m = u_nodes.shape[0]
     x = np.empty((m, steps + 1))
     x[:, 0] = x0
-    x[:, 1:] = x0[:, None] + (h / 6.0) * np.cumsum(s_sum, axis=1)
+    x[:, 1:] = x[:, :1] + (h / 6.0) * np.cumsum(s_sum, axis=1)
     x_start = x[:, :-1]
-    cross = {}
-    for (i, j) in pairs:
+    state_names = [f"x{i + 1}" for i in range(m)]
+    columns = dict(zip(state_names, x))
+    for name, (i, j), start in zip(cross_names, _pairs(m), xx0):
         incr = (h / 6.0) * (x_start[i] * s_sum[j] - x_start[j] * s_sum[i]) + (
             h * h / 6.0
         ) * (
@@ -277,43 +278,33 @@ def _bilinear_paths(u_nodes, u_mid, h, x0, xx0, pairs):
             + (u_mid[i] * u1[j] - u_mid[j] * u1[i])
         )
         path = np.empty(steps + 1)
-        path[0] = xx0[(i, j)]
-        path[1:] = xx0[(i, j)] + np.cumsum(incr)
-        cross[(i, j)] = path
-    return x, cross
-
-
-def integrate_nhi(u, x0=NhiState(), interval=None, steps: int = 2000) -> Trajectory:
-    """Integrate the three-state bilinear model driven by two inputs."""
-    u = tuple(u)
-    if len(u) != 2:
-        raise ValueError("the three-state model takes exactly two inputs")
-    if steps < _MIN_STEPS:
-        raise ValueError(f"steps must be at least {_MIN_STEPS}")
-    if not isinstance(x0, NhiState):
-        x0 = NhiState.from_array(np.asarray(x0, dtype=float))
-    interval = _infer_interval(u, interval)
-    _check_singular_support(u, interval)
-    reparam = _needs_reparam(u)
-    t_nodes, h, u_nodes, u_mid = _grids(u, interval, steps, reparam)
-    x, cross = _bilinear_paths(
-        u_nodes, u_mid, h, np.array([x0.x1, x0.x2]), {(0, 1): x0.x3}, [(0, 1)]
-    )
-    columns = {
-        "x1": x[0],
-        "x2": x[1],
-        "x3": cross[(0, 1)],
-        "u1": u_nodes[0],
-        "u2": u_nodes[1],
-    }
+        path[0] = start
+        path[1:] = start + np.cumsum(incr)
+        columns[name] = path
+    input_names = tuple(f"u{i + 1}" for i in range(m))
+    columns.update(zip(input_names, u_nodes))
     return Trajectory(
         t=t_nodes,
         columns=columns,
-        state_names=("x1", "x2", "x3"),
-        input_names=("u1", "u2"),
+        state_names=(*state_names, *cross_names),
+        input_names=input_names,
         scheme="rk4_reparam" if reparam else "rk4",
         interval=interval,
     )
+
+
+def integrate_nhi(u, x0=NhiState(), interval=None, steps: int = 2000) -> Trajectory:
+    """Integrate the three-state bilinear model driven by two inputs.
+
+    This is the m = 2 case of ``integrate_gnhi`` with the cross coordinate
+    named x3 instead of x12.
+    """
+    u = tuple(u)
+    if len(u) != 2:
+        raise ValueError("the three-state model takes exactly two inputs")
+    if not isinstance(x0, NhiState):
+        x0 = NhiState.from_array(np.asarray(x0, dtype=float))
+    return _integrate_bilinear(u, (x0.x1, x0.x2), (x0.x3,), ("x3",), interval, steps)
 
 
 def integrate_gnhi(u, s0: GnhiState, interval=None, steps: int = 2000) -> Trajectory:
@@ -322,38 +313,7 @@ def integrate_gnhi(u, s0: GnhiState, interval=None, steps: int = 2000) -> Trajec
     m = s0.m
     if len(u) != m:
         raise ValueError(f"state has m={m} direct coordinates but {len(u)} inputs given")
-    if steps < _MIN_STEPS:
-        raise ValueError(f"steps must be at least {_MIN_STEPS}")
-    interval = _infer_interval(u, interval)
-    _check_singular_support(u, interval)
-    reparam = _needs_reparam(u)
-    t_nodes, h, u_nodes, u_mid = _grids(u, interval, steps, reparam)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    xx0 = {(i, j): s0.xx[i, j] for (i, j) in pairs}
-    x, cross = _bilinear_paths(u_nodes, u_mid, h, s0.x.copy(), xx0, pairs)
-    columns = {}
-    state_names = []
-    for i in range(m):
-        name = f"x{i + 1}"
-        columns[name] = x[i]
-        state_names.append(name)
-    for (i, j) in pairs:
-        name = f"x{i + 1}{j + 1}"
-        columns[name] = cross[(i, j)]
-        state_names.append(name)
-    input_names = []
-    for i in range(m):
-        name = f"u{i + 1}"
-        columns[name] = u_nodes[i]
-        input_names.append(name)
-    return Trajectory(
-        t=t_nodes,
-        columns=columns,
-        state_names=tuple(state_names),
-        input_names=tuple(input_names),
-        scheme="rk4_reparam" if reparam else "rk4",
-        interval=interval,
-    )
+    return _integrate_bilinear(u, s0.x, s0.flat()[m:], pair_names(m), interval, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +376,9 @@ def log_rotation(mat, accept_pi_tiebreak: bool = False) -> np.ndarray:
     ``AmbiguityError`` unless ``accept_pi_tiebreak`` picks the representative
     whose first nonzero axis component is positive.
     """
-    mat = np.asarray(mat, dtype=float)
     if isinstance(mat, Rotation):
         mat = mat.matrix
+    mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 3):
         raise ValueError("log_rotation expects a 3x3 matrix")
     tr = float(np.trace(mat))
@@ -505,18 +465,18 @@ def integrate_so3(
         raise ValueError("interval must have positive length")
     h = (hi - lo) / steps
     t_nodes = np.linspace(lo, hi, steps + 1)
-    w_nodes = np.stack([_eval_vec(f, t_nodes) for f in omega])
+    w_nodes = np.stack([_eval_array(f, t_nodes) for f in omega])
     if scheme == "magnus4":
         ta = t_nodes[:-1] + (0.5 - _SQ3 / 6.0) * h
         tb = t_nodes[:-1] + (0.5 + _SQ3 / 6.0) * h
-        wa = np.stack([_eval_vec(f, ta) for f in omega])
-        wb = np.stack([_eval_vec(f, tb) for f in omega])
+        wa = np.stack([_eval_array(f, ta) for f in omega])
+        wb = np.stack([_eval_array(f, tb) for f in omega])
         steps_vec = 0.5 * h * (wa + wb).T - (_SQ3 / 12.0) * h * h * np.cross(
             wa.T, wb.T
         )
     else:
         tm = t_nodes[:-1] + 0.5 * h
-        wm = np.stack([_eval_vec(f, tm) for f in omega])
+        wm = np.stack([_eval_array(f, tm) for f in omega])
         steps_vec = h * wm.T
     g = g0.matrix.copy()
     samples = np.empty((steps + 1, 3, 3))

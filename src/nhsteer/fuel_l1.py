@@ -28,7 +28,7 @@ import numpy as np
 from .errors import PlannerError
 from .dynamics import coupling_displacement, integrate_nhi
 from .orthopoly import InputSignal, l1_norm, lp_norm, scale_signal
-from .steering import pair_signals
+from .steering import _ZERO_COUPLING, pair_signals
 
 __all__ = [
     "FuelConstants",
@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 GRID_POINTS = 10000
-
-_ZERO_COUPLING = 1e-14
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .orthopoly import (
     InputSignal,
     Term,
     WeightFn,
+    _eval_array,
     integrate,
     weight_fn,
 )
@@ -185,12 +186,7 @@ def weighted_cost(u1, u2, cost: WeightedCost) -> float:
 
             def f(t, u=u, a_smooth=a_smooth):
                 ts = np.atleast_1d(np.asarray(t, dtype=float))
-                try:
-                    vals = np.asarray(u(ts), dtype=float)
-                    if vals.shape != ts.shape:
-                        raise TypeError
-                except (TypeError, ValueError):
-                    vals = np.array([float(u(x)) for x in ts])
+                vals = _eval_array(u, ts)
                 vals = vals * vals
                 if a_smooth is not None:
                     vals = vals * np.asarray(a_smooth(ts), dtype=float)

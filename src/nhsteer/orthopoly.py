@@ -406,16 +406,26 @@ def weight_fn(family: str, interval=CANONICAL_INTERVAL, jacobi_params=None) -> W
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
+def _eval_array(f, t) -> np.ndarray:
+    """Values of ``f`` at the points of ``t``, with the shape of ``t``.
+
+    ``f`` is called once on the whole array; a callable that accepts only
+    scalars (it raises, or returns a different shape) is called point by point.
+    """
+    t = np.asarray(t, dtype=float)
+    try:
+        vals = np.asarray(f(t), dtype=float)
+        if vals.shape == t.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(f(x)) for x in t.ravel()]).reshape(t.shape)
+
+
 def _gl_panel(f, lo: float, hi: float) -> float:
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    pts = mid + half * _GL_NODES
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape != pts.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(p)) for p in pts])
+    vals = _eval_array(f, mid + half * _GL_NODES)
     return half * float(np.dot(_GL_WEIGHTS, vals))
 
 

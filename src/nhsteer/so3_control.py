@@ -34,7 +34,7 @@ from .dynamics import (
     log_rotation,
     vee,
 )
-from .orthopoly import Harmonic, integrate_smooth
+from .orthopoly import Harmonic, _eval_array, integrate_smooth
 from .sturm import value_and_derivatives
 
 __all__ = [
@@ -94,6 +94,26 @@ class AttitudePlan:
             "cost": float(self.cost),
         }
 
+    @staticmethod
+    def from_json_dict(data: dict) -> "AttitudePlan":
+        """Rebuild a constant or underactuated plan (a weighted plan's q is not in its JSON)."""
+        params = {k: float(v) for k, v in data["params"].items()}
+        if data["mode"] == "constant":
+            omega = tuple(ConstantRate(params[k]) for k in ("w1", "w2", "w3"))
+        elif data["mode"] == "underactuated":
+            omega = _underactuated_rates(params["r"], params["phi"], params["c"])
+        else:
+            raise ValueError(f"cannot rebuild rate laws for mode {data['mode']!r}")
+        return AttitudePlan(
+            mode=data["mode"],
+            g0=Rotation(np.array(data["g0"], dtype=float)),
+            g1=Rotation(np.array(data["g1"], dtype=float)),
+            duration=float(data["duration"]),
+            omega=omega,
+            params=params,
+            cost=float(data["cost"]),
+        )
+
 
 def _as_rotation(g) -> Rotation:
     return g if isinstance(g, Rotation) else Rotation(np.asarray(g, dtype=float))
@@ -132,14 +152,7 @@ class _ScaledReciprocal:
     q: object
 
     def __call__(self, t):
-        ts = np.asarray(t, dtype=float)
-        try:
-            qs = np.asarray(self.q(ts), dtype=float)
-            if qs.shape != ts.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            qs = np.array([float(self.q(x)) for x in np.atleast_1d(ts)]).reshape(np.shape(ts))
-        out = self.c / qs
+        out = self.c / _eval_array(self.q, t)
         return float(out) if out.ndim == 0 else out
 
 
@@ -181,6 +194,15 @@ def weighted_rate_plan(g0, g1, duration: float, q, accept_pi_tiebreak: bool = Fa
 _E3 = np.array([0.0, 0.0, 1.0])
 
 
+def _underactuated_rates(r: float, phi: float, c: float) -> tuple:
+    """omega1 = r cos((c-1) t + phi), omega2 = -r sin((c-1) t + phi), omega3 = 1."""
+    return (
+        Harmonic("cos", c - 1.0, phi, r),
+        Harmonic("sin", c - 1.0, phi, -r),
+        ConstantRate(1.0),
+    )
+
+
 def underactuated_flow(r: float, phi: float, c: float, t: float, g0: np.ndarray) -> np.ndarray:
     """Closed-form attitude at time t under the sinusoidal underactuated law."""
     body = t * np.array([r * math.cos(phi), -r * math.sin(phi), c])
@@ -219,17 +241,12 @@ def underactuated_plan(
     )
     r0 = float(np.linalg.norm(residual_gap)) / duration
     if r0 < 1e-14:
-        omega = (
-            Harmonic("cos", 0.0, 0.0, 0.0),
-            Harmonic("sin", 0.0, 0.0, 0.0),
-            ConstantRate(1.0),
-        )
         return AttitudePlan(
             mode="underactuated",
             g0=g0,
             g1=g1,
             duration=duration,
-            omega=omega,
+            omega=_underactuated_rates(0.0, 0.0, 1.0),
             params={"r": 0.0, "phi": 0.0, "c": 1.0, "residual": 0.0, "iterations": 0},
             cost=0.0,
         )
@@ -288,17 +305,12 @@ def underactuated_plan(
     if r < 0.0:
         r, phi = -r, phi + math.pi
     phi = math.atan2(math.sin(phi), math.cos(phi))
-    omega = (
-        Harmonic("cos", c - 1.0, phi, r),
-        Harmonic("sin", c - 1.0, phi, -r),
-        ConstantRate(1.0),
-    )
     return AttitudePlan(
         mode="underactuated",
         g0=g0,
         g1=g1,
         duration=duration,
-        omega=omega,
+        omega=_underactuated_rates(r, phi, c),
         params={"r": r, "phi": phi, "c": c, "residual": norm, "iterations": iterations},
         cost=0.5 * r * r * duration,
     )

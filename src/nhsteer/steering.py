@@ -1,19 +1,25 @@
 """Constructive steering of the bilinear models by orthogonal-family pairs.
 
-The planner moves the direct coordinates with constant inputs (the cross
-coordinates pick up an exactly computable byproduct), then drives each cross
-coordinate with a zero-mean odd/even pair of family elements scaled so the
-coupling displacement lands on the target.  Because every pair input has
-zero mean and definite parity, the direct coordinates return to where they
-started and untargeted cross coordinates provably do not move at all; the
-predicted endpoints are exact, not approximations.
+One planner core, ``_plan_bilinear``, serves every m >= 2; ``plan_gnhi``
+calls it with cross coordinates x12, x13, ... and ``plan_nhi`` is its m = 2
+view with x12 named x3.  The core moves the direct coordinates with constant
+inputs (the cross coordinates pick up an exactly computable byproduct), then
+drives each cross coordinate with a zero-mean odd/even pair of family
+elements scaled so the coupling displacement lands on the target.  Because
+every pair input has zero mean and definite parity, the direct coordinates
+return to where they started and untargeted cross coordinates provably do
+not move at all; the predicted endpoints are exact, not approximations.
 
-A negative cross target is handled by swapping which channel carries the
-odd shape, which flips the sign of the coupling displacement.
+For m = 2 both channels carry one balanced scale, and a negative target is
+handled by swapping which channel carries the odd shape, which flips the
+sign of the coupling displacement.  ``simulate_plan`` replays either kind of
+plan through the matching public integrator.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -29,9 +35,7 @@ from .orthopoly import (
     LEGENDRE,
     TRIG_COS,
     TRIG_SIN,
-    BasisElement,
     InputSignal,
-    Term,
     basis_signal,
     constant_signal,
     element_parity,
@@ -42,6 +46,7 @@ from .dynamics import (
     GnhiState,
     NhiState,
     Trajectory,
+    _pairs,
     coupling_displacement,
     integrate_gnhi,
     integrate_nhi,
@@ -126,6 +131,7 @@ def pair_signals(
 
 
 def _pair_coupling(family, pair, interval, jacobi_params) -> float:
+    pair = default_pair(family) if pair is None else pair
     params = None if jacobi_params is None else tuple(float(x) for x in jacobi_params)
     key = (family, tuple(pair), interval, params)
     if key not in _coupling_cache:
@@ -229,66 +235,92 @@ class SteeringPlan:
         return SteeringPlan.from_json_dict(json.loads(text))
 
 
-def _two_channel_phases(x0_vals, xf_vals, names, family, pair, interval, jacobi_params):
-    """Shared planner core for the three-state model (any coordinate naming)."""
-    lo, hi = interval
-    duration = hi - lo
-    n1, n2, n3 = names
+def _plan_bilinear(system, start, target, cross_names, family, pair, interval, jacobi_params):
+    """Shared planner for every m >= 2; ``plan_nhi`` and ``plan_gnhi`` are views.
+
+    ``start`` and ``target`` are flat lists of floats, the m direct
+    coordinates then the cross coordinates in the order of ``_pairs(m)``;
+    ``cross_names`` names the cross coordinates.  The pair is validated up
+    front for every m, but its coupling is only looked up once a pair phase
+    runs, so translation-only targets never need it.
+    """
+    interval = CANONICAL_INTERVAL if interval is None else (float(interval[0]), float(interval[1]))
+    odd, even = pair_signals(family, pair, interval, jacobi_params)
+    m = len(start) - len(cross_names)
+    pairs = _pairs(m)
+    names = [f"x{i + 1}" for i in range(m)] + list(cross_names)
+    cross_name = dict(zip(pairs, cross_names))
+    duration = interval[1] - interval[0]
+    const_family = TRIG_COS if family == "trig" else family
+    cur_x = list(start[:m])
+    cur_xx = dict(zip(pairs, start[m:]))
+    target_xx = dict(zip(pairs, target[m:]))
     phases: list[Phase] = []
     cost = 0.0
-    cur = list(x0_vals)
-    dx1 = xf_vals[0] - cur[0]
-    dx2 = xf_vals[1] - cur[1]
-    if dx1 != 0.0 or dx2 != 0.0:
-        v1 = dx1 / duration
-        v2 = dx2 / duration
-        u1 = constant_signal(family if family != "trig" else TRIG_COS, v1, interval, jacobi_params)
-        u2 = constant_signal(family if family != "trig" else TRIG_COS, v2, interval, jacobi_params)
-        byproduct = cur[0] * dx2 - cur[1] * dx1
-        cur = [xf_vals[0], xf_vals[1], cur[2] + byproduct]
-        moves = tuple(
-            name
-            for name, changed in ((n1, dx1 != 0.0), (n2, dx2 != 0.0), (n3, byproduct != 0.0))
-            if changed
-        )
-        fixes = tuple(n for n in names if n not in moves)
+
+    def add_phase(inputs, moves):
         phases.append(
             Phase(
                 interval=interval,
-                inputs=(u1, u2),
-                moves=moves,
-                fixes=fixes,
-                endpoint={n1: cur[0], n2: cur[1], n3: cur[2]},
+                inputs=tuple(inputs),
+                moves=tuple(moves),
+                fixes=tuple(n for n in names if n not in moves),
+                endpoint=dict(zip(names, [*cur_x, *cur_xx.values()])),
             )
         )
-        cost += (v1 * v1 + v2 * v2) * duration
-    delta3 = xf_vals[2] - cur[2]
-    if delta3 != 0.0:
-        odd, even = pair_signals(family, pair, interval, jacobi_params)
-        coupling = _pair_coupling(family, pair if pair is not None else default_pair(family), interval, jacobi_params)
-        if abs(coupling) < _ZERO_COUPLING:
-            raise PlannerError(
-                f"pair {pair} of family {family!r} has zero coupling displacement"
-            )
-        ratio = delta3 / coupling
-        s = math.sqrt(abs(ratio))
-        if ratio >= 0.0:
-            u1, u2 = scale_signal(odd, s), scale_signal(even, s)
+
+    dx = [xf - x for xf, x in zip(target[:m], cur_x)]
+    if any(d != 0.0 for d in dx):
+        v = [d / duration for d in dx]
+        moves = [f"x{i + 1}" for i in range(m) if dx[i] != 0.0]
+        for i, j in pairs:
+            byproduct = cur_x[i] * dx[j] - cur_x[j] * dx[i]
+            if byproduct != 0.0:
+                moves.append(cross_name[i, j])
+            cur_xx[i, j] += byproduct
+        cur_x = list(target[:m])
+        add_phase([constant_signal(const_family, vi, interval, jacobi_params) for vi in v], moves)
+        # np.sum, not sum: from m = 8 on its pairwise order sets the last digit
+        cost += float(np.sum(np.square(v))) * duration
+    coupling = None
+    zero = InputSignal(terms=(), interval=interval)
+    for i, row in itertools.groupby(pairs, key=lambda ij: ij[0]):
+        deltas = {k: target_xx[i, k] - cur_xx[i, k] for _, k in row}
+        if all(d == 0.0 for d in deltas.values()):
+            continue
+        if coupling is None:
+            coupling = _pair_coupling(family, pair, interval, jacobi_params)
+            if abs(coupling) < _ZERO_COUPLING:
+                raise PlannerError(
+                    f"pair {pair} of family {family!r} has zero coupling displacement"
+                )
+        if m == 2:
+            # one balanced scale on both channels, swapped for a negative target,
+            # and the endpoint set to the target itself (m >= 3 adds the delta)
+            ratio = deltas[1] / coupling
+            scale = math.sqrt(abs(ratio))
+            inputs = [scale_signal(odd, scale), scale_signal(even, scale)]
+            if ratio < 0.0:
+                inputs.reverse()
+            cur_xx[0, 1] = target_xx[0, 1]
         else:
-            u1, u2 = scale_signal(even, s), scale_signal(odd, s)
-        cur = [cur[0], cur[1], xf_vals[2]]
-        phases.append(
-            Phase(
-                interval=interval,
-                inputs=(u1, u2),
-                moves=(n3,),
-                fixes=(n1, n2),
-                endpoint={n1: cur[0], n2: cur[1], n3: cur[2]},
-            )
-        )
-        cost += _signal_energy(u1) + _signal_energy(u2)
-    predicted = {n1: cur[0], n2: cur[1], n3: cur[2]}
-    return tuple(phases), predicted, cost
+            s_i = math.sqrt(max(abs(d) for d in deltas.values()) / abs(coupling))
+            inputs = [zero] * m
+            inputs[i] = scale_signal(odd, s_i)
+            for k, d in deltas.items():
+                inputs[k] = scale_signal(even, d / (s_i * coupling))
+                cur_xx[i, k] += d
+        add_phase(inputs, [cross_name[i, k] for k, d in deltas.items() if d != 0.0])
+        cost += sum(_signal_energy(sig) for sig in inputs)
+    return SteeringPlan(
+        system=system,
+        family=family,
+        interval=interval,
+        initial=dict(zip(names, start)),
+        phases=tuple(phases),
+        predicted_endpoint=dict(zip(names, [*cur_x, *cur_xx.values()])),
+        cost=cost,
+    )
 
 
 def plan_nhi(
@@ -303,31 +335,15 @@ def plan_nhi(
 
     Phase one translates (x1, x2) with constant inputs; phase two drives x3
     with a scaled zero-mean odd/even pair, leaving (x1, x2) fixed.  Either
-    phase is omitted when its targets are already met.
+    phase is omitted when its targets are already met.  This is the m = 2
+    case of ``plan_gnhi`` with the cross coordinate named x3 instead of x12.
     """
     if not isinstance(x0, NhiState):
         x0 = NhiState.from_array(np.asarray(x0, dtype=float))
     if not isinstance(xf, NhiState):
         xf = NhiState.from_array(np.asarray(xf, dtype=float))
-    interval = CANONICAL_INTERVAL if interval is None else (float(interval[0]), float(interval[1]))
-    phases, predicted, cost = _two_channel_phases(
-        (x0.x1, x0.x2, x0.x3),
-        (xf.x1, xf.x2, xf.x3),
-        ("x1", "x2", "x3"),
-        family,
-        pair,
-        interval,
-        jacobi_params,
-    )
-    return SteeringPlan(
-        system="nhi",
-        family=family,
-        interval=interval,
-        initial={"x1": x0.x1, "x2": x0.x2, "x3": x0.x3},
-        phases=phases,
-        predicted_endpoint=predicted,
-        cost=cost,
-    )
+    start, target = [x0.x1, x0.x2, x0.x3], [xf.x1, xf.x2, xf.x3]
+    return _plan_bilinear("nhi", start, target, ["x3"], family, pair, interval, jacobi_params)
 
 
 def plan_gnhi(
@@ -344,117 +360,18 @@ def plan_gnhi(
     row: phase i drives channel i with the odd shape and every channel k > i
     with one common even shape, so the only cross coordinates that move are
     exactly the (i, k) targets — all other pairs cancel pointwise or by the
-    zero mean of the shapes.
+    zero mean of the shapes.  For m = 2 the single pair phase scales both
+    channels by one common factor instead and swaps them for a negative
+    target, exactly as ``plan_nhi`` does.
     """
     if not isinstance(s0, GnhiState):
         raise ValueError("s0 must be a GnhiState")
     if not isinstance(sf, GnhiState):
         raise ValueError("sf must be a GnhiState")
-    m = s0.m
-    if sf.m != m:
+    if sf.m != s0.m:
         raise ValueError("initial and target states have different m")
-    if m > 8:
-        raise CapabilityError("at most eight input channels are supported")
-    interval = CANONICAL_INTERVAL if interval is None else (float(interval[0]), float(interval[1]))
-    names = [f"x{i + 1}" for i in range(m)] + pair_names(m)
-    if m == 2:
-        phases, predicted, cost = _two_channel_phases(
-            (s0.x[0], s0.x[1], s0.xx[0, 1]),
-            (sf.x[0], sf.x[1], sf.xx[0, 1]),
-            ("x1", "x2", "x12"),
-            family,
-            pair,
-            interval,
-            jacobi_params,
-        )
-        return SteeringPlan(
-            system="gnhi",
-            family=family,
-            interval=interval,
-            initial=dict(zip(names, s0.flat())),
-            phases=phases,
-            predicted_endpoint=predicted,
-            cost=cost,
-        )
-    lo, hi = interval
-    duration = hi - lo
-    const_family = TRIG_COS if family == "trig" else family
-    phases: list[Phase] = []
-    cost = 0.0
-    cur_x = s0.x.copy()
-    cur_xx = s0.xx.copy()
-
-    def state_dict():
-        vals = list(cur_x) + [cur_xx[i, j] for i in range(m) for j in range(i + 1, m)]
-        return dict(zip(names, (float(v) for v in vals)))
-
-    dx = sf.x - cur_x
-    if np.any(dx != 0.0):
-        inputs = tuple(
-            constant_signal(const_family, dx[i] / duration, interval, jacobi_params)
-            for i in range(m)
-        )
-        moves = [f"x{i + 1}" for i in range(m) if dx[i] != 0.0]
-        for i in range(m):
-            for j in range(i + 1, m):
-                byproduct = cur_x[i] * dx[j] - cur_x[j] * dx[i]
-                if byproduct != 0.0:
-                    moves.append(f"x{i + 1}{j + 1}")
-                cur_xx[i, j] += byproduct
-                cur_xx[j, i] -= byproduct
-        cur_x = sf.x.copy()
-        fixes = tuple(n for n in names if n not in moves)
-        phases.append(
-            Phase(
-                interval=interval,
-                inputs=inputs,
-                moves=tuple(moves),
-                fixes=fixes,
-                endpoint=state_dict(),
-            )
-        )
-        cost += float(np.sum((dx / duration) ** 2)) * duration
-    odd, even = pair_signals(family, pair, interval, jacobi_params)
-    coupling = _pair_coupling(family, pair if pair is not None else default_pair(family), interval, jacobi_params)
-    if abs(coupling) < _ZERO_COUPLING:
-        raise PlannerError(f"pair {pair} of family {family!r} has zero coupling displacement")
-    zero = InputSignal(terms=(), interval=interval)
-    for i in range(m - 1):
-        deltas = {k: sf.xx[i, k] - cur_xx[i, k] for k in range(i + 1, m)}
-        if all(v == 0.0 for v in deltas.values()):
-            continue
-        s_i = math.sqrt(max(abs(v) for v in deltas.values()) / abs(coupling))
-        inputs = [zero] * m
-        inputs[i] = scale_signal(odd, s_i)
-        moves = []
-        for k in range(i + 1, m):
-            s_k = deltas[k] / (s_i * coupling)
-            inputs[k] = scale_signal(even, s_k)
-            if deltas[k] != 0.0:
-                moves.append(f"x{i + 1}{k + 1}")
-            cur_xx[i, k] += deltas[k]
-            cur_xx[k, i] -= deltas[k]
-        fixes = tuple(n for n in names if n not in moves)
-        phases.append(
-            Phase(
-                interval=interval,
-                inputs=tuple(inputs),
-                moves=tuple(moves),
-                fixes=fixes,
-                endpoint=state_dict(),
-            )
-        )
-        cost += sum(_signal_energy(sig) for sig in inputs)
-    predicted = state_dict()
-    return SteeringPlan(
-        system="gnhi",
-        family=family,
-        interval=interval,
-        initial=dict(zip(names, s0.flat())),
-        phases=tuple(phases),
-        predicted_endpoint=predicted,
-        cost=cost,
-    )
+    start, target, cross = s0.flat().tolist(), sf.flat().tolist(), pair_names(s0.m)
+    return _plan_bilinear("gnhi", start, target, cross, family, pair, interval, jacobi_params)
 
 
 def scale_pair(u1, u2, target: float, interval=None) -> tuple[float, float]:
@@ -508,36 +425,21 @@ def _merge_trajectories(trajs: list[Trajectory], names, input_names) -> Trajecto
 def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:
     """Integrate every phase of a plan in sequence from its stored start state."""
     if plan.system == "nhi":
-        names = ("x1", "x2", "x3")
-        state = NhiState(plan.initial["x1"], plan.initial["x2"], plan.initial["x3"])
-        input_names = ("u1", "u2")
-        trajs = []
-        for phase in plan.phases:
-            tr = integrate_nhi(phase.inputs, state, interval=phase.interval, steps=steps)
-            trajs.append(tr)
-            end = tr.terminal
-            state = NhiState(end["x1"], end["x2"], end["x3"])
-        if not trajs:
-            zero = InputSignal(terms=(), interval=plan.interval)
-            trajs = [integrate_nhi((zero, zero), state, interval=plan.interval, steps=steps)]
-        merged = _merge_trajectories(trajs, names, input_names)
-        return SimulationResult(trajectories=trajs, merged=merged, terminal=trajs[-1].terminal)
-    if plan.system == "gnhi":
-        names = tuple(plan.predicted_endpoint.keys())
+        names, m, integrate, state_of = ("x1", "x2", "x3"), 2, integrate_nhi, NhiState.from_array
+    elif plan.system == "gnhi":
+        names = tuple(plan.predicted_endpoint)
         m = sum(1 for n in names if len(n) == 2)
-        state = GnhiState.from_flat(m, [plan.initial[n] for n in names])
-        input_names = tuple(f"u{i + 1}" for i in range(m))
-        trajs = []
-        for phase in plan.phases:
-            tr = integrate_gnhi(phase.inputs, state, interval=phase.interval, steps=steps)
-            trajs.append(tr)
-            end = tr.terminal
-            state = GnhiState.from_flat(m, [end[n] for n in names])
-        if not trajs:
-            zero = InputSignal(terms=(), interval=plan.interval)
-            trajs = [
-                integrate_gnhi(tuple([zero] * m), state, interval=plan.interval, steps=steps)
-            ]
-        merged = _merge_trajectories(trajs, names, input_names)
-        return SimulationResult(trajectories=trajs, merged=merged, terminal=trajs[-1].terminal)
-    raise ValueError(f"unknown plan system {plan.system!r}")
+        integrate, state_of = integrate_gnhi, functools.partial(GnhiState.from_flat, m)
+    else:
+        raise ValueError(f"unknown plan system {plan.system!r}")
+    state = state_of([plan.initial[n] for n in names])
+    trajs = []
+    for phase in plan.phases:
+        trajs.append(integrate(phase.inputs, state, interval=phase.interval, steps=steps))
+        end = trajs[-1].terminal
+        state = state_of([end[n] for n in names])
+    if not trajs:
+        zero = InputSignal(terms=(), interval=plan.interval)
+        trajs = [integrate((zero,) * m, state, interval=plan.interval, steps=steps)]
+    merged = _merge_trajectories(trajs, names, trajs[0].input_names)
+    return SimulationResult(trajectories=trajs, merged=merged, terminal=trajs[-1].terminal)

@@ -186,6 +186,25 @@ def test_gnhi_embeds_the_planar_system():
     assert gnhi_end["x13"] == 0.0 and gnhi_end["x23"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "u",
+    [
+        (basis_signal(LEGENDRE, 1, scale=1.3), basis_signal(LEGENDRE, 2, scale=-0.8)),
+        (
+            basis_signal(CHEBYSHEV_FIRST, 1, weighted=True),
+            basis_signal(CHEBYSHEV_FIRST, 2, weighted=True, scale=0.6),
+        ),
+    ],
+)
+def test_integrate_gnhi_m2_is_integrate_nhi_renamed(u):
+    nhi = integrate_nhi(u, (0.3, -0.2, 0.7), steps=500)
+    gnhi = integrate_gnhi(u, GnhiState.from_flat(2, [0.3, -0.2, 0.7]), steps=500)
+    assert nhi.state_names == ("x1", "x2", "x3") and gnhi.state_names == ("x1", "x2", "x12")
+    assert gnhi.scheme == nhi.scheme and np.array_equal(gnhi.t, nhi.t)
+    for g_name, n_name in zip(gnhi.state_names + gnhi.input_names, nhi.state_names + nhi.input_names):
+        assert np.array_equal(gnhi.columns[g_name], nhi.columns[n_name])
+
+
 def test_gnhi_capability_margin():
     with pytest.raises(CapabilityError):
         GnhiState.zeros(9)
@@ -234,6 +253,12 @@ def test_log_rotation_half_turn():
     got = log_rotation(exp_rotation(v), accept_pi_tiebreak=True)
     assert_allclose(np.abs(got), np.abs(v), atol=1e-9)
     assert_allclose(exp_rotation(got), exp_rotation(v), atol=1e-9)
+
+
+def test_log_rotation_accepts_a_rotation():
+    assert np.array_equal(log_rotation(Rotation.identity()), np.zeros(3))
+    g = exp_rotation(np.array([0.2, -0.4, 0.1]))
+    assert np.array_equal(log_rotation(Rotation(g)), log_rotation(g))
 
 
 def test_project_rotation():

@@ -8,6 +8,7 @@ from nhsteer.dynamics import Rotation, exp_rotation, integrate_so3
 from nhsteer.errors import SingularityError
 from nhsteer.orthopoly import Harmonic
 from nhsteer.so3_control import (
+    AttitudePlan,
     ConstantRate,
     constant_omega_plan,
     costate_residual,
@@ -66,6 +67,26 @@ def test_plan_json_dict_shape():
     assert len(data["g0"]) == 3 and len(data["g0"][0]) == 3
     assert set(data["params"]) == {"w1", "w2", "w3"}
     assert isinstance(data["cost"], float)
+
+
+@pytest.mark.parametrize("planner", [constant_omega_plan, underactuated_plan])
+def test_plan_json_round_trip_rebuilds_the_rate_laws(planner):
+    g1 = Rotation(exp_rotation(np.array([0.3, -0.2, 0.25])))
+    plan = planner(Rotation.identity(), g1, 2.0)
+    assert plan.mode == "constant" or plan.params["r"] != 0.0
+    clone = AttitudePlan.from_json_dict(plan.to_json_dict())
+    assert clone.to_json_dict() == plan.to_json_dict()
+    want = integrate_so3(plan.omega, plan.g0, (0.0, plan.duration), steps=500)
+    got = integrate_so3(clone.omega, clone.g0, (0.0, clone.duration), steps=500)
+    for name in want.state_names + want.input_names:
+        assert np.array_equal(got.columns[name], want.columns[name])
+
+
+def test_weighted_plan_json_cannot_rebuild_its_rates():
+    g1 = Rotation(exp_rotation(np.array([0.3, -0.2, 0.25])))
+    plan = weighted_rate_plan(Rotation.identity(), g1, 2.0, lambda t: 1.0 + t)
+    with pytest.raises(ValueError):
+        AttitudePlan.from_json_dict(plan.to_json_dict())
 
 
 # ---------------------------------------------------------------------------

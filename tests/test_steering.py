@@ -264,3 +264,65 @@ def test_merged_trajectory_is_continuous():
     total = sum(ph.interval[1] - ph.interval[0] for ph in plan.phases)
     assert_allclose(t[-1] - t[0], total, atol=1e-12)
     assert result.terminal == result.merged.terminal
+
+
+# ---------------------------------------------------------------------------
+# pair validation and the m = 2 naming view
+
+
+def _translation_and_cross_targets(m):
+    n_pairs = m * (m - 1) // 2
+    translation = GnhiState.from_flat(m, [1.0] * m + [0.0] * n_pairs)
+    cross = GnhiState.from_flat(m, [0.0] * m + [1.0] * n_pairs)
+    return translation, cross
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_equal_parity_pair_is_rejected_for_every_m(m):
+    # from rest a translation moves no cross coordinate, so no pair phase runs
+    translation, _ = _translation_and_cross_targets(m)
+    with pytest.raises(ValueError):
+        plan_gnhi(GnhiState.zeros(m), translation, pair=(2, 4))
+    if m == 2:
+        with pytest.raises(ValueError):
+            plan_nhi((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), pair=(2, 4))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_zero_coupling_pair_fails_only_when_a_pair_phase_runs(m):
+    # sin(2 pi t) and cos(3 pi t) have opposite parity but zero coupling
+    translation, cross = _translation_and_cross_targets(m)
+    plan = plan_gnhi(GnhiState.zeros(m), translation, family="trig", pair=(2, 3))
+    assert [phase.moves for phase in plan.phases] == [tuple(f"x{i + 1}" for i in range(m))]
+    end = simulate_plan(plan, steps=500).terminal
+    for name, want in plan.predicted_endpoint.items():
+        assert abs(end[name] - want) < 1e-9
+    with pytest.raises(PlannerError):
+        plan_gnhi(GnhiState.zeros(m), cross, family="trig", pair=(2, 3))
+    if m == 2:
+        assert len(plan_nhi((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), family="trig", pair=(2, 3)).phases) == 1
+        with pytest.raises(PlannerError):
+            plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), family="trig", pair=(2, 3))
+
+
+@pytest.mark.parametrize(
+    "x0, xf, family",
+    [
+        ((0.0, 0.0, 0.0), (1.0, 2.0, 0.5), LEGENDRE),
+        ((0.3, -0.2, 0.7), (1.0, -0.5, -1.25), CHEBYSHEV_FIRST),  # channel swap
+        ((0.1, 0.2, 0.3), (0.1, 0.2, -2.0), "trig"),
+        ((0.5, 0.5, 0.0), (-1.0, 2.0, 0.0), CHEBYSHEV_SECOND),
+    ],
+)
+def test_gnhi_m2_is_the_planar_planner_renamed(x0, xf, family):
+    nhi = plan_nhi(x0, xf, family=family)
+    gnhi = plan_gnhi(GnhiState.from_flat(2, x0), GnhiState.from_flat(2, xf), family=family)
+    renamed = gnhi.to_json().replace('"x12"', '"x3"').replace('"system": "gnhi"', '"system": "nhi"')
+    assert renamed == nhi.to_json()
+    nhi_run = simulate_plan(nhi, steps=300).merged
+    gnhi_run = simulate_plan(gnhi, steps=300).merged
+    assert np.array_equal(gnhi_run.t, nhi_run.t)
+    for g_name, n_name in zip(
+        gnhi_run.state_names + gnhi_run.input_names, nhi_run.state_names + nhi_run.input_names
+    ):
+        assert np.array_equal(gnhi_run.columns[g_name], nhi_run.columns[n_name])
