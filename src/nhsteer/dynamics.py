@@ -30,8 +30,9 @@ from .orthopoly import (
     CANONICAL_INTERVAL,
     InputSignal,
     _eval_array,
-    integrate,
-    integrate_smooth,
+    _infer_interval,
+    _product_integrals,
+    _running_of,
 )
 
 __all__ = [
@@ -195,18 +196,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # The bilinear core
 # ---------------------------------------------------------------------------
-
-
-def _infer_interval(inputs, interval):
-    sig_intervals = {u.interval for u in inputs if isinstance(u, InputSignal)}
-    if interval is not None:
-        interval = (float(interval[0]), float(interval[1]))
-        sig_intervals.add(interval)
-    if len(sig_intervals) > 1:
-        raise ValueError("inputs live on different intervals")
-    if not sig_intervals:
-        raise ValueError("interval cannot be inferred from bare callables; pass it")
-    return sig_intervals.pop()
 
 
 def _grids(inputs, interval, steps, reparam):
@@ -515,44 +504,19 @@ def integrate_so3(
 # ---------------------------------------------------------------------------
 
 
-def _running_of(u, lo: float):
-    if isinstance(u, InputSignal):
-        return u.running_integral
-
-    def run(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.array([integrate_smooth(u, lo, float(t)) for t in ts])
-
-    return run
-
-
 def coupling_displacement(u1, u2, interval=None) -> float:
     """Net change of the cross coordinate from rest: integral of X1 u2 - X2 u1.
 
-    X_i is the running integral of u_i from the left endpoint.  For signal
-    inputs the running integrals come from their closed forms and the
-    endpoint weights are handled by the structured quadrature; bare
-    callables fall back to nested adaptive integration.
+    X_i is the running integral of u_i from the left endpoint: closed forms
+    for signal inputs, nested adaptive integration for bare callables.  Both
+    halves go through the one product-integral path of ``orthopoly``, which
+    expands signals term by term and absorbs their endpoint weights.
     """
     interval = _infer_interval((u1, u2), interval)
-    lo, hi = interval
-    run1 = _running_of(u1, lo)
-    run2 = _running_of(u2, lo)
+    lo = interval[0]
     total = 0.0
-    for sig, other_run, sign in ((u2, run1, +1.0), (u1, run2, -1.0)):
-        if isinstance(sig, InputSignal):
-            for term in sig.terms:
-                def f(ts, term=term, other_run=other_run):
-                    return np.asarray(other_run(ts), dtype=float) * np.asarray(
-                        term.smooth(ts), dtype=float
-                    )
-
-                total += sign * integrate(f, interval, term.exponents, box=interval)
-        else:
-            def f(ts, sig=sig, other_run=other_run):
-                ts = np.atleast_1d(np.asarray(ts, dtype=float))
-                vals = np.array([float(sig(t)) for t in ts])
-                return np.asarray(other_run(ts), dtype=float) * vals
-
-            total += sign * integrate_smooth(f, lo, hi)
+    for part in _product_integrals((_running_of(u1, lo), u2), interval):
+        total += part
+    for part in _product_integrals((_running_of(u2, lo), u1), interval):
+        total -= part
     return total

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import PlannerError
 from .dynamics import coupling_displacement, integrate_nhi
-from .orthopoly import InputSignal, l1_norm, lp_norm, scale_signal
-from .steering import _ZERO_COUPLING, pair_signals
+from .orthopoly import InputSignal, _infer_interval, l1_norm, lp_norm, scale_signal
+from .steering import _nonzero_coupling, pair_signals
 
 __all__ = [
     "FuelConstants",
@@ -63,14 +63,8 @@ def fuel_constants(u1, u2, a: float, interval=None) -> FuelConstants:
         raise ValueError("the displacement target must be nonzero")
     if not isinstance(u1, InputSignal) or not isinstance(u2, InputSignal):
         raise ValueError("fuel analysis expects InputSignal shapes")
-    if interval is None:
-        interval = u1.interval
-    interval = (float(interval[0]), float(interval[1]))
-    if u1.interval != interval or u2.interval != interval:
-        raise ValueError("shapes live on a different interval")
-    coupling = coupling_displacement(u1, u2, interval)
-    if abs(coupling) < _ZERO_COUPLING:
-        raise PlannerError("the pair has zero coupling displacement; it cannot steer")
+    interval = _infer_interval((u1, u2), interval)
+    coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval))
     return FuelConstants(
         c1=l1_norm(u1),
         c2=l1_norm(u2),

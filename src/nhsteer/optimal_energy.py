@@ -20,6 +20,7 @@ pointwise for any candidate pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,8 +34,8 @@ from .orthopoly import (
     InputSignal,
     Term,
     WeightFn,
-    _eval_array,
-    integrate,
+    _infer_interval,
+    _product_integrals,
     weight_fn,
 )
 from .steering import Phase, SteeringPlan
@@ -140,59 +141,29 @@ def cheb_optimal_inputs(a: float, split: float = 0.0) -> ChebOptimalSolution:
     return cheb_extremal_inputs(a, lam=1, split=split)
 
 
-def _coeff_parts(aw):
-    """(smooth_callable_or_None, exponents) of a channel weight."""
-    if isinstance(aw, WeightFn):
-        return None, aw.exponents
-    if isinstance(aw, (int, float)):
-        value = float(aw)
-        return (lambda t: np.full(np.shape(np.asarray(t, dtype=float)), value)), (0.0, 0.0)
-    if callable(aw):
-        return aw, (0.0, 0.0)
-    raise ValueError("channel weights must be WeightFn, numbers, or callables")
-
-
 def weighted_cost(u1, u2, cost: WeightedCost) -> float:
     """Evaluate 1/2 * integral (a1 u1^2 + a2 u2^2) over the cost interval.
 
-    Signal inputs are expanded term by term so endpoint weights combine with
-    the channel weight analytically; a plain callable input is integrated
-    directly (it must be bounded for that to make sense).
+    Each channel is the product integral of (u, u, a) on the one path of
+    ``orthopoly``: signal inputs expand term by term, so endpoint weights
+    combine with a ``WeightFn`` channel weight analytically (it contributes
+    its exponents only); a number or callable weight and a plain callable
+    input enter the product as they are (such an input must be bounded).
     """
     box = cost.interval
     total = 0.0
     for u, aw in ((u1, cost.a1), (u2, cost.a2)):
-        a_smooth, a_exps = _coeff_parts(aw)
-        if isinstance(u, InputSignal):
-            if u.interval != tuple(box):
-                raise ValueError("input and cost live on different intervals")
-            for ti in u.terms:
-                for tj in u.terms:
-                    exps = (
-                        ti.exponents[0] + tj.exponents[0] + a_exps[0],
-                        ti.exponents[1] + tj.exponents[1] + a_exps[1],
-                    )
-
-                    def f(t, ti=ti, tj=tj, a_smooth=a_smooth):
-                        val = np.asarray(ti.smooth(t), dtype=float) * np.asarray(
-                            tj.smooth(t), dtype=float
-                        )
-                        if a_smooth is not None:
-                            val = val * np.asarray(a_smooth(t), dtype=float)
-                        return val
-
-                    total += integrate(f, box, exps, box=box)
+        if isinstance(aw, WeightFn):
+            weight = aw.exponents
+        elif isinstance(aw, (int, float)):
+            weight = functools.partial(np.full_like, fill_value=float(aw))
+        elif callable(aw):
+            weight = aw
         else:
-
-            def f(t, u=u, a_smooth=a_smooth):
-                ts = np.atleast_1d(np.asarray(t, dtype=float))
-                vals = _eval_array(u, ts)
-                vals = vals * vals
-                if a_smooth is not None:
-                    vals = vals * np.asarray(a_smooth(ts), dtype=float)
-                return vals
-
-            total += integrate(f, box, a_exps, box=box)
+            raise ValueError("channel weights must be WeightFn, numbers, or callables")
+        _infer_interval((u,), box)  # the input must live on the cost interval
+        for part in _product_integrals((u, u, weight), box):
+            total += part
     return 0.5 * total
 
 

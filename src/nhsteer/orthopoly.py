@@ -13,14 +13,21 @@ Everything that integrates against an endpoint-singular weight works in s,
 t = -cos(s), where the integrand is smooth: ``integrate`` adaptively, and the
 L1/Lp norms panel by panel between the sign changes (found by a degree-sized
 scan in s and batched bisection), by closed-form running integrals or a
-doubled fixed Gauss rule.  Degrees are capped at 64; beyond that the
+doubled fixed Gauss rule.  Weighted integrals of products of family terms
+(``inner_product``, ``optimal_energy.weighted_cost`` and
+``dynamics.coupling_displacement``) share one product-integral path,
+``_product_integrals``, the single place that calls ``integrate`` for them.
+Degrees are capped at 64; beyond that the
 recurrences are still fine but we refuse rather than pretend the rest of the
 package (planning, quadrature tolerances) has been validated there.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,6 +94,22 @@ def _check_interval(interval) -> tuple[float, float]:
     return interval
 
 
+def _check_family_fields(obj) -> None:
+    """Validate and normalize family, interval and jacobi_params of an element or weight."""
+    if obj.family not in FAMILIES:
+        raise ValueError(f"unknown family {obj.family!r}")
+    object.__setattr__(obj, "interval", _check_interval(obj.interval))
+    if obj.family == JACOBI:
+        if obj.jacobi_params is None:
+            raise ValueError("the jacobi family requires jacobi_params=(alpha, beta)")
+        alpha, beta = map(float, obj.jacobi_params)
+        if alpha <= -1.0 or beta <= -1.0:
+            raise ValueError("jacobi parameters must satisfy alpha, beta > -1")
+        object.__setattr__(obj, "jacobi_params", (alpha, beta))
+    elif obj.jacobi_params is not None:
+        raise ValueError("jacobi_params is only valid for the jacobi family")
+
+
 @dataclass(frozen=True)
 class BasisElement:
     """One member of an orthogonal family on a fixed interval."""
@@ -97,8 +120,7 @@ class BasisElement:
     jacobi_params: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        _check_family_fields(self)
         if not isinstance(self.index, (int, np.integer)):
             raise ValueError("index must be an integer")
         if self.index < 0:
@@ -109,16 +131,6 @@ class BasisElement:
             )
         if self.family == TRIG_SIN and self.index == 0:
             raise ValueError("trig_sin index 0 is the zero function")
-        object.__setattr__(self, "interval", _check_interval(self.interval))
-        if self.family == JACOBI:
-            if self.jacobi_params is None:
-                raise ValueError("jacobi elements require jacobi_params=(alpha, beta)")
-            alpha, beta = map(float, self.jacobi_params)
-            if alpha <= -1.0 or beta <= -1.0:
-                raise ValueError("jacobi parameters must satisfy alpha, beta > -1")
-            object.__setattr__(self, "jacobi_params", (alpha, beta))
-        elif self.jacobi_params is not None:
-            raise ValueError("jacobi_params is only valid for the jacobi family")
 
 
 def shift(element: BasisElement) -> BasisElement:
@@ -296,31 +308,28 @@ def _unwrap(value: np.ndarray, t):
     return value
 
 
+def _on_element(canonical, chain: float, element: BasisElement, t):
+    """``canonical`` of the element at ``t``, times ``chain`` on the shifted interval."""
+    tau = _to_canonical(element.interval, t)
+    out = canonical(element.family, element.index, element.jacobi_params, np.atleast_1d(tau))
+    if element.interval == SHIFTED_INTERVAL:
+        out = chain * out
+    return _unwrap(out.reshape(np.shape(tau)), t)
+
+
 def evaluate(element: BasisElement, t):
     """Evaluate the element at ``t`` (scalar or array) on its own interval."""
-    tau = _to_canonical(element.interval, t)
-    out = _eval_canonical(element.family, element.index, element.jacobi_params, np.atleast_1d(tau))
-    return _unwrap(out.reshape(np.shape(tau)), t)
+    return _on_element(_eval_canonical, 1.0, element, t)
 
 
 def evaluate_derivative(element: BasisElement, t):
     """First derivative with respect to the element's own variable ``t``."""
-    tau = _to_canonical(element.interval, t)
-    out = _deriv_canonical(element.family, element.index, element.jacobi_params, np.atleast_1d(tau))
-    if element.interval == SHIFTED_INTERVAL:
-        out = 2.0 * out
-    return _unwrap(out.reshape(np.shape(tau)), t)
+    return _on_element(_deriv_canonical, 2.0, element, t)
 
 
 def evaluate_second_derivative(element: BasisElement, t):
     """Second derivative with respect to the element's own variable ``t``."""
-    tau = _to_canonical(element.interval, t)
-    out = _second_deriv_canonical(
-        element.family, element.index, element.jacobi_params, np.atleast_1d(tau)
-    )
-    if element.interval == SHIFTED_INTERVAL:
-        out = 4.0 * out
-    return _unwrap(out.reshape(np.shape(tau)), t)
+    return _on_element(_second_deriv_canonical, 4.0, element, t)
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +365,7 @@ class WeightFn:
     jacobi_params: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "interval", _check_interval(self.interval))
-        if self.family == JACOBI:
-            if self.jacobi_params is None:
-                raise ValueError("jacobi weight requires jacobi_params")
-            alpha, beta = map(float, self.jacobi_params)
-            if alpha <= -1.0 or beta <= -1.0:
-                raise ValueError("jacobi parameters must satisfy alpha, beta > -1")
-            object.__setattr__(self, "jacobi_params", (alpha, beta))
+        _check_family_fields(self)
 
     @property
     def exponents(self) -> tuple[float, float]:
@@ -875,18 +875,70 @@ class Harmonic:
 # ---------------------------------------------------------------------------
 
 
-def _as_terms(obj) -> tuple[tuple, tuple[float, float] | None]:
-    """Normalize an operand to a list of (smooth_callable, exponents) factors."""
+def _factors(obj) -> tuple:
+    """(smooth part or None, endpoint exponents) of each term of one operand."""
     if isinstance(obj, BasisElement):
-        sig = InputSignal(terms=(Term(element=obj),), interval=obj.interval)
-        return tuple(sig.terms), sig.interval
+        obj = Term(element=obj)
     if isinstance(obj, Term):
-        return (obj,), obj.element.interval
+        return ((obj.smooth, obj.exponents),)
     if isinstance(obj, InputSignal):
-        return tuple(obj.terms), obj.interval
-    if callable(obj):
-        return (obj,), None
-    raise ValueError(f"cannot interpret {type(obj).__name__} as an inner-product operand")
+        return tuple((term.smooth, term.exponents) for term in obj.terms)
+    if isinstance(obj, tuple):
+        return ((None, obj),)
+    return ((obj, (0.0, 0.0)),)
+
+
+def _product(fns, t):
+    return functools.reduce(operator.mul, (_eval_array(fn, t) for fn in fns))
+
+
+def _product_integrals(operands, box):
+    """Integrals over ``box`` of each product of one term per operand, in ``itertools.product`` order.
+
+    Elements, terms and signals expand term by term: each term brings its
+    smooth part to the product and its exponents to the weight ``integrate``
+    absorbs.  An exponent pair (a, b) brings only a weight; any other callable
+    enters the product as it is.  Exponents add up and factors multiply in
+    operand order.
+    """
+    for combo in itertools.product(*map(_factors, operands)):
+        a = b = 0.0
+        fns = []
+        for fn, (ea, eb) in combo:
+            a += ea
+            b += eb
+            if fn is not None:
+                fns.append(fn)
+        yield integrate(functools.partial(_product, tuple(fns)), box, (a, b), box=box)
+
+
+def _running_of(u, lo: float):
+    """Running integral of ``u`` from ``lo``: closed forms for a signal, else adaptive per point."""
+    if isinstance(u, InputSignal):
+        return u.running_integral
+
+    def run(ts):
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return np.array([integrate_smooth(u, lo, float(t)) for t in ts])
+
+    return run
+
+
+def _infer_interval(operands, *given) -> tuple[float, float]:
+    """The one interval shared by the operands' elements, terms and signals and the non-None ``given``."""
+    found = {(float(i[0]), float(i[1])) for i in given if i is not None}
+    for obj in operands:
+        if isinstance(obj, Term):
+            obj = obj.element
+        if isinstance(obj, (BasisElement, InputSignal)):
+            found.add(obj.interval)
+        elif not callable(obj):
+            raise ValueError(f"cannot interpret {type(obj).__name__} as an integrand")
+    if len(found) > 1:
+        raise ValueError("operands live on different intervals")
+    if not found:
+        raise ValueError("interval cannot be inferred from bare callables; pass it")
+    return found.pop()
 
 
 def inner_product(f, g, w: WeightFn | None = None, interval=None) -> float:
@@ -896,38 +948,12 @@ def inner_product(f, g, w: WeightFn | None = None, interval=None) -> float:
     callables; the weight's endpoint singularities (and those of weighted
     terms) are absorbed by the substitution inside ``integrate``.
     """
-    f_terms, f_int = _as_terms(f)
-    g_terms, g_int = _as_terms(g)
-    intervals = {i for i in (f_int, g_int, None if w is None else w.interval) if i is not None}
-    if interval is not None:
-        intervals.add(_check_interval(interval))
-    if len(intervals) > 1:
-        raise ValueError("operands live on different intervals")
-    if not intervals:
-        raise ValueError("interval cannot be inferred; pass it explicitly")
-    box = intervals.pop()
-    w_exps = (0.0, 0.0) if w is None else w.exponents
+    box = _infer_interval(
+        (f, g), None if w is None else w.interval, None if interval is None else _check_interval(interval)
+    )
     total = 0.0
-    for ft in f_terms:
-        for gt in g_terms:
-            exps = [w_exps]
-            factors = []
-            for part in (ft, gt):
-                if isinstance(part, Term):
-                    exps.append(part.exponents)
-                    factors.append(part.smooth)
-                else:
-                    factors.append(part)
-            a = sum(e[0] for e in exps)
-            b = sum(e[1] for e in exps)
-
-            def prod(t, fs=tuple(factors)):
-                acc = np.asarray(fs[0](t), dtype=float)
-                for fn in fs[1:]:
-                    acc = acc * np.asarray(fn(t), dtype=float)
-                return acc
-
-            total += integrate(prod, box, (a, b), box=box)
+    for part in _product_integrals((f, g) if w is None else (w.exponents, f, g), box):
+        total += part
     return total
 
 

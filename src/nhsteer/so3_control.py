@@ -169,14 +169,9 @@ def weighted_rate_plan(g0, g1, duration: float, q, accept_pi_tiebreak: bool = Fa
     if duration <= 0:
         raise ValueError("duration must be positive")
     samples = np.linspace(0.0, duration, 257)
-    q_vals = np.array([float(q(t)) for t in samples])
-    if np.min(q_vals) <= 0.0:
+    if np.min(_eval_array(q, samples)) <= 0.0:
         raise ValueError("the rate weight q must be positive on [0, T]")
-    rate_integral = integrate_smooth(
-        lambda ts: 1.0 / np.array([float(q(t)) for t in np.atleast_1d(ts)]),
-        0.0,
-        duration,
-    )
+    rate_integral = integrate_smooth(_ScaledReciprocal(1.0, q), 0.0, duration)
     v = log_rotation(g1.matrix @ g0.matrix.T, accept_pi_tiebreak=accept_pi_tiebreak)
     c = v / rate_integral
     omega = tuple(_ScaledReciprocal(float(c[i]), q) for i in range(3))

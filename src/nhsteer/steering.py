@@ -140,6 +140,13 @@ def _pair_coupling(family, pair, interval, jacobi_params) -> float:
     return _coupling_cache[key]
 
 
+def _nonzero_coupling(coupling: float, what: str = "the pair") -> float:
+    """The coupling a caller computed, or ``PlannerError`` if it is too small to steer with."""
+    if abs(coupling) < _ZERO_COUPLING:
+        raise PlannerError(f"{what} has zero coupling displacement; it cannot steer")
+    return coupling
+
+
 def _signal_energy(sig: InputSignal) -> float:
     if not sig.terms:
         return 0.0
@@ -177,6 +184,16 @@ class Phase:
             fixes=tuple(data["fixes"]),
             endpoint={k: float(v) for k, v in data["endpoint"].items()},
         )
+
+
+def _plan_coordinates(system: str, names) -> list[str]:
+    """A plan's coordinates in order; for gnhi, m is the count of direct names in ``names``."""
+    if system == "nhi":
+        return ["x1", "x2", "x3"]
+    if system == "gnhi":
+        m = sum(1 for n in names if len(n) == 2)
+        return [f"x{i + 1}" for i in range(m)] + pair_names(m)
+    raise ValueError(f"unknown plan system {system!r}")
 
 
 @dataclass(frozen=True)
@@ -218,14 +235,20 @@ class SteeringPlan:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SteeringPlan":
+        """Rebuild a plan; its start and endpoint must name the system's coordinates in order."""
         cost = data.get("cost")
+        initial = {k: float(v) for k, v in data["initial_state"].items()}
+        endpoint = {k: float(v) for k, v in data["predicted_endpoint"].items()}
+        names = _plan_coordinates(data["system"], initial)
+        if list(initial) != names or list(endpoint) != names:
+            raise ValueError(f"initial_state and predicted_endpoint must name {', '.join(names)}")
         return SteeringPlan(
             system=data["system"],
             family=data["family"],
             interval=tuple(float(x) for x in data["interval"]),
-            initial={k: float(v) for k, v in data["initial_state"].items()},
+            initial=initial,
             phases=tuple(Phase.from_json_dict(d) for d in data["phases"]),
-            predicted_endpoint={k: float(v) for k, v in data["predicted_endpoint"].items()},
+            predicted_endpoint=endpoint,
             cost=math.inf if cost is None else float(cost),
             closed_form=data.get("closed_form"),
         )
@@ -289,11 +312,9 @@ def _plan_bilinear(system, start, target, cross_names, family, pair, interval, j
         if all(d == 0.0 for d in deltas.values()):
             continue
         if coupling is None:
-            coupling = _pair_coupling(family, pair, interval, jacobi_params)
-            if abs(coupling) < _ZERO_COUPLING:
-                raise PlannerError(
-                    f"pair {pair} of family {family!r} has zero coupling displacement"
-                )
+            coupling = _nonzero_coupling(
+                _pair_coupling(family, pair, interval, jacobi_params), f"pair {pair} of family {family!r}"
+            )
         if m == 2:
             # one balanced scale on both channels, swapped for a negative target,
             # and the endpoint set to the target itself (m >= 3 adds the delta)
@@ -383,9 +404,7 @@ def scale_pair(u1, u2, target: float, interval=None) -> tuple[float, float]:
     target = float(target)
     if target == 0.0:
         return (0.0, 0.0)
-    coupling = coupling_displacement(u1, u2, interval)
-    if abs(coupling) < _ZERO_COUPLING:
-        raise PlannerError("the pair has zero coupling displacement; it cannot steer")
+    coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval))
     ratio = target / coupling
     root = math.sqrt(abs(ratio))
     return (root, math.copysign(root, ratio))
@@ -424,14 +443,12 @@ def _merge_trajectories(trajs: list[Trajectory], names, input_names) -> Trajecto
 
 def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:
     """Integrate every phase of a plan in sequence from its stored start state."""
+    names = _plan_coordinates(plan.system, plan.predicted_endpoint)
     if plan.system == "nhi":
-        names, m, integrate, state_of = ("x1", "x2", "x3"), 2, integrate_nhi, NhiState.from_array
-    elif plan.system == "gnhi":
-        names = tuple(plan.predicted_endpoint)
+        m, integrate, state_of = 2, integrate_nhi, NhiState.from_array
+    else:
         m = sum(1 for n in names if len(n) == 2)
         integrate, state_of = integrate_gnhi, functools.partial(GnhiState.from_flat, m)
-    else:
-        raise ValueError(f"unknown plan system {plan.system!r}")
     state = state_of([plan.initial[n] for n in names])
     trajs = []
     for phase in plan.phases:

@@ -270,6 +270,36 @@ def test_malformed_plan_file_exits_one(tmp_path, capsys, command, content):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize(
+    "system, edit",
+    [
+        pytest.param("gnhi", lambda d: d["initial_state"].pop("x12"), id="gnhi-start-lacks-x12"),
+        pytest.param("gnhi", lambda d: d["predicted_endpoint"].pop("x3"), id="gnhi-end-lacks-x3"),
+        pytest.param("gnhi", lambda d: d["initial_state"].update(x4=0.0), id="gnhi-start-extra-x4"),
+        pytest.param(
+            "nhi",
+            lambda d: d["predicted_endpoint"].update(x12=d["predicted_endpoint"].pop("x3")),
+            id="nhi-end-x12-for-x3",
+        ),
+    ],
+)
+def test_plan_file_with_mismatched_coordinates_exits_one(tmp_path, capsys, command, system, edit):
+    plan_file = tmp_path / "plan.json"
+    if system == "gnhi":
+        argv = ["plan", "gnhi", "--m", "3", "--from", "0,0,0,0,0,0", "--to", "1,-2,0.5,1.5,-0.75,2"]
+    else:
+        argv = ["plan", "nhi", "--from", "0,0,0", "--to", "1,2,3"]
+    assert run(capsys, *argv, "--out", str(plan_file))[0] == 0
+    data = json.loads(plan_file.read_text())
+    edit(data)
+    plan_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--plan", str(plan_file))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
 def test_out_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NHSTEER_OUT_DIR", str(tmp_path))
     code, _, err = run(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import integrate as sp_integrate
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from nhsteer.errors import AmbiguityError, CapabilityError
@@ -152,6 +153,27 @@ def test_coupling_accepts_plain_callables():
         lambda t: np.cos(math.pi * t), lambda t: np.sin(math.pi * t), interval=(-1.0, 1.0)
     )
     assert_allclose(val, 2.0 / math.pi, atol=1e-9)
+
+
+def _quad(f, lo, hi):
+    return sp_integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+
+def test_coupling_of_scalar_only_callables_matches_quad():
+    # math.sin and math.cos refuse arrays, so every evaluation goes point by point
+    lo, hi = -1.0, 1.0
+
+    def x1(t):
+        return _quad(math.sin, lo, t)
+
+    def x2(t):
+        return _quad(math.cos, lo, t)
+
+    want = _quad(lambda t: x1(t) * math.cos(t) - x2(t) * math.sin(t), lo, hi)
+    assert_allclose(coupling_displacement(math.sin, math.cos, (lo, hi)), want, rtol=1e-10)
+    p2 = basis_signal(LEGENDRE, 2)
+    mixed = _quad(lambda t: x1(t) * p2(t) - float(p2.running_integral(t)) * math.sin(t), lo, hi)
+    assert_allclose(coupling_displacement(math.sin, p2), mixed, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------

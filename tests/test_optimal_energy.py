@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import integrate as sp_integrate
 
 from nhsteer.dynamics import coupling_displacement
 from nhsteer.optimal_energy import (
     cheb_cost,
     cheb_extremal_inputs,
     cheb_optimal_inputs,
+    WeightedCost,
     el_residual,
     solution_to_plan,
     unit_cost,
@@ -18,10 +20,14 @@ from nhsteer.orthopoly import (
     CANONICAL_INTERVAL,
     CHEBYSHEV_FIRST,
     CHEBYSHEV_SECOND,
+    LEGENDRE,
+    SHIFTED_INTERVAL,
     BasisElement,
     Harmonic,
     InputSignal,
     Term,
+    basis_signal,
+    combine_signals,
     integrate,
     scale_signal,
 )
@@ -192,3 +198,46 @@ def test_no_random_competitor_beats_the_closed_form():
         s1, s2 = scale_pair(u1, u2, a)
         competitor = weighted_cost(scale_signal(u1, s1), scale_signal(u2, s2), cost)
         assert competitor >= best - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# weighted_cost against scipy's quad
+
+
+def _quad(f, lo, hi, **kw):
+    return sp_integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200, **kw)[0]
+
+
+def _two_term_pair(interval):
+    u1 = combine_signals(
+        basis_signal(LEGENDRE, 1, interval=interval, scale=1.3),
+        basis_signal(LEGENDRE, 4, interval=interval, scale=-0.4),
+    )
+    u2 = combine_signals(
+        basis_signal(LEGENDRE, 2, interval=interval, scale=0.7),
+        basis_signal(LEGENDRE, 3, interval=interval, scale=0.9),
+    )
+    return u1, u2
+
+
+def test_weighted_cost_under_unit_cost_matches_quad():
+    u1, u2 = _two_term_pair(CANONICAL_INTERVAL)
+    want = _quad(lambda t: 0.5 * (u1(t) ** 2 + u2(t) ** 2), -1.0, 1.0)
+    assert_allclose(weighted_cost(u1, u2, unit_cost()), want, rtol=1e-12)
+
+
+def test_weighted_cost_with_callable_channel_weights_matches_quad():
+    u1, u2 = _two_term_pair(SHIFTED_INTERVAL)
+    cost = WeightedCost(a1=lambda t: 1.0 + t * t, a2=np.exp, interval=SHIFTED_INTERVAL)
+    want = _quad(lambda t: 0.5 * ((1.0 + t * t) * u1(t) ** 2 + math.exp(t) * u2(t) ** 2), 0.0, 1.0)
+    assert_allclose(weighted_cost(u1, u2, cost), want, rtol=1e-12)
+
+
+def test_weighted_cost_of_bare_callable_inputs_matches_quad():
+    # np.sin takes arrays; math.cos only scalars
+    want_unit = _quad(lambda t: 0.5 * (math.sin(t) ** 2 + math.cos(t) ** 2), -1.0, 1.0)
+    assert_allclose(weighted_cost(np.sin, math.cos, unit_cost()), want_unit, rtol=1e-12)
+    want_cheb = _quad(
+        lambda t: 0.5 * (math.sin(t) ** 2 + math.exp(t) ** 2), -1.0, 1.0, weight="alg", wvar=(0.5, 0.5)
+    )
+    assert_allclose(weighted_cost(np.sin, math.exp, cheb_cost()), want_cheb, rtol=1e-10)

@@ -23,6 +23,7 @@ from nhsteer.orthopoly import (
     Harmonic,
     InputSignal,
     Term,
+    WeightFn,
     basis_signal,
     combine_signals,
     constant_signal,
@@ -86,6 +87,21 @@ def test_element_validation():
         BasisElement("hermite", 1)
     with pytest.raises(DomainError):
         evaluate(BasisElement(LEGENDRE, 3), 1.5)
+
+
+def test_weight_validation_matches_element_validation():
+    # jacobi_params belong to the jacobi family only, and are stored as a float pair
+    with pytest.raises(ValueError):
+        weight_fn(LEGENDRE, jacobi_params=(1, 2))
+    with pytest.raises(ValueError):
+        WeightFn(CHEBYSHEV_FIRST, jacobi_params=[0.5, 0.5])
+    with pytest.raises(ValueError):
+        WeightFn(JACOBI, jacobi_params=(-1.0, 0.5))
+    with pytest.raises(ValueError):
+        WeightFn(JACOBI)
+    w = WeightFn(JACOBI, jacobi_params=[1, 0.5])
+    assert w.jacobi_params == (1.0, 0.5) and hash(w) == hash(weight_fn(JACOBI, jacobi_params=(1.0, 0.5)))
+    assert BasisElement(JACOBI, 2, jacobi_params=[1, 0.5]).jacobi_params == (1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +393,18 @@ def test_inner_product_accepts_mixed_operands():
     assert_allclose(direct, math.pi / 2.0, atol=1e-10)
     assert_allclose(via_signal, direct, atol=1e-10)
     assert_allclose(via_callable, direct, atol=1e-10)
+
+
+def test_inner_product_of_a_bare_callable_against_the_first_kind_weight():
+    el = BasisElement(CHEBYSHEV_FIRST, 3)
+    want = sp_integrate.quad(
+        lambda t: math.exp(t) * sp_special.eval_chebyt(3, t), -1.0, 1.0,
+        weight="alg", wvar=(-0.5, -0.5), epsabs=1e-13, epsrel=1e-13,
+    )[0]
+    got = inner_product(np.exp, el, weight_fn(CHEBYSHEV_FIRST))
+    assert_allclose(got, want, rtol=1e-9)
+    # a scalar-only callable is evaluated point by point, to the same value
+    assert_allclose(inner_product(math.exp, el, weight_fn(CHEBYSHEV_FIRST)), got, rtol=1e-14)
 
 
 def test_inner_product_interval_conflict():
