@@ -30,9 +30,10 @@ from .orthopoly import (
     CANONICAL_INTERVAL,
     InputSignal,
     _eval_array,
+    _factors,
     _infer_interval,
     _product_integrals,
-    _running_of,
+    _running_factors,
 )
 
 __all__ = [
@@ -507,16 +508,17 @@ def integrate_so3(
 def coupling_displacement(u1, u2, interval=None) -> float:
     """Net change of the cross coordinate from rest: integral of X1 u2 - X2 u1.
 
-    X_i is the running integral of u_i from the left endpoint: closed forms
-    for signal inputs, nested adaptive integration for bare callables.  Both
-    halves go through the one product-integral path of ``orthopoly``, which
-    expands signals term by term and absorbs their endpoint weights.
+    X_i is the running integral of u_i from the left endpoint.  Elements,
+    terms and signals expand term by term, X_i into closed forms (a
+    polynomial times a Jacobi weight, or a trig polynomial), so each product
+    of family terms is summed exactly on Gauss-Jacobi nodes or by the
+    trapezoid rule; bare callables, mixed trig and polynomial products and
+    terms without such a closed form go through adaptive quadrature.
     """
     interval = _infer_interval((u1, u2), interval)
-    lo = interval[0]
     total = 0.0
-    for part in _product_integrals((_running_of(u1, lo), u2), interval):
+    for part in _product_integrals((_running_factors(u1, interval), _factors(u2)), interval):
         total += part
-    for part in _product_integrals((_running_of(u2, lo), u1), interval):
+    for part in _product_integrals((_running_factors(u2, interval), _factors(u1)), interval):
         total -= part
     return total

@@ -12,10 +12,13 @@ and cross-checks it against a dense logarithmic grid; ``compare_families``
 ranks several shape pairs for the same target and refuses to return a report
 whose transfer does not survive simulation.
 
-Shape norms come from ``orthopoly.l1_norm`` / ``lp_norm``: sign changes are
-found first (a degree-sized scan in s, t = -cos s, then batched bisection) and
-each constant-sign panel is summed from closed-form running integrals or
-integrated in s by a doubled fixed Gauss rule, so |u| never meets a kink.
+The coupling D is summed exactly by ``dynamics.coupling_displacement`` (Gauss-
+Jacobi nodes, or the trapezoid rule for trig shapes).  Shape norms come from
+``orthopoly.l1_norm`` / ``lp_norm``: sign changes are found first (a
+degree-sized scan in s, t = -cos s, then batched bisection) and each
+constant-sign panel is summed from closed-form running integrals (every
+planner family, weighted Jacobi included) or integrated in s by a doubled
+fixed Gauss rule, so |u| never meets a kink.
 """
 
 from __future__ import annotations

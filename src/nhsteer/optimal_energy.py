@@ -20,7 +20,6 @@ pointwise for any candidate pair.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,11 +33,12 @@ from .orthopoly import (
     InputSignal,
     Term,
     WeightFn,
+    _factors,
     _infer_interval,
     _product_integrals,
     weight_fn,
 )
-from .steering import Phase, SteeringPlan
+from .steering import SteeringPlan, _phase
 from .sturm import value_and_derivatives
 
 __all__ = [
@@ -147,22 +147,18 @@ def weighted_cost(u1, u2, cost: WeightedCost) -> float:
     Each channel is the product integral of (u, u, a) on the one path of
     ``orthopoly``: signal inputs expand term by term, so endpoint weights
     combine with a ``WeightFn`` channel weight analytically (it contributes
-    its exponents only); a number or callable weight and a plain callable
-    input enter the product as they are (such an input must be bounded).
+    its exponents only) and a number weight is a constant factor; products of
+    family terms are then summed by exact Gauss rules.  A callable weight or
+    a plain callable input enters the product as it is and goes through
+    adaptive quadrature (such an input must be bounded).
     """
     box = cost.interval
     total = 0.0
     for u, aw in ((u1, cost.a1), (u2, cost.a2)):
-        if isinstance(aw, WeightFn):
-            weight = aw.exponents
-        elif isinstance(aw, (int, float)):
-            weight = functools.partial(np.full_like, fill_value=float(aw))
-        elif callable(aw):
-            weight = aw
-        else:
+        if not (isinstance(aw, (int, float)) or callable(aw)):
             raise ValueError("channel weights must be WeightFn, numbers, or callables")
         _infer_interval((u,), box)  # the input must live on the cost interval
-        for part in _product_integrals((u, u, weight), box):
+        for part in _product_integrals(map(_factors, (u, u, aw)), box):
             total += part
     return 0.5 * total
 
@@ -201,21 +197,15 @@ def el_residual(u1, u2, cost: WeightedCost, lam: float, t: float) -> tuple[float
 def solution_to_plan(solution: ChebOptimalSolution, x0=(0.0, 0.0, 0.0)) -> SteeringPlan:
     """Wrap a closed-form solution as a one-phase plan (cost is the weighted one)."""
     x1, x2, x3 = (float(v) for v in x0)
-    endpoint = {"x1": x1, "x2": x2, "x3": x3 + solution.a}
-    phase = Phase(
-        interval=CANONICAL_INTERVAL,
-        inputs=(solution.u1, solution.u2),
-        moves=("x3",),
-        fixes=("x1", "x2"),
-        endpoint=endpoint,
-    )
+    endpoint = [x1, x2, x3 + solution.a]
+    phase = _phase(CANONICAL_INTERVAL, (solution.u1, solution.u2), ["x1", "x2", "x3"], endpoint, ["x3"])
     return SteeringPlan(
         system="nhi",
         family=CHEBYSHEV_FIRST,
         interval=CANONICAL_INTERVAL,
         initial={"x1": x1, "x2": x2, "x3": x3},
         phases=(phase,),
-        predicted_endpoint=endpoint,
+        predicted_endpoint=phase.endpoint,
         cost=solution.cost,
         closed_form="chebyshev_minimum_energy",
     )

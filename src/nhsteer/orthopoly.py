@@ -9,14 +9,23 @@ Supported families on the canonical interval [-1, 1] (or shifted to [0, 1]):
 * ``trig_sin``           sin(n pi t), weight 1
 * ``trig_cos``           cos(n pi t), weight 1
 
-Everything that integrates against an endpoint-singular weight works in s,
-t = -cos(s), where the integrand is smooth: ``integrate`` adaptively, and the
-L1/Lp norms panel by panel between the sign changes (found by a degree-sized
-scan in s and batched bisection), by closed-form running integrals or a
-doubled fixed Gauss rule.  Weighted integrals of products of family terms
-(``inner_product``, ``optimal_energy.weighted_cost`` and
-``dynamics.coupling_displacement``) share one product-integral path,
-``_product_integrals``, the single place that calls ``integrate`` for them.
+Which rule serves which integrand:
+
+* Products of family terms (``inner_product``, ``optimal_energy.weighted_cost``
+  and ``dynamics.coupling_displacement``, whose running integrals are closed
+  forms) go through ``_product_integrals``.  A polynomial of degree D against
+  (1 - t)^a (1 + t)^b is summed on floor(D/2) + 1 Gauss-Jacobi nodes
+  (``_gauss_jacobi``, built on first use and cached), a trig polynomial of
+  index sum K by the K + 1 point trapezoid sum over its period; both exact.
+* ``integrate``, adaptive Gauss-Legendre in s with t = -cos(s) for endpoint
+  weights, serves bare callables, mixed trig and polynomial products and
+  terms whose antiderivative is no polynomial or trig polynomial (weighted
+  index 0, unweighted Jacobi of index >= 1).
+* L1/Lp norms go panel by panel between the sign changes (a degree-sized
+  scan in s and batched bisection): closed-form running integrals at p = 1,
+  otherwise a 40-node Gauss-Legendre rule in s checked against 20 nodes,
+  and ``integrate_smooth`` for a panel where the two disagree.
+
 Degrees are capped at 64; beyond that the
 recurrences are still fine but we refuse rather than pretend the rest of the
 package (planning, quadrature tolerances) has been validated there.
@@ -27,6 +36,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import operator
 from dataclasses import dataclass, replace
 
@@ -400,10 +410,37 @@ def weight_fn(family: str, interval=CANONICAL_INTERVAL, jacobi_params=None) -> W
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Legendre quadrature
+# Gauss-Jacobi rules and adaptive Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+@functools.lru_cache(maxsize=128)
+def _gauss_jacobi(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss rule for the weight (1 - x)^a (1 + x)^b on [-1, 1].
+
+    Nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch 1969),
+    improved by one Newton step; weights come from the Christoffel formula
+    C / ((1 - x^2) P_n'(x)^2) at the improved nodes.  The k = 0 diagonal and
+    the k = 1 off-diagonal entries are written in the forms that stay finite
+    at a + b = 0 and a + b = -1 (Chebyshev first kind is a = b = -1/2).
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + a + b
+    diag = np.full(n, (b - a) / (a + b + 2.0))
+    diag[1:] = (b * b - a * a) / (s * (s + 2.0))
+    off = 4.0 * (k + a) * (k + b) / (s * s * (s + 1.0))
+    off[1:] *= k[1:] * (k[1:] + a + b) / (s[1:] - 1.0)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off), -1))
+    slope = 0.5 * (n + a + b + 1.0) * _jacobi_all(n - 1, a + 1.0, b + 1.0, x)[n - 1]
+    x = x - _jacobi_all(n, a, b, x)[n] / slope
+    slope = 0.5 * (n + a + b + 1.0) * _jacobi_all(n - 1, a + 1.0, b + 1.0, x)[n - 1]
+    # C = 2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n!), as a product from the n = 1 value
+    j = np.arange(2.0, n + 1.0)
+    c = 2.0 ** (a + b + 1.0) * math.exp(math.lgamma(a + 2.0) + math.lgamma(b + 2.0) - math.lgamma(a + b + 2.0))
+    c *= np.prod((j + a) * (j + b) / (j * (j + a + b)))
+    w = c / ((1.0 - x) * (1.0 + x) * slope * slope)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _eval_array(f, t) -> np.ndarray:
@@ -425,8 +462,8 @@ def _eval_array(f, t) -> np.ndarray:
 def _gl_panel(f, lo: float, hi: float) -> float:
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    vals = _eval_array(f, mid + half * _GL_NODES)
-    return half * float(np.dot(_GL_WEIGHTS, vals))
+    nodes, weights = _gauss_jacobi(0.0, 0.0, 20)
+    return half * float(np.dot(weights, _eval_array(f, mid + half * nodes)))
 
 
 def integrate_smooth(
@@ -607,50 +644,71 @@ class Term:
         return Term(element=element, scale=float(data["scale"]), weighted=bool(data["weighted"]))
 
 
-def _term_running_integral_canonical(term: Term, tau: np.ndarray):
-    """Closed-form antiderivative from -1 in the canonical variable, or None."""
+def _term_running_integral_canonical(term: Term):
+    """The antiderivative F from -1 of a term in the canonical variable.
+
+    As (p, (a, b), d, degree) with F = (1 - tau)^a (1 + tau)^b p(tau) / d and
+    ``degree`` the (polynomial degree, trig index) of p, or None for the
+    arcsine forms of weighted index 0.  Weighted Jacobi of index n >= 1 uses
+    d/dtau [(1-tau)^(a+1) (1+tau)^(b+1) P_{n-1}^(a+1,b+1)] = -2n (1-tau)^a (1+tau)^b P_n^(a,b);
+    None for weighted Jacobi of index 0 and unweighted Jacobi of index >= 1.
+    """
     fam = term.element.family
     n = term.element.index
-    w = term.weighted
+    a, b = term.exponents
+    unweighted = (0.0, 0.0)
+    if n == 0 and (a, b) == unweighted:
+        return (lambda tau: tau + 1.0), unweighted, 1.0, (1, 0)
     if fam == LEGENDRE:
-        if n == 0:
-            return tau + 1.0
-        vals = _legendre_all(n + 1, tau)
-        lo = _legendre_all(n + 1, np.array([-1.0]))
-        f = (vals[n + 1] - vals[n - 1]) / (2 * n + 1)
-        f0 = (lo[n + 1] - lo[n - 1]) / (2 * n + 1)
-        return f - f0[0]
+
+        def legendre(tau):  # P_{n+1} - P_{n-1} vanishes at -1
+            vals = _legendre_all(n + 1, tau)
+            return vals[n + 1] - vals[n - 1]
+
+        return legendre, unweighted, 2 * n + 1.0, (n + 1, 0)
     if fam == TRIG_SIN:
-        return ((-1.0) ** n - np.cos(n * np.pi * tau)) / (n * np.pi)
+        return (lambda tau: ((-1.0) ** n - np.cos(n * np.pi * tau)) / (n * np.pi)), unweighted, 1.0, (0, n)
     if fam == TRIG_COS:
-        if n == 0:
-            return tau + 1.0
-        return np.sin(n * np.pi * tau) / (n * np.pi)
-    if fam == CHEBYSHEV_FIRST and not w:
-        if n == 0:
-            return tau + 1.0
+        return (lambda tau: np.sin(n * np.pi * tau) / (n * np.pi)), unweighted, 1.0, (0, n)
+    if fam == CHEBYSHEV_FIRST and (a, b) == unweighted:
         if n == 1:
-            return 0.5 * (tau * tau - 1.0)
-        vals = _chebyshev_t_all(n + 1, tau)
-        return (
-            0.5 * (vals[n + 1] / (n + 1) - vals[n - 1] / (n - 1))
-            - (-1.0) ** n / (n * n - 1.0)
-        )
-    if fam == CHEBYSHEV_FIRST and w:
+            return (lambda tau: 0.5 * (tau * tau - 1.0)), unweighted, 1.0, (2, 0)
+
+        def first_kind(tau):
+            vals = _chebyshev_t_all(n + 1, tau)
+            return 0.5 * (vals[n + 1] / (n + 1) - vals[n - 1] / (n - 1)) - (-1.0) ** n / (n * n - 1.0)
+
+        return first_kind, unweighted, 1.0, (n + 1, 0)
+    if fam == CHEBYSHEV_FIRST:
         if n == 0:
-            return np.arcsin(tau) + 0.5 * np.pi
-        u = _chebyshev_u_all(n - 1, tau)[n - 1]
-        return -np.sqrt(np.clip(1.0 - tau * tau, 0.0, None)) * u / n
-    if fam == CHEBYSHEV_SECOND and not w:
-        t_next = _chebyshev_t_all(n + 1, tau)[n + 1]
-        return (t_next - (-1.0) ** (n + 1)) / (n + 1)
-    if fam == CHEBYSHEV_SECOND and w:
-        root = np.sqrt(np.clip(1.0 - tau * tau, 0.0, None))
+            return (lambda tau: np.arcsin(tau) + 0.5 * np.pi), unweighted, 1.0, None
+        return (lambda tau: -_chebyshev_u_all(n - 1, tau)[n - 1]), (0.5, 0.5), float(n), (n - 1, 0)
+    if fam == CHEBYSHEV_SECOND and (a, b) == unweighted:
+        end = (-1.0) ** (n + 1)
+        return (lambda tau: _chebyshev_t_all(n + 1, tau)[n + 1] - end), unweighted, n + 1.0, (n + 1, 0)
+    if fam == CHEBYSHEV_SECOND:
         if n == 0:
-            return 0.5 * (tau * root + np.arcsin(tau)) + 0.25 * np.pi
-        vals = _chebyshev_u_all(n + 1, tau)
-        return 0.5 * root * (vals[n + 1] / (n + 2) - vals[n - 1] / n)
+
+            def arcsine(tau):
+                root = np.sqrt(np.clip(1.0 - tau * tau, 0.0, None))
+                return 0.5 * (tau * root + np.arcsin(tau)) + 0.25 * np.pi
+
+            return arcsine, unweighted, 1.0, None
+
+        def second_kind(tau):
+            vals = _chebyshev_u_all(n + 1, tau)
+            return vals[n + 1] / (n + 2) - vals[n - 1] / n
+
+        return second_kind, (0.5, 0.5), 2.0, (n + 1, 0)
+    if fam == JACOBI and (a, b) != unweighted and n > 0:
+        raised = (a + 1.0, b + 1.0)
+        return (lambda tau: _jacobi_all(n - 1, *raised, tau)[n - 1]), raised, -2.0 * n, (n - 1, 0)
     return None
+
+
+def _running_quadrature(fn, exponents, box):
+    """Running integral of fn * (1 - tau)^a (1 + tau)^b from the left end of ``box``, adaptively per point."""
+    return np.vectorize(lambda t: integrate(fn, (box[0], t), exponents, box=box), otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -659,7 +717,8 @@ class InputSignal:
 
     Callable; also knows its derivative, second derivative and running
     integral (closed forms where the family admits one, adaptive quadrature
-    otherwise).
+    per point for weighted Jacobi of index 0 and unweighted Jacobi of index
+    >= 1).
     """
 
     terms: tuple[Term, ...]
@@ -741,19 +800,17 @@ class InputSignal:
         lo, hi = self.interval
         scale_dt = 0.5 * (hi - lo)  # dt = scale_dt * dtau
         for term in self.terms:
-            closed = _term_running_integral_canonical(term, arr)
+            closed = _term_running_integral_canonical(term)
             if closed is not None:
-                acc = acc + term.scale * scale_dt * np.asarray(closed, dtype=float)
+                p, (a, b), d, _ = closed
+                if (a, b) == (0.5, 0.5):  # the Chebyshev closed forms take their weight as sqrt(1 - tau^2)
+                    weight = np.sqrt(np.clip(1.0 - arr * arr, 0.0, None))
+                else:
+                    weight = (1.0 - arr) ** a * (1.0 + arr) ** b
+                acc = acc + term.scale * scale_dt * (weight * p(arr) / d)
             else:
-                a, b = term.exponents
-                flat = arr.ravel()
-                vals = np.array(
-                    [
-                        integrate(term.smooth, (lo, lo + scale_dt * (x + 1.0)), (a, b), box=self.interval)
-                        for x in flat
-                    ]
-                )
-                acc = acc + vals.reshape(arr.shape)
+                run = _running_quadrature(term.smooth, term.exponents, self.interval)
+                acc = acc + run(lo + scale_dt * (arr + 1.0))
         return _unwrap(acc.reshape(np.shape(tau)), t)
 
     def integral(self) -> float:
@@ -875,53 +932,93 @@ class Harmonic:
 # ---------------------------------------------------------------------------
 
 
-def _factors(obj) -> tuple:
-    """(smooth part or None, endpoint exponents) of each term of one operand."""
+def _terms(obj):
+    """The terms of an element, term or signal operand, or None for anything else."""
     if isinstance(obj, BasisElement):
         obj = Term(element=obj)
     if isinstance(obj, Term):
-        return ((obj.smooth, obj.exponents),)
-    if isinstance(obj, InputSignal):
-        return tuple((term.smooth, term.exponents) for term in obj.terms)
-    if isinstance(obj, tuple):
-        return ((None, obj),)
-    return ((obj, (0.0, 0.0)),)
+        return (obj,)
+    return obj.terms if isinstance(obj, InputSignal) else None
+
+
+def _factors(obj) -> tuple:
+    """(smooth part, endpoint exponents, degree) of each term of one operand.
+
+    A term's degree is (polynomial degree, trig index).  A weight brings only
+    its exponents and a number is a constant factor; any other callable
+    enters as it is, with degree None.
+    """
+    terms = _terms(obj)
+    if terms is not None:
+        trig = (TRIG_SIN, TRIG_COS)
+        return tuple(
+            (t.smooth, t.exponents, (0, t.element.index) if t.element.family in trig else (t.element.index, 0))
+            for t in terms
+        )
+    if isinstance(obj, WeightFn):
+        return ((None, obj.exponents, (0, 0)),)
+    if isinstance(obj, (int, float)):
+        return ((float(obj), (0.0, 0.0), (0, 0)),)
+    return ((obj, (0.0, 0.0), None),)
+
+
+def _running_factors(obj, box) -> tuple:
+    """The ``_factors`` of the running integral of one operand from the left end of ``box``.
+
+    Terms with a closed-form antiderivative give its parts; other terms and
+    bare callables are integrated adaptively per point.
+    """
+    terms = _terms(obj)
+    if terms is None:
+        return ((_running_quadrature(obj, (0.0, 0.0), box), (0.0, 0.0), None),)
+    factors = []
+    for term in terms:
+        closed = _term_running_integral_canonical(term)
+        if closed is None:
+            factors.append((_running_quadrature(term.smooth, term.exponents, box), (0.0, 0.0), None))
+            continue
+        p, exponents, d, degree = closed
+        scale = term.scale * 0.5 * (box[1] - box[0]) / d
+        factors.append((lambda t, p=p, c=scale: c * p(_to_canonical(box, t)), exponents, degree))
+    return tuple(factors)
 
 
 def _product(fns, t):
-    return functools.reduce(operator.mul, (_eval_array(fn, t) for fn in fns))
+    return functools.reduce(operator.mul, (_eval_array(fn, t) if callable(fn) else fn for fn in fns))
 
 
-def _product_integrals(operands, box):
-    """Integrals over ``box`` of each product of one term per operand, in ``itertools.product`` order.
+def _product_integrals(factor_lists, box):
+    """Integral over ``box`` of each product of one factor per list, in ``itertools.product`` order.
 
-    Elements, terms and signals expand term by term: each term brings its
-    smooth part to the product and its exponents to the weight ``integrate``
-    absorbs.  An exponent pair (a, b) brings only a weight; any other callable
-    enters the product as it is.  Exponents add up and factors multiply in
-    operand order.
+    Each factor is a (smooth part, exponents, degree) triple of ``_factors``;
+    exponents add up and smooth parts multiply in list order.  A product of
+    family factors is summed by an exact rule: polynomial degree D against
+    the summed weight on floor(D/2) + 1 Gauss-Jacobi nodes, trig index sum K
+    (no weight) by the K + 1 point trapezoid sum over its period.  Anything
+    else (a factor of degree None, trig mixed with a polynomial or a weight)
+    goes to ``integrate``.
     """
-    for combo in itertools.product(*map(_factors, operands)):
+    half, mid = 0.5 * (box[1] - box[0]), 0.5 * (box[1] + box[0])
+    for combo in itertools.product(*factor_lists):
         a = b = 0.0
         fns = []
-        for fn, (ea, eb) in combo:
+        for fn, (ea, eb), _ in combo:
             a += ea
             b += eb
             if fn is not None:
                 fns.append(fn)
-        yield integrate(functools.partial(_product, tuple(fns)), box, (a, b), box=box)
-
-
-def _running_of(u, lo: float):
-    """Running integral of ``u`` from ``lo``: closed forms for a signal, else adaptive per point."""
-    if isinstance(u, InputSignal):
-        return u.running_integral
-
-    def run(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.array([integrate_smooth(u, lo, float(t)) for t in ts])
-
-    return run
+        if a <= -1.0 or b <= -1.0:
+            raise IntegrabilityError(f"endpoint exponents {(a, b)} are not integrable")
+        degrees = [degree for _, _, degree in combo]
+        poly, trig = map(sum, zip(*degrees)) if None not in degrees else (None, None)
+        if poly is not None and not trig:
+            tau, w = _gauss_jacobi(a, b, poly // 2 + 1)
+        elif trig and not poly and a == b == 0.0:
+            tau, w = np.linspace(-1.0, 1.0, trig + 1, endpoint=False), np.full(trig + 1, 2.0 / (trig + 1))
+        else:
+            yield integrate(functools.partial(_product, tuple(fns)), box, (a, b), box=box)
+            continue
+        yield half * float(w @ _product(fns, mid + half * tau))
 
 
 def _infer_interval(operands, *given) -> tuple[float, float]:
@@ -946,26 +1043,16 @@ def inner_product(f, g, w: WeightFn | None = None, interval=None) -> float:
 
     ``f`` and ``g`` may be basis elements, terms, input signals, or plain
     callables; the weight's endpoint singularities (and those of weighted
-    terms) are absorbed by the substitution inside ``integrate``.
+    terms) become the weight of an exact Gauss-Jacobi rule, or of the
+    substitution inside ``integrate`` for a plain callable.
     """
     box = _infer_interval(
         (f, g), None if w is None else w.interval, None if interval is None else _check_interval(interval)
     )
     total = 0.0
-    for part in _product_integrals((f, g) if w is None else (w.exponents, f, g), box):
+    for part in _product_integrals(map(_factors, (f, g) if w is None else (w, f, g)), box):
         total += part
     return total
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's nodes, with weights 2/((1-x^2) P_n'(x)^2): numpy's own are off ~1e-12 at 40 nodes."""
-    x = np.polynomial.legendre.leggauss(n)[0]
-    vals = _legendre_all(n, x)
-    slope = n * (x * vals[n] - vals[n - 1]) / (x * x - 1.0)
-    return x, 2.0 / ((1.0 - x * x) * slope * slope)
-
-
-_PANEL_RULE, _CHECK_RULE = _gauss_legendre(20), _gauss_legendre(40)
 
 
 def _sign_cuts(signal: InputSignal) -> np.ndarray:
@@ -996,8 +1083,9 @@ def _sign_cuts(signal: InputSignal) -> np.ndarray:
 def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
     """integral of |u|^p over the signal's interval, panel by constant-sign panel.
 
-    p = 1 with closed forms (all families but Jacobi): signed running-integral
-    differences.  Otherwise a 40-node Gauss rule in s per panel (weights and
+    p = 1 with closed forms (every term but unweighted Jacobi of index >= 1
+    and weighted Jacobi of index 0): signed running-integral differences.
+    Otherwise a 40-node Gauss rule in s per panel (weights and
     Jacobian folded in as in ``InputSignal.theta_factor``); panels where the
     20-node rule differs by over 1e-13 relative go to ``integrate_smooth``.
     Non-integrable exponent*p <= -1 raises ``IntegrabilityError`` up front.
@@ -1011,7 +1099,7 @@ def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
         raise IntegrabilityError(f"|u|^{p} is not integrable against the endpoint weights")
     cuts = _sign_cuts(signal)
     keep = np.diff(cuts) >= 1e-14
-    if p == 1.0 and all(_term_running_integral_canonical(t, np.empty(0)) is not None for t in signal.terms):
+    if p == 1.0 and all(_term_running_integral_canonical(t) is not None for t in signal.terms):
         signs = np.where(np.asarray(signal(0.5 * (cuts[:-1] + cuts[1:]))) >= 0, 1.0, -1.0)
         return float(np.sum((signs * np.diff(signal.running_integral(cuts)))[keep]))
     lo, hi = signal.interval
@@ -1027,7 +1115,7 @@ def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
         pts = 0.5 * (s_hi + s_lo)[:, None] + 0.5 * (s_hi - s_lo)[:, None] * rule[0]
         return 0.5 * (s_hi - s_lo) * (g(pts.ravel()).reshape(pts.shape) @ rule[1])
 
-    fine, coarse = panels(_CHECK_RULE), panels(_PANEL_RULE)
+    fine, coarse = panels(_gauss_jacobi(0.0, 0.0, 40)), panels(_gauss_jacobi(0.0, 0.0, 20))
     for k in np.flatnonzero(np.abs(fine - coarse) > 1e-13 * np.abs(fine)):
         fine[k] = integrate_smooth(g, s_lo[k], s_hi[k])
     return float(np.sum(fine))

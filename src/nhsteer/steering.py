@@ -72,8 +72,6 @@ _WEIGHTED_FAMILIES = (CHEBYSHEV_FIRST, CHEBYSHEV_SECOND, JACOBI)
 
 _ZERO_COUPLING = 1e-14
 
-_coupling_cache: dict = {}
-
 
 def default_pair(family: str) -> tuple[int, int]:
     """The lowest usable index pair: (1, 2) for polynomials, (1, 1) for trig."""
@@ -130,16 +128,6 @@ def pair_signals(
     return odd, even
 
 
-def _pair_coupling(family, pair, interval, jacobi_params) -> float:
-    pair = default_pair(family) if pair is None else pair
-    params = None if jacobi_params is None else tuple(float(x) for x in jacobi_params)
-    key = (family, tuple(pair), interval, params)
-    if key not in _coupling_cache:
-        odd, even = pair_signals(family, pair, interval, jacobi_params)
-        _coupling_cache[key] = coupling_displacement(odd, even, interval)
-    return _coupling_cache[key]
-
-
 def _nonzero_coupling(coupling: float, what: str = "the pair") -> float:
     """The coupling a caller computed, or ``PlannerError`` if it is too small to steer with."""
     if abs(coupling) < _ZERO_COUPLING:
@@ -148,8 +136,6 @@ def _nonzero_coupling(coupling: float, what: str = "the pair") -> float:
 
 
 def _signal_energy(sig: InputSignal) -> float:
-    if not sig.terms:
-        return 0.0
     try:
         return inner_product(sig, sig)
     except IntegrabilityError:
@@ -184,6 +170,17 @@ class Phase:
             fixes=tuple(data["fixes"]),
             endpoint={k: float(v) for k, v in data["endpoint"].items()},
         )
+
+
+def _phase(interval, inputs, names, values, moves) -> Phase:
+    """A phase that moves ``moves``, fixes the other ``names`` and ends at ``values``."""
+    return Phase(
+        interval=interval,
+        inputs=tuple(inputs),
+        moves=tuple(moves),
+        fixes=tuple(n for n in names if n not in moves),
+        endpoint=dict(zip(names, values)),
+    )
 
 
 def _plan_coordinates(system: str, names) -> list[str]:
@@ -264,7 +261,7 @@ def _plan_bilinear(system, start, target, cross_names, family, pair, interval, j
     ``start`` and ``target`` are flat lists of floats, the m direct
     coordinates then the cross coordinates in the order of ``_pairs(m)``;
     ``cross_names`` names the cross coordinates.  The pair is validated up
-    front for every m, but its coupling is only looked up once a pair phase
+    front for every m, but its coupling is only computed once a pair phase
     runs, so translation-only targets never need it.
     """
     interval = CANONICAL_INTERVAL if interval is None else (float(interval[0]), float(interval[1]))
@@ -281,17 +278,6 @@ def _plan_bilinear(system, start, target, cross_names, family, pair, interval, j
     phases: list[Phase] = []
     cost = 0.0
 
-    def add_phase(inputs, moves):
-        phases.append(
-            Phase(
-                interval=interval,
-                inputs=tuple(inputs),
-                moves=tuple(moves),
-                fixes=tuple(n for n in names if n not in moves),
-                endpoint=dict(zip(names, [*cur_x, *cur_xx.values()])),
-            )
-        )
-
     dx = [xf - x for xf, x in zip(target[:m], cur_x)]
     if any(d != 0.0 for d in dx):
         v = [d / duration for d in dx]
@@ -302,7 +288,8 @@ def _plan_bilinear(system, start, target, cross_names, family, pair, interval, j
                 moves.append(cross_name[i, j])
             cur_xx[i, j] += byproduct
         cur_x = list(target[:m])
-        add_phase([constant_signal(const_family, vi, interval, jacobi_params) for vi in v], moves)
+        inputs = [constant_signal(const_family, vi, interval, jacobi_params) for vi in v]
+        phases.append(_phase(interval, inputs, names, [*cur_x, *cur_xx.values()], moves))
         # np.sum, not sum: from m = 8 on its pairwise order sets the last digit
         cost += float(np.sum(np.square(v))) * duration
     coupling = None
@@ -313,7 +300,7 @@ def _plan_bilinear(system, start, target, cross_names, family, pair, interval, j
             continue
         if coupling is None:
             coupling = _nonzero_coupling(
-                _pair_coupling(family, pair, interval, jacobi_params), f"pair {pair} of family {family!r}"
+                coupling_displacement(odd, even, interval), f"pair {pair} of family {family!r}"
             )
         if m == 2:
             # one balanced scale on both channels, swapped for a negative target,
@@ -331,7 +318,8 @@ def _plan_bilinear(system, start, target, cross_names, family, pair, interval, j
             for k, d in deltas.items():
                 inputs[k] = scale_signal(even, d / (s_i * coupling))
                 cur_xx[i, k] += d
-        add_phase(inputs, [cross_name[i, k] for k, d in deltas.items() if d != 0.0])
+        moves = [cross_name[i, k] for k, d in deltas.items() if d != 0.0]
+        phases.append(_phase(interval, inputs, names, [*cur_x, *cur_xx.values()], moves))
         cost += sum(_signal_energy(sig) for sig in inputs)
     return SteeringPlan(
         system=system,

@@ -26,9 +26,13 @@ from nhsteer.dynamics import (
 from nhsteer.orthopoly import (
     CHEBYSHEV_FIRST,
     CHEBYSHEV_SECOND,
+    JACOBI,
     LEGENDRE,
     SHIFTED_INTERVAL,
+    BasisElement,
     Harmonic,
+    InputSignal,
+    Term,
     basis_signal,
     constant_signal,
     scale_signal,
@@ -126,6 +130,33 @@ def test_coupling_values():
     sin1 = basis_signal("trig_sin", 1)
     cos1 = basis_signal("trig_cos", 1)
     assert_allclose(coupling_displacement(sin1, cos1), -2.0 / math.pi, atol=1e-12)
+
+
+def _as_signal(operand):
+    if isinstance(operand, InputSignal):
+        return operand
+    term = Term(element=operand) if isinstance(operand, BasisElement) else operand
+    return InputSignal(terms=(term,), interval=term.element.interval)
+
+
+@pytest.mark.parametrize(
+    "u1,u2",
+    [
+        (BasisElement(LEGENDRE, 1), basis_signal(LEGENDRE, 2)),
+        (basis_signal(CHEBYSHEV_SECOND, 1), Term(BasisElement(CHEBYSHEV_FIRST, 2), scale=0.7, weighted=True)),
+        (BasisElement(LEGENDRE, 3), Term(BasisElement(CHEBYSHEV_SECOND, 2), scale=-1.3, weighted=True)),
+        (Term(BasisElement("trig_sin", 2), scale=2.0), BasisElement("trig_cos", 1)),
+        (BasisElement(LEGENDRE, 1, SHIFTED_INTERVAL), Term(BasisElement(LEGENDRE, 2, SHIFTED_INTERVAL), scale=1.5)),
+        (
+            Term(BasisElement(JACOBI, 1, jacobi_params=(-0.45, -0.45)), weighted=True),
+            BasisElement(JACOBI, 2, jacobi_params=(-0.45, -0.45)),
+        ),
+    ],
+)
+def test_coupling_takes_elements_and_terms_like_signals(u1, u2):
+    want = coupling_displacement(_as_signal(u1), _as_signal(u2))
+    assert coupling_displacement(u1, u2) == want
+    assert coupling_displacement(u2, u1) == -want
 
 
 def test_coupling_bilinear_and_antisymmetric():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from nhsteer.orthopoly import (
     InputSignal,
     Term,
     WeightFn,
+    _gauss_jacobi,
     basis_signal,
     combine_signals,
     constant_signal,
@@ -536,6 +538,121 @@ def test_l1_norm_matches_reference(family, n, shifted, g):
     # Jacobi end panels carry the adaptive rule's 1e-10 relative tolerance
     rtol = 1e-9 if family == JACOBI else 1e-12
     assert_allclose(l1_norm(signal), reference, rtol=rtol)
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Jacobi rule and the weighted Jacobi L1 norm against mpmath
+
+
+def _mp_jacobi(n: int, a, b, x):
+    """P_n^(a, b)(x) by the three-term recurrence (mpmath.jacobi fails to converge exactly at a root)."""
+    p_prev, p = mp.mpf(1), (a + b + 2) / 2 * x + (a - b) / 2
+    if n == 0:
+        return p_prev
+    for k in range(1, n):
+        m = k + 1
+        c = 2 * m + a + b
+        step = ((c - 1) * (a * a - b * b) + (c - 2) * (c - 1) * c * x) * p - 2 * (m + a - 1) * (m + b - 1) * c * p_prev
+        p_prev, p = p, step / (2 * m * (m + a + b) * (c - 2))
+    return p
+
+
+def _mp_roots(n: int, a, b, guesses) -> list:
+    """Roots of P_n^(a, b) polished from ``guesses`` by Newton steps in the working precision."""
+    roots = []
+    for x0 in guesses:
+        r = mp.mpf(x0)
+        for _ in range(2):
+            r -= _mp_jacobi(n, a, b, r) / ((n + a + b + 1) / 2 * _mp_jacobi(n - 1, a + 1, b + 1, r))
+        roots.append(r)
+    return roots
+
+
+def _mp_norm(j: int, a: float, b: float) -> float:
+    """The orthogonality norm of P_j^(a, b) against (1 - x)^a (1 + x)^b."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    if j == 0:
+        return float(2 ** (a + b + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(a + b + 2))
+    return float(
+        2 ** (a + b + 1) / (2 * j + a + b + 1) * mp.gamma(j + a + 1) * mp.gamma(j + b + 1)
+        / (mp.gamma(j + a + b + 1) * mp.factorial(j))
+    )
+
+
+# Chebyshev first kind is (-1/2, -1/2), where the textbook k = 0 diagonal and
+# k = 1 off-diagonal coefficients of the Jacobi matrix are 0/0.
+GAUSS_JACOBI_CASES = [
+    (0.0, 0.0, 20),
+    (0.0, 0.0, 40),
+    (0.0, 0.0, 70),
+    (-0.5, -0.5, 40),
+    (0.5, 0.5, 30),
+    (-0.9, -0.9, 30),
+    (1.7, 1.7, 30),
+    (1.0, 2.0, 5),
+]
+
+
+@pytest.mark.parametrize("a,b,n", GAUSS_JACOBI_CASES)
+def test_gauss_jacobi_rule_matches_scipy(a, b, n):
+    x, w = _gauss_jacobi(a, b, n)
+    want_x, want_w = sp_special.roots_jacobi(n, a, b)
+    assert_allclose(x, want_x, rtol=0.0, atol=1e-15)
+    # scipy's own weights are off by up to ~1e-12 here (Legendre n = 40: 3.8e-13 against mpmath)
+    assert_allclose(w, want_w, rtol=3e-12)
+
+
+@pytest.mark.parametrize("a,b,n", GAUSS_JACOBI_CASES)
+def test_gauss_jacobi_rule_integrates_the_orthogonality_relations(a, b, n):
+    x, w = _gauss_jacobi(a, b, n)
+    degrees = np.arange(2 * n)
+    vals = sp_special.eval_jacobi(degrees[:, None], a, b, x[None, :])
+    gram = (vals * w) @ vals.T
+    norms = np.array([_mp_norm(j, a, b) for j in degrees])
+    err = np.abs(gram - np.diag(norms)) / np.sqrt(np.outer(norms, norms))
+    exact = degrees[:, None] + degrees[None, :] <= 2 * n - 1
+    assert np.max(err[exact]) < 1e-12
+
+
+@pytest.mark.parametrize("n", [40, 70])
+def test_gauss_legendre_weights_match_mpmath(n):
+    x, w = _gauss_jacobi(0.0, 0.0, n)
+    with mp.workdps(40):
+        zero = mp.mpf(0)
+        roots = _mp_roots(n, zero, zero, x)
+        want = [2 / ((1 - r * r) * ((n + 1) / mp.mpf(2) * _mp_jacobi(n - 1, 1, 1, r)) ** 2) for r in roots]
+    assert_allclose(w, np.array([float(v) for v in want]), rtol=5e-14)
+
+
+def _mp_weighted_jacobi_l1(n: int, g: float) -> float:
+    """int |(1 - t^2)^g P_n^(g, g)| over [-1, 1] from the antiderivative
+    -(1 - t^2)^(g+1) P_{n-1}^(g+1, g+1) / (2n), at 40-digit roots."""
+    with mp.workdps(40):
+        a = mp.mpf(g)
+
+        def anti(t):
+            return -((1 - t) * (1 + t)) ** (a + 1) * _mp_jacobi(n - 1, a + 1, a + 1, t) / (2 * n)
+
+        roots = _mp_roots(n, a, a, sp_special.roots_jacobi(n, g, g)[0])
+        vals = [mp.mpf(0)] + [anti(r) for r in roots] + [mp.mpf(0)]
+        return float(sum(abs(v - u) for u, v in zip(vals, vals[1:])))
+
+
+@pytest.mark.parametrize("n", [2, 5, 17, 40])
+@pytest.mark.parametrize("g", [-0.9, -0.3, 0.5, 1.7])
+def test_weighted_jacobi_l1_norm_matches_mpmath(g, n):
+    signal = basis_signal(JACOBI, n, weighted=True, jacobi_params=(g, g))
+    assert_allclose(l1_norm(signal), _mp_weighted_jacobi_l1(n, g), rtol=5e-14)
+
+
+@pytest.mark.parametrize("alpha", [20.0, 90.0])
+def test_energy_of_a_sharply_weighted_jacobi_term_matches_mpmath(alpha):
+    # (1 - t^2)^(2 alpha) concentrates near t = 0, a hard case for a rule that is not exact
+    signal = basis_signal(JACOBI, 2, weighted=True, jacobi_params=(alpha, alpha))
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        want = mp.quad(lambda t: (1 - t * t) ** (2 * a) * _mp_jacobi(2, a, a, t) ** 2, [-1, -0.5, 0, 0.5, 1])
+    assert_allclose(inner_product(signal, signal), float(want), rtol=1e-12)
 
 
 def test_harmonic_helper():
