@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import GnhiState, Rotation, coupling_displacement, integrate_so3
+from .dynamics import GnhiState, Rotation, coupling_displacement
 from .errors import NhsteerError
 from .fuel_l1 import compare_families, fuel_constants, fuel_min
 from .optimal_energy import (
@@ -36,7 +36,7 @@ from .orthopoly import (
     basis_signal,
     integrate_smooth,
 )
-from .so3_control import AttitudePlan, constant_omega_plan, underactuated_plan
+from .so3_control import AttitudePlan, constant_omega_plan, simulate_attitude, underactuated_plan
 from .steering import (
     PLAN_FAMILIES,
     SteeringPlan,
@@ -210,7 +210,7 @@ def _cmd_plan_so3(args) -> int:
 
 
 def _simulate_plan_file(args):
-    """The plan in the file ``args.plan`` and its simulated trajectory."""
+    """The simulated trajectory of the plan in the file ``args.plan`` and its endpoint error."""
     try:
         data = json.loads(Path(args.plan).read_text())
         plan_type = AttitudePlan if data.get("system") == "so3" else SteeringPlan
@@ -221,27 +221,19 @@ def _simulate_plan_file(args):
         raise NhsteerError(f"plan file {args.plan} lacks the field {exc}") from exc
     except (TypeError, AttributeError, json.JSONDecodeError) as exc:
         raise NhsteerError(f"malformed plan file {args.plan}: {exc}") from exc
-    if isinstance(plan, SteeringPlan):
-        return plan, simulate_plan(plan, steps=args.steps).merged
-    return plan, integrate_so3(plan.omega, plan.g0, (0.0, plan.duration), steps=args.steps)
+    if isinstance(plan, AttitudePlan):
+        return simulate_attitude(plan, steps=args.steps)
+    traj = simulate_plan(plan, steps=args.steps).merged
+    return traj, max(abs(traj.terminal[name] - value) for name, value in plan.predicted_endpoint.items())
 
 
 def _cmd_simulate(args) -> int:
-    _emit(args, _traj_csv(_simulate_plan_file(args)[1]))
+    _emit(args, _traj_csv(_simulate_plan_file(args)[0]))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    plan, traj = _simulate_plan_file(args)
-    if isinstance(plan, SteeringPlan):
-        err = max(
-            abs(traj.terminal[name] - value) for name, value in plan.predicted_endpoint.items()
-        )
-    else:
-        g_end = np.array(
-            [[traj.columns[f"g{i}{j}"][-1] for j in (1, 2, 3)] for i in (1, 2, 3)]
-        )
-        err = float(np.sqrt(np.sum((g_end - plan.g1.matrix) ** 2)))
+    err = _simulate_plan_file(args)[1]
     print(f"endpoint error: {err:.6e}")
     if err < 1e-6:
         print("within tolerance 1e-06")
@@ -504,3 +496,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -146,6 +146,8 @@ class Rotation:
         mat = np.asarray(self.matrix, dtype=float).copy()
         if mat.shape != (3, 3):
             raise ValueError("rotation matrix must be 3x3")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("rotation matrix entries must be finite")
         if np.max(np.abs(mat.T @ mat - np.eye(3))) > 1e-8:
             raise ValueError("matrix is not orthogonal")
         if abs(np.linalg.det(mat) - 1.0) > 1e-8:

@@ -62,8 +62,8 @@ class FuelConstants:
 def fuel_constants(u1, u2, a: float, interval=None) -> FuelConstants:
     """Compute (c1, c2, c) for the shape pair and target displacement ``a``."""
     a = float(a)
-    if a == 0.0:
-        raise ValueError("the displacement target must be nonzero")
+    if not 0.0 < abs(a) < math.inf:
+        raise ValueError(f"the displacement target must be nonzero and finite, got {a!r}")
     if not isinstance(u1, InputSignal) or not isinstance(u2, InputSignal):
         raise ValueError("fuel analysis expects InputSignal shapes")
     interval = _infer_interval((u1, u2), interval)
@@ -166,7 +166,7 @@ def compare_families(specs, a: float, interval=None, steps: int = 4000) -> list[
         )
         end = tr.terminal
         err = abs(end["x3"] - a)
-        if err > 1e-6 or abs(end["x1"]) > 1e-8 or abs(end["x2"]) > 1e-8:
+        if not (err <= 1e-6 and abs(end["x1"]) <= 1e-8 and abs(end["x2"]) <= 1e-8):
             raise PlannerError(
                 f"fuel transfer for {family!r} pair {pair} missed its target "
                 f"(x3 error {err:.3e})"
@@ -196,8 +196,8 @@ def fuel_min_lp(u1, u2, a: float, p: float, interval=None) -> LpFuelReport:
     ``IntegrabilityError``.
     """
     p = float(p)
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be at least 1 and finite, got {p!r}")
     consts = fuel_constants(u1, u2, a, interval)
     c = consts.c
     c1p = lp_norm(u1, p)

@@ -32,7 +32,6 @@ from .orthopoly import (
     BasisElement,
     InputSignal,
     Term,
-    WeightFn,
     _factors,
     _infer_interval,
     _product_integrals,
@@ -109,12 +108,14 @@ def cheb_extremal_inputs(a: float, lam: int = 1, split: float = 0.0) -> ChebOpti
     displacement and the same cost lam * |a|.
     """
     a = float(a)
-    if a == 0.0:
-        raise ValueError("the displacement target must be nonzero")
+    if not 0.0 < abs(a) < math.inf:
+        raise ValueError(f"the displacement target must be nonzero and finite, got {a!r}")
     if not isinstance(lam, (int, np.integer)) or lam < 1:
         raise ValueError("lam must be a positive integer")
     lam = int(lam)
     split = float(split)
+    if not abs(split) < math.inf:
+        raise ValueError(f"the split must be finite, got {split!r}")
     radius = math.sqrt(2.0 * lam * abs(a) / math.pi)
     b1 = radius * math.cos(split)
     b2 = radius * math.sin(split)
@@ -163,30 +164,19 @@ def weighted_cost(u1, u2, cost: WeightedCost) -> float:
     return 0.5 * total
 
 
-def _coeff_value_and_slope(aw, t: float) -> tuple[float, float]:
-    if isinstance(aw, WeightFn):
-        val = float(aw(t))
-        return val, val * float(aw.log_derivative(t))
-    if isinstance(aw, (int, float)):
-        return float(aw), 0.0
-    if hasattr(aw, "derivative"):
-        return float(aw(t)), float(aw.derivative(t))
-    h = 1e-6
-    return float(aw(t)), (float(aw(t + h)) - float(aw(t - h))) / (2.0 * h)
-
-
 def el_residual(u1, u2, cost: WeightedCost, lam: float, t: float) -> tuple[float, float]:
     """Residuals of the Euler-Lagrange system at an interior point.
 
     r1 = d/dt(a1 u1) + 2 lam u2 and r2 = d/dt(a2 u2) - 2 lam u1; both vanish
-    identically along genuine extremals of the weighted energy.
+    identically along genuine extremals of the weighted energy.  Values and
+    slopes of weights and inputs come from ``sturm.value_and_derivatives``.
     """
     t = float(t)
     lo, hi = cost.interval
     if not (lo < t < hi):
         raise ValueError("el_residual is defined at interior points only")
-    a1_val, a1_slope = _coeff_value_and_slope(cost.a1, t)
-    a2_val, a2_slope = _coeff_value_and_slope(cost.a2, t)
+    a1_val, a1_slope, _ = value_and_derivatives(cost.a1, t)
+    a2_val, a2_slope, _ = value_and_derivatives(cost.a2, t)
     u1_val, u1_slope, _ = value_and_derivatives(u1, t)
     u2_val, u2_slope, _ = value_and_derivatives(u2, t)
     r1 = a1_slope * u1_val + a1_val * u1_slope + 2.0 * lam * u2_val

@@ -9,6 +9,14 @@ Supported families on the canonical interval [-1, 1] (or shifted to [0, 1]):
 * ``trig_sin``           sin(n pi t), weight 1
 * ``trig_cos``           cos(n pi t), weight 1
 
+Derivatives (``evaluate_derivative``, ``InputSignal.derivative`` and their
+second-order versions) come from one rule for every polynomial family,
+d/dt P_n^(a,b) = (n + a + b + 1)/2 P_{n-1}^(a+1,b+1) (DLMF 18.9.15), applied
+to the family's Jacobi form and accurate up to and at the endpoints; trig
+elements use their closed forms, and a weighted term adds its weight's
+derivatives by the Leibniz rule.  No derivative is taken from a
+differential equation, so ``sturm.sl_residual`` checks the recurrences.
+
 Which rule serves which integrand:
 
 * Products of family terms (``inner_product``, ``optimal_energy.weighted_cost``
@@ -113,8 +121,8 @@ def _check_family_fields(obj) -> None:
         if obj.jacobi_params is None:
             raise ValueError("the jacobi family requires jacobi_params=(alpha, beta)")
         alpha, beta = map(float, obj.jacobi_params)
-        if alpha <= -1.0 or beta <= -1.0:
-            raise ValueError("jacobi parameters must satisfy alpha, beta > -1")
+        if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+            raise ValueError(f"jacobi parameters must be finite with alpha, beta > -1, got {(alpha, beta)}")
         object.__setattr__(obj, "jacobi_params", (alpha, beta))
     elif obj.jacobi_params is not None:
         raise ValueError("jacobi_params is only valid for the jacobi family")
@@ -228,75 +236,32 @@ def _eval_canonical(family: str, index: int, params, tau: np.ndarray) -> np.ndar
     raise ValueError(f"unknown family {family!r}")
 
 
-def _deriv_canonical(family: str, index: int, params, tau: np.ndarray) -> np.ndarray:
-    n = index
-    if n == 0:
-        return np.zeros_like(tau)
-    if family == CHEBYSHEV_FIRST:
-        # T_n' = n U_{n-1}, entire in tau.
-        return n * _chebyshev_u_all(n - 1, tau)[n - 1]
-    if family == CHEBYSHEV_SECOND:
-        # U_n' = ((n+1) T_{n+1} - tau U_n) / (tau^2 - 1); no finite closed form
-        # at the endpoints the way Legendre has, so refuse there.
-        if np.any(np.abs(tau) >= 1.0 - _EDGE_TOL):
-            raise DomainError(
-                "derivative of a second-kind Chebyshev element is not "
-                "available at the interval endpoints"
-            )
-        t_vals = _chebyshev_t_all(n + 1, tau)[n + 1]
-        u_vals = _chebyshev_u_all(n, tau)[n]
-        return ((n + 1) * t_vals - tau * u_vals) / (tau * tau - 1.0)
-    if family == LEGENDRE:
-        out = np.empty_like(tau)
-        edge = np.abs(tau) >= 1.0 - _EDGE_TOL
-        interior = ~edge
-        ti = tau[interior]
-        out[interior] = n * (
-            _legendre_all(n - 1, ti)[n - 1] - ti * _eval_canonical(LEGENDRE, n, None, ti)
-        ) / (1.0 - ti * ti)
-        if np.any(edge):
-            te = tau[edge]
-            # P_n'(+-1) = (+-1)^(n-1) n(n+1)/2
-            out[edge] = np.sign(te) ** (n - 1) * n * (n + 1) / 2.0
-        return out
-    if family == JACOBI:
-        alpha, beta = params
-        inner = _jacobi_all(n - 1, alpha + 1.0, beta + 1.0, tau)[n - 1]
-        return 0.5 * (n + alpha + beta + 1.0) * inner
-    if family == TRIG_SIN:
-        return n * np.pi * np.cos(n * np.pi * tau)
-    if family == TRIG_COS:
-        return -n * np.pi * np.sin(n * np.pi * tau)
-    raise ValueError(f"unknown family {family!r}")
+def _deriv_canonical(family: str, index: int, params, tau: np.ndarray, order: int) -> np.ndarray:
+    """The ``order``-th derivative (1 or 2) of the element in the canonical variable.
 
-
-def _second_deriv_canonical(family: str, index: int, params, tau: np.ndarray) -> np.ndarray:
+    Trig elements use their closed forms.  Every polynomial family is
+    E_n = kappa_n P_n^(a,b) for its weight exponents (a, b), with
+    kappa_n = E_n(1) n! / (a+1)_n (1 for Legendre and Jacobi), so one rule
+    (DLMF 18.9.15) serves all of them, endpoints included:
+    d^k E_n = kappa_n 2^-k (n+a+b+1)_k P_{n-k}^(a+k,b+k).
+    """
     n = index
-    if n == 0:
-        return np.zeros_like(tau)
     if family == TRIG_SIN:
-        return -((n * np.pi) ** 2) * np.sin(n * np.pi * tau)
+        arg = n * np.pi * tau
+        return n * np.pi * np.cos(arg) if order == 1 else -((n * np.pi) ** 2) * np.sin(arg)
     if family == TRIG_COS:
-        return -((n * np.pi) ** 2) * np.cos(n * np.pi * tau)
-    if family == JACOBI:
-        alpha, beta = params
-        if n == 1:
-            return np.zeros_like(tau)
-        inner = _jacobi_all(n - 2, alpha + 2.0, beta + 2.0, tau)[n - 2]
-        return 0.25 * (n + alpha + beta + 1.0) * (n + alpha + beta + 2.0) * inner
-    # Remaining families satisfy a second-order ODE we can solve for y''.
-    if np.any(np.abs(tau) >= 1.0 - _EDGE_TOL):
-        raise DomainError("second derivative requires interior points")
-    y = _eval_canonical(family, n, params, tau)
-    dy = _deriv_canonical(family, n, params, tau)
-    one_minus = 1.0 - tau * tau
-    if family == CHEBYSHEV_FIRST:
-        return (tau * dy - n * n * y) / one_minus
-    if family == CHEBYSHEV_SECOND:
-        return (3.0 * tau * dy - n * (n + 2) * y) / one_minus
-    if family == LEGENDRE:
-        return (2.0 * tau * dy - n * (n + 1) * y) / one_minus
-    raise ValueError(f"unknown family {family!r}")
+        arg = n * np.pi * tau
+        return -n * np.pi * np.sin(arg) if order == 1 else -((n * np.pi) ** 2) * np.cos(arg)
+    if n < order:
+        return np.zeros_like(tau)
+    a, b = weight_exponents(family, params)
+    coef = 1.0
+    if family in (CHEBYSHEV_FIRST, CHEBYSHEV_SECOND):
+        end_value = n + 1.0 if family == CHEBYSHEV_SECOND else 1.0
+        coef = end_value * math.prod(j / (j + a) for j in range(1, n + 1))
+    for j in range(order):
+        coef *= 0.5 * (n + a + b + (j + 1.0))
+    return coef * _jacobi_all(n - order, a + order, b + order, tau)[n - order]
 
 
 def _to_canonical(element_interval: tuple[float, float], t):
@@ -318,28 +283,29 @@ def _unwrap(value: np.ndarray, t):
     return value
 
 
-def _on_element(canonical, chain: float, element: BasisElement, t):
-    """``canonical`` of the element at ``t``, times ``chain`` on the shifted interval."""
+def _on_element(element: BasisElement, t, order: int):
+    """The element (order 0) or its ``order``-th derivative in its own variable ``t``."""
     tau = _to_canonical(element.interval, t)
-    out = canonical(element.family, element.index, element.jacobi_params, np.atleast_1d(tau))
+    args = (element.family, element.index, element.jacobi_params, np.atleast_1d(tau))
+    out = _deriv_canonical(*args, order) if order else _eval_canonical(*args)
     if element.interval == SHIFTED_INTERVAL:
-        out = chain * out
+        out = 2.0**order * out
     return _unwrap(out.reshape(np.shape(tau)), t)
 
 
 def evaluate(element: BasisElement, t):
     """Evaluate the element at ``t`` (scalar or array) on its own interval."""
-    return _on_element(_eval_canonical, 1.0, element, t)
+    return _on_element(element, t, 0)
 
 
 def evaluate_derivative(element: BasisElement, t):
     """First derivative with respect to the element's own variable ``t``."""
-    return _on_element(_deriv_canonical, 2.0, element, t)
+    return _on_element(element, t, 1)
 
 
 def evaluate_second_derivative(element: BasisElement, t):
     """Second derivative with respect to the element's own variable ``t``."""
-    return _on_element(_second_deriv_canonical, 4.0, element, t)
+    return _on_element(element, t, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +397,8 @@ def _gauss_jacobi(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     off = 4.0 * (k + a) * (k + b) / (s * s * (s + 1.0))
     off[1:] *= k[1:] * (k[1:] + a + b) / (s[1:] - 1.0)
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off), -1))
-    slope = 0.5 * (n + a + b + 1.0) * _jacobi_all(n - 1, a + 1.0, b + 1.0, x)[n - 1]
-    x = x - _jacobi_all(n, a, b, x)[n] / slope
-    slope = 0.5 * (n + a + b + 1.0) * _jacobi_all(n - 1, a + 1.0, b + 1.0, x)[n - 1]
+    x = x - _jacobi_all(n, a, b, x)[n] / _deriv_canonical(JACOBI, n, (a, b), x, 1)
+    slope = _deriv_canonical(JACOBI, n, (a, b), x, 1)
     # C = 2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n!), as a product from the n = 1 value
     j = np.arange(2.0, n + 1.0)
     c = 2.0 ** (a + b + 1.0) * math.exp(math.lgamma(a + 2.0) + math.lgamma(b + 2.0) - math.lgamma(a + b + 2.0))
@@ -715,7 +680,8 @@ def _running_quadrature(fn, exponents, box):
 class InputSignal:
     """A finite combination of (possibly weighted) basis terms on one interval.
 
-    Callable; also knows its derivative, second derivative and running
+    Callable; also knows its derivative and second derivative (the Jacobi
+    rule per term, with the Leibniz rule for weighted terms) and its running
     integral (closed forms where the family admits one, adaptive quadrature
     per point for weighted Jacobi of index 0 and unweighted Jacobi of index
     >= 1).
@@ -748,49 +714,36 @@ class InputSignal:
     def is_weighted(self) -> bool:
         return any(term.exponents != (0.0, 0.0) for term in self.terms)
 
-    def derivative(self, t):
+    def _derivative(self, t, order: int):
+        """The ``order``-th derivative (1 or 2): the Leibniz rule on each term's weight and element."""
         tau = _to_canonical(self.interval, t)
         arr = np.atleast_1d(tau)
         acc = np.zeros_like(arr)
-        chain = 2.0 if self.interval == SHIFTED_INTERVAL else 1.0
         for term in self.terms:
             el = term.element
-            e = term.scale * _eval_canonical(el.family, el.index, el.jacobi_params, arr)
-            de = term.scale * _deriv_canonical(el.family, el.index, el.jacobi_params, arr)
+            args = (el.family, el.index, el.jacobi_params, arr)
             a, b = term.exponents
             if a == 0.0 and b == 0.0:
-                acc = acc + de
-            else:
-                if np.any(np.abs(arr) >= 1.0 - _EDGE_TOL):
-                    raise DomainError("derivative of a weighted term requires interior points")
-                wgt = (1.0 - arr) ** a * (1.0 + arr) ** b
-                rho = -a / (1.0 - arr) + b / (1.0 + arr)
-                acc = acc + wgt * (de + e * rho)
-        return _unwrap(chain * acc.reshape(np.shape(tau)), t)
+                acc = acc + term.scale * _deriv_canonical(*args, order)
+                continue
+            if np.any(np.abs(arr) >= 1.0 - _EDGE_TOL):
+                raise DomainError("derivatives of a weighted term require interior points")
+            # the weight w = (1 - tau)^a (1 + tau)^b and its derivatives through rho = w'/w
+            w = (1.0 - arr) ** a * (1.0 + arr) ** b
+            rho = -a / (1.0 - arr) + b / (1.0 + arr)
+            weight = (w, w * rho, w * (rho * rho - a / (1.0 - arr) ** 2 - b / (1.0 + arr) ** 2))
+            elem = (_eval_canonical(*args),) + tuple(_deriv_canonical(*args, j) for j in range(1, order + 1))
+            leibniz = sum(math.comb(order, j) * weight[order - j] * elem[j] for j in range(order + 1))
+            acc = acc + term.scale * leibniz
+        if self.interval == SHIFTED_INTERVAL:
+            acc = 2.0**order * acc
+        return _unwrap(acc.reshape(np.shape(tau)), t)
+
+    def derivative(self, t):
+        return self._derivative(t, 1)
 
     def second_derivative(self, t):
-        tau = _to_canonical(self.interval, t)
-        arr = np.atleast_1d(tau)
-        acc = np.zeros_like(arr)
-        chain = 4.0 if self.interval == SHIFTED_INTERVAL else 1.0
-        for term in self.terms:
-            el = term.element
-            e = term.scale * _eval_canonical(el.family, el.index, el.jacobi_params, arr)
-            de = term.scale * _deriv_canonical(el.family, el.index, el.jacobi_params, arr)
-            d2e = term.scale * _second_deriv_canonical(el.family, el.index, el.jacobi_params, arr)
-            a, b = term.exponents
-            if a == 0.0 and b == 0.0:
-                acc = acc + d2e
-            else:
-                if np.any(np.abs(arr) >= 1.0 - _EDGE_TOL):
-                    raise DomainError(
-                        "second derivative of a weighted term requires interior points"
-                    )
-                wgt = (1.0 - arr) ** a * (1.0 + arr) ** b
-                rho = -a / (1.0 - arr) + b / (1.0 + arr)
-                drho = -a / (1.0 - arr) ** 2 - b / (1.0 + arr) ** 2
-                acc = acc + wgt * (d2e + 2.0 * de * rho + e * (rho * rho + drho))
-        return _unwrap(chain * acc.reshape(np.shape(tau)), t)
+        return self._derivative(t, 2)
 
     def running_integral(self, t):
         """Integral of the signal from the left endpoint of its interval to t."""

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import ConvergenceError, SingularityError
 from .dynamics import (
     Rotation,
-    Trajectory,
     exp_rotation,
     hat,
     integrate_so3,
@@ -115,8 +114,13 @@ class AttitudePlan:
         )
 
 
-def _as_rotation(g) -> Rotation:
-    return g if isinstance(g, Rotation) else Rotation(np.asarray(g, dtype=float))
+def _boundary(g0, g1, duration) -> tuple[Rotation, Rotation, float]:
+    """Both attitudes as rotations, and the duration, which must be positive and finite."""
+    g0, g1 = (g if isinstance(g, Rotation) else Rotation(np.asarray(g, dtype=float)) for g in (g0, g1))
+    duration = float(duration)
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
+    return g0, g1, duration
 
 
 def constant_omega_plan(g0, g1, duration: float, accept_pi_tiebreak: bool = False) -> AttitudePlan:
@@ -125,11 +129,7 @@ def constant_omega_plan(g0, g1, duration: float, accept_pi_tiebreak: bool = Fals
     The relative-rotation logarithm raises ``AmbiguityError`` at an exact
     half-turn unless the tie-break is accepted.  Cost is T ||omega||^2.
     """
-    g0 = _as_rotation(g0)
-    g1 = _as_rotation(g1)
-    duration = float(duration)
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    g0, g1, duration = _boundary(g0, g1, duration)
     rel = g1.matrix @ g0.matrix.T
     v = log_rotation(rel, accept_pi_tiebreak=accept_pi_tiebreak) / duration
     omega = tuple(ConstantRate(float(v[i])) for i in range(3))
@@ -163,13 +163,9 @@ def weighted_rate_plan(g0, g1, duration: float, q, accept_pi_tiebreak: bool = Fa
     the boundary condition fixes c = log(g1 g0^T) / integral(1/q), and the
     cost is ||c||^2 integral(1/q).  ``q`` must be positive on [0, T].
     """
-    g0 = _as_rotation(g0)
-    g1 = _as_rotation(g1)
-    duration = float(duration)
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    g0, g1, duration = _boundary(g0, g1, duration)
     samples = np.linspace(0.0, duration, 257)
-    if np.min(_eval_array(q, samples)) <= 0.0:
+    if not np.min(_eval_array(q, samples)) > 0.0:
         raise ValueError("the rate weight q must be positive on [0, T]")
     rate_integral = integrate_smooth(_ScaledReciprocal(1.0, q), 0.0, duration)
     v = log_rotation(g1.matrix @ g0.matrix.T, accept_pi_tiebreak=accept_pi_tiebreak)
@@ -225,11 +221,7 @@ def underactuated_plan(
     (c = 1 + 2 pi / T); a few damped-Newton iterations on the closed-form
     flow polish the boundary residual to roundoff.  Cost is r^2 T / 2.
     """
-    g0 = _as_rotation(g0)
-    g1 = _as_rotation(g1)
-    duration = float(duration)
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    g0, g1, duration = _boundary(g0, g1, duration)
     g0m, g1m = g0.matrix, g1.matrix
     residual_gap = log_rotation(
         g1m @ (exp_rotation(duration * _E3) @ g0m).T, accept_pi_tiebreak=True
@@ -291,7 +283,7 @@ def underactuated_plan(
         if norm < tol:
             break
     params, norm, iterations = best
-    if norm >= max(tol, 1e-10):
+    if not norm < max(tol, 1e-10):
         raise ConvergenceError(
             f"underactuated shooting stalled at residual {norm:.3e}",
             best_residual=norm,
@@ -314,12 +306,13 @@ def underactuated_plan(
 def simulate_attitude(plan: AttitudePlan, steps: int = 4000, scheme: str = "magnus4"):
     """Integrate a plan's rate laws; returns (trajectory, terminal error).
 
-    The error is the max-norm difference between the integrated terminal
-    attitude and the plan's target.
+    The error is the Frobenius norm of the difference between the integrated
+    terminal attitude and the plan's target, the figure ``nhsteer verify``
+    prints.
     """
     traj = integrate_so3(plan.omega, plan.g0, (0.0, plan.duration), steps=steps, scheme=scheme)
     g_end = np.array([[traj.columns[f"g{i}{j}"][-1] for j in (1, 2, 3)] for i in (1, 2, 3)])
-    err = float(np.max(np.abs(g_end - plan.g1.matrix)))
+    err = float(np.sqrt(np.sum((g_end - plan.g1.matrix) ** 2)))
     return traj, err
 
 
@@ -371,11 +364,7 @@ def so3_sl_residual(q, c: float, omega1, omega2, t: float) -> tuple[float, float
     """
     t = float(t)
     c = float(c)
-    if isinstance(q, (int, float)):
-        q_fn = ConstantRate(float(q))
-    else:
-        q_fn = q
-    q_val, q_d1, q_d2 = value_and_derivatives(q_fn, t)
+    q_val, q_d1, q_d2 = value_and_derivatives(q, t)
     gap = c - q_val
     if abs(gap) < 1e-12 * max(1.0, abs(c)):
         raise SingularityError("c - q(t) vanishes; the self-adjoint form is singular here")

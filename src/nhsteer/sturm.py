@@ -1,14 +1,17 @@
 """Sturm-Liouville certification of the supported families.
 
-Every family here solves (1/w) (P y')' + lambda y = 0 on (-1, 1) with
+Every family here solves (1/w) (P y')' + lambda y = 0 on (-1, 1).  A
+polynomial family with weight exponents (a, b) is the Jacobi problem
 
-* legendre:          P = 1 - t^2,                 lambda = n (n + 1)
-* chebyshev_first:   P = sqrt(1 - t^2),           lambda = n^2
-* chebyshev_second:  P = (1 - t^2)^(3/2),         lambda = n (n + 2)
-* jacobi:            P = (1-t)^(a+1) (1+t)^(b+1), lambda = n (n + a + b + 1)
-* trig_sin/cos:      P = 1,                       lambda = n^2 pi^2
+    P = (1-t)^(a+1) (1+t)^(b+1),  w = (1-t)^a (1+t)^b,  lambda = n (n + a + b + 1)
 
-``sl_residual`` plugs a candidate function into that expression;
+(legendre a = b = 0, chebyshev_first -1/2, chebyshev_second +1/2, jacobi
+alpha, beta); trig_sin/cos have P = w = 1 and lambda = n^2 pi^2.
+
+``sl_residual`` plugs a candidate function into that expression.  Its y'
+and y'' come from ``value_and_derivatives``, which for family elements is
+the Jacobi derivative rule of ``orthopoly`` and never the equation itself,
+so a residual at roundoff is evidence, not an identity.
 ``jacobi_pairing`` builds the coefficient pair (a1, a2) whose weighted-energy
 problem has Jacobi extremals, together with the partner family that shares
 the same eigenvalue, and ``certify_pair`` checks both numerically.
@@ -25,18 +28,12 @@ from .errors import DomainError
 from .orthopoly import (
     CANONICAL_INTERVAL,
     JACOBI,
-    LEGENDRE,
-    CHEBYSHEV_FIRST,
-    CHEBYSHEV_SECOND,
     TRIG_COS,
     TRIG_SIN,
     BasisElement,
     InputSignal,
-    Harmonic,
+    Term,
     WeightFn,
-    evaluate,
-    evaluate_derivative,
-    evaluate_second_derivative,
     weight_fn,
 )
 
@@ -66,19 +63,24 @@ def chebyshev_nodes(count: int, interval=CANONICAL_INTERVAL) -> np.ndarray:
 
 
 def value_and_derivatives(y, t: float) -> tuple[float, float, float]:
-    """(y, y', y'') at a scalar t.
+    """(y, y', y'') at a scalar t; the one derivative dispatcher of the package.
 
-    Basis elements, input signals and harmonics use their analytic
-    derivatives; a bare callable falls back to central differences with
-    step 1e-5 (good to ~1e-6 for smooth functions).
+    A number is a constant.  A weight (1 - tau)^a (1 + tau)^b is the weighted
+    zeroth Jacobi term of its exponents, and basis elements and terms become
+    one-term signals: all of these use the Jacobi derivative rule of
+    ``orthopoly``.  Anything with ``derivative`` and ``second_derivative``
+    methods uses them; any other callable falls back to central differences
+    with step 1e-5 (good to ~1e-6 for smooth functions).
     """
+    if isinstance(y, (int, float)):
+        return float(y), 0.0, 0.0
+    if isinstance(y, WeightFn):
+        y = Term(BasisElement(JACOBI, 0, y.interval, y.exponents), weighted=True)
     if isinstance(y, BasisElement):
-        return (
-            float(evaluate(y, t)),
-            float(evaluate_derivative(y, t)),
-            float(evaluate_second_derivative(y, t)),
-        )
-    if isinstance(y, (InputSignal, Harmonic)):
+        y = Term(y)
+    if isinstance(y, Term):
+        y = InputSignal((y,), y.element.interval)
+    if hasattr(y, "derivative") and hasattr(y, "second_derivative"):
         return float(y(t)), float(y.derivative(t)), float(y.second_derivative(t))
     h = _FD_STEP
     f0 = float(y(t))
@@ -89,7 +91,11 @@ def value_and_derivatives(y, t: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class SLProblem:
-    """Coefficients of (1/w) (P y')' + Q y + lambda y with its eigenvalue."""
+    """Coefficients of (1/w) (P y')' + Q y + lambda y with its eigenvalue.
+
+    ``p`` is anything ``value_and_derivatives`` takes; ``dp``, when given,
+    overrides the slope it finds.
+    """
 
     p: object
     dp: object
@@ -100,58 +106,21 @@ class SLProblem:
 
 
 def family_sl_problem(family: str, index: int, jacobi_params=None) -> SLProblem:
-    """The self-adjoint problem solved by the family's ``index``-th element."""
+    """The self-adjoint problem solved by the family's ``index``-th element.
+
+    Every polynomial family takes the Jacobi form of its weight exponents
+    (a, b): P = (1-t)^(a+1) (1+t)^(b+1), w = (1-t)^a (1+t)^b and
+    lambda = n (n + a + b + 1).
+    """
     n = int(index)
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if family == LEGENDRE:
-        return SLProblem(
-            p=lambda t: 1.0 - t * t,
-            dp=lambda t: -2.0 * t,
-            w=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            lam=float(n * (n + 1)),
-        )
-    if family == CHEBYSHEV_FIRST:
-        return SLProblem(
-            p=lambda t: np.sqrt(1.0 - t * t),
-            dp=lambda t: -t / np.sqrt(1.0 - t * t),
-            w=weight_fn(CHEBYSHEV_FIRST),
-            lam=float(n * n),
-        )
-    if family == CHEBYSHEV_SECOND:
-        return SLProblem(
-            p=lambda t: (1.0 - t * t) ** 1.5,
-            dp=lambda t: -3.0 * t * np.sqrt(1.0 - t * t),
-            w=weight_fn(CHEBYSHEV_SECOND),
-            lam=float(n * (n + 2)),
-        )
-    if family == JACOBI:
-        if jacobi_params is None:
-            raise ValueError("jacobi problems need jacobi_params")
-        alpha, beta = map(float, jacobi_params)
-        if alpha <= -1.0 or beta <= -1.0:
-            raise ValueError("jacobi parameters must satisfy alpha, beta > -1")
-
-        def p(t, a=alpha, b=beta):
-            return (1.0 - t) ** (a + 1.0) * (1.0 + t) ** (b + 1.0)
-
-        def dp(t, a=alpha, b=beta):
-            return p(t) * (-(a + 1.0) / (1.0 - t) + (b + 1.0) / (1.0 + t))
-
-        return SLProblem(
-            p=p,
-            dp=dp,
-            w=weight_fn(JACOBI, jacobi_params=(alpha, beta)),
-            lam=float(n * (n + alpha + beta + 1.0)),
-        )
+    w = weight_fn(family, jacobi_params=jacobi_params)
     if family in (TRIG_SIN, TRIG_COS):
-        return SLProblem(
-            p=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            dp=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            w=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            lam=float(n * n) * math.pi**2,
-        )
-    raise ValueError(f"unknown family {family!r}")
+        return SLProblem(p=w, dp=None, w=w, lam=float(n * n) * math.pi**2)
+    a, b = w.exponents
+    p = weight_fn(JACOBI, jacobi_params=(a + 1.0, b + 1.0))
+    return SLProblem(p=p, dp=None, w=w, lam=float(n * (n + a + b + 1.0)))
 
 
 def sl_residual(problem: SLProblem, y, t: float) -> float:
@@ -165,12 +134,9 @@ def sl_residual(problem: SLProblem, y, t: float) -> float:
     if not (lo < t < hi):
         raise DomainError("sl_residual is defined at interior points only")
     val, d1, d2 = value_and_derivatives(y, t)
-    p_val = float(problem.p(t))
+    p_val, dp_val, _ = value_and_derivatives(problem.p, t)
     if problem.dp is not None:
         dp_val = float(problem.dp(t))
-    else:
-        h = _FD_STEP
-        dp_val = (float(problem.p(t + h)) - float(problem.p(t - h))) / (2.0 * h)
     w_val = float(problem.w(t))
     res = (dp_val * d1 + p_val * d2) / w_val + problem.lam * val
     if problem.q is not None:

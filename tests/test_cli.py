@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nhsteer
 from nhsteer.cli import _glue_negative_values, main
 
 
@@ -246,6 +251,28 @@ def test_domain_errors_exit_one(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("mode", ["constant", "underactuated"])
+@pytest.mark.parametrize("duration", ["nan", "inf", "-inf"])
+def test_so3_plan_refuses_non_finite_duration(capsys, mode, duration):
+    # a NaN duration used to pass `duration <= 0` and write "duration": NaN, which is not JSON
+    code, out, err = run(
+        capsys, "plan", "so3", "--from", "identity", "--to", "identity", f"--duration={duration}", "--mode", mode
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: duration must be positive and finite")
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["plan", "nhi", "--from", "0,0,0", "--to", "0,0,1"]
+    code, out, _ = run(capsys, *argv)
+    src = str(Path(nhsteer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "nhsteer.cli", *argv], capture_output=True, env=env, check=False)
+    assert (proc.returncode, code) == (0, 0)
+    assert proc.stdout == out.encode()
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])

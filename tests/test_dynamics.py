@@ -378,3 +378,13 @@ def test_so3_csv_header():
     buf = io.StringIO()
     traj.to_csv(buf)
     assert buf.getvalue().split("\n")[0] == "t,g11,g12,g13,g21,g22,g23,g31,g32,g33,w1,w2,w3"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rotation_refuses_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        Rotation(np.full((3, 3), bad))
+    g = np.eye(3)
+    g[0, 0] = bad
+    with pytest.raises(ValueError):
+        Rotation(g)

@@ -203,3 +203,31 @@ def test_lp_rejects_small_p():
     odd, even = pair_signals(LEGENDRE, (1, 2))
     with pytest.raises(ValueError):
         fuel_min_lp(odd, even, 1.0, p=0.5)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_fuel_constants_refuse_non_finite_targets(a):
+    odd, even = pair_signals(LEGENDRE, (1, 2))
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        fuel_constants(odd, even, a)
+
+
+def test_fuel_min_lp_refuses_a_nan_exponent():
+    odd, even = pair_signals(LEGENDRE, (1, 2))
+    with pytest.raises(ValueError, match="at least 1"):
+        fuel_min_lp(odd, even, 1.0, math.nan)
+
+
+def test_compare_families_refuses_a_nan_simulation(monkeypatch):
+    # `err > 1e-6` is False for NaN, so a NaN endpoint used to pass the simulation gate
+    import nhsteer.fuel_l1 as fuel_l1
+
+    def nan_endpoint(*args, **kwargs):
+        traj = integrate_nhi(*args, **kwargs)
+        for column in traj.columns.values():
+            column[-1] = math.nan
+        return traj
+
+    monkeypatch.setattr(fuel_l1, "integrate_nhi", nan_endpoint)
+    with pytest.raises(PlannerError):
+        compare_families([(LEGENDRE, (1, 2))], 1.0)

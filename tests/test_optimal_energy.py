@@ -241,3 +241,16 @@ def test_weighted_cost_of_bare_callable_inputs_matches_quad():
         lambda t: 0.5 * (math.sin(t) ** 2 + math.exp(t) ** 2), -1.0, 1.0, weight="alg", wvar=(0.5, 0.5)
     )
     assert_allclose(weighted_cost(np.sin, math.exp, cheb_cost()), want_cheb, rtol=1e-10)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 0.0])
+def test_extremal_inputs_refuse_zero_and_non_finite_targets(a):
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        cheb_extremal_inputs(a)
+
+
+@pytest.mark.parametrize("split", [math.nan, math.inf])
+def test_extremal_inputs_refuse_a_non_finite_split(split):
+    # a NaN split used to give NaN amplitudes, written by `plan nhi --optimal` as invalid JSON
+    with pytest.raises(ValueError, match="split must be finite"):
+        cheb_extremal_inputs(1.0, split=split)

@@ -230,9 +230,48 @@ def test_legendre_endpoint_derivative_is_the_limit():
         assert_allclose(evaluate_derivative(el, -1.0), (-1.0) ** (n - 1) * n * (n + 1) / 2.0, atol=1e-10)
 
 
-def test_second_kind_derivative_endpoint_raises():
-    with pytest.raises(DomainError):
-        evaluate_derivative(BasisElement(CHEBYSHEV_SECOND, 3), 1.0)
+def test_second_kind_derivative_endpoint_value():
+    # U_n'(+-1) = (+-1)^(n+1) n (n+1) (n+2) / 3
+    for n in range(1, 9):
+        el = BasisElement(CHEBYSHEV_SECOND, n)
+        for end in (1.0, -1.0):
+            assert_allclose(evaluate_derivative(el, end), end ** (n + 1) * n * (n + 1) * (n + 2) / 3.0, rtol=1e-13)
+
+
+_DERIVATIVE_POINTS = np.array([-1.0, 1.0, -(1.0 - 1e-9), 1.0 - 1e-9, -0.7, 0.0, 0.3, 0.91])
+
+
+@pytest.mark.parametrize(
+    "family, params, rel",
+    [
+        (LEGENDRE, None, 5e-14),
+        (CHEBYSHEV_FIRST, None, 5e-14),
+        (CHEBYSHEV_SECOND, None, 5e-14),
+        (JACOBI, (0.3, -0.4), 5e-13),
+        (JACOBI, (-0.45, -0.45), 5e-13),
+        (JACOBI, (1.7, 2.2), 5e-13),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 64])
+def test_derivatives_match_mpmath(family, params, rel, n):
+    # errors are measured against max |E^(k)(+-1)|, the size of the k-th derivative on [-1, 1]
+    el = BasisElement(family, n, jacobi_params=params)
+    with mp.workdps(50):
+        if family == JACOBI:
+            a, b = (mp.mpf(p) for p in params)
+            exact = lambda x: _mp_jacobi(n, a, b, x)  # noqa: E731
+        else:
+            special = {LEGENDRE: mp.legendre, CHEBYSHEV_FIRST: mp.chebyt, CHEBYSHEV_SECOND: mp.chebyu}[family]
+            exact = lambda x: special(n, x)  # noqa: E731
+        for order, fn in ((1, evaluate_derivative), (2, evaluate_second_derivative)):
+            got = fn(el, _DERIVATIVE_POINTS)
+            if order > n:
+                assert np.all(got == 0.0)
+                continue
+            want = [mp.diff(exact, mp.mpf(t), order) for t in _DERIVATIVE_POINTS]
+            scale = max(abs(w) for w in want[:2])
+            worst = max(abs(mp.mpf(g) - w) for g, w in zip(got, want))
+            assert worst <= rel * scale, (order, float(worst / scale))
 
 
 def test_shifted_derivative_chain_rule():
@@ -661,3 +700,11 @@ def test_harmonic_helper():
     assert_allclose(h(t), 1.5 * math.cos(2.0 * t + 0.3))
     assert_allclose(h.derivative(t), -3.0 * math.sin(2.0 * t + 0.3))
     assert_allclose(h.second_derivative(t), -6.0 * math.cos(2.0 * t + 0.3))
+
+
+@pytest.mark.parametrize("params", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.5), (0.5, -math.inf), (-1.0, 0.0)])
+def test_jacobi_parameters_must_be_finite_and_above_minus_one(params):
+    with pytest.raises(ValueError, match="jacobi parameters"):
+        BasisElement(JACOBI, 2, jacobi_params=params)
+    with pytest.raises(ValueError, match="jacobi parameters"):
+        weight_fn(JACOBI, jacobi_params=params)

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nhsteer.dynamics import Rotation, exp_rotation, integrate_so3
-from nhsteer.errors import SingularityError
+from nhsteer import so3_control
+from nhsteer.errors import ConvergenceError, SingularityError
 from nhsteer.orthopoly import Harmonic
 from nhsteer.so3_control import (
     AttitudePlan,
@@ -225,3 +226,35 @@ def test_sl_residual_callable_weight_path():
         0.8,
     )
     assert abs(r1) < 1e-4 and abs(r2) < 1e-4  # finite-difference path
+
+
+@pytest.mark.parametrize(
+    "planner", [constant_omega_plan, underactuated_plan, lambda g0, g1, T: weighted_rate_plan(g0, g1, T, 1.0)]
+)
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, 0.0])
+def test_planners_refuse_non_finite_or_non_positive_durations(planner, duration):
+    with pytest.raises(ValueError, match="duration must be positive and finite"):
+        planner(np.eye(3), np.eye(3), duration)
+
+
+def test_underactuated_plan_refuses_a_nan_residual(monkeypatch):
+    # `norm >= bound` is False for NaN, so a NaN residual used to pass as converged
+    monkeypatch.setattr(so3_control, "_shooting_residual", lambda *args: np.full(3, math.nan))
+    g1 = exp_rotation(np.array([0.3, -0.2, 0.5]))
+    with pytest.raises(ConvergenceError):
+        underactuated_plan(np.eye(3), g1, 1.0)
+
+
+def test_simulate_attitude_reports_the_frobenius_error():
+    g1 = Rotation(exp_rotation(np.array([0.4, 0.1, -0.3])))
+    plan = weighted_rate_plan(np.eye(3), g1, 1.0, lambda t: 1.0 + t * t)
+    traj, err = simulate_attitude(plan, steps=100, scheme="lie_midpoint")
+    g_end = np.array([[traj.columns[f"g{i}{j}"][-1] for j in (1, 2, 3)] for i in (1, 2, 3)])
+    assert 1e-9 < err == pytest.approx(np.linalg.norm(g_end - g1.matrix), rel=1e-14)
+    assert err > np.max(np.abs(g_end - g1.matrix))
+
+
+def test_weighted_rate_plan_refuses_a_nan_weight():
+    # `min(q) <= 0` is False for NaN, so a NaN weight used to pass the positivity check
+    with pytest.raises(ValueError, match="must be positive"):
+        weighted_rate_plan(np.eye(3), np.eye(3), 1.0, lambda t: math.nan)

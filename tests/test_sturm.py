@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nhsteer import orthopoly
 from nhsteer.errors import DomainError
 from nhsteer.orthopoly import (
     CHEBYSHEV_FIRST,
@@ -61,6 +62,27 @@ def test_wrong_eigenvalue_leaves_a_visible_residual():
     problem = family_sl_problem(LEGENDRE, 4)  # lambda = 20
     worst = max(abs(sl_residual(problem, BasisElement(LEGENDRE, 3), t)) for t in chebyshev_nodes(20))
     assert worst > 1e-2
+
+
+@pytest.mark.parametrize(
+    "family, recurrence",
+    [(LEGENDRE, "_legendre_all"), (CHEBYSHEV_FIRST, "_chebyshev_t_all"), (CHEBYSHEV_SECOND, "_chebyshev_u_all")],
+)
+def test_residual_sees_a_perturbed_recurrence(monkeypatch, family, recurrence):
+    # The derivatives come from the Jacobi rule, not from the equation, so a
+    # wrong element value must leave a residual of about lambda * 1e-3.
+    exact = getattr(orthopoly, recurrence)
+
+    def perturbed(n, tau):
+        vals = exact(n, tau)
+        vals[-1] = vals[-1] + 1e-3 * tau**n
+        return vals
+
+    monkeypatch.setattr(orthopoly, recurrence, perturbed)
+    n = 4
+    problem = family_sl_problem(family, n)
+    worst = max(abs(sl_residual(problem, BasisElement(family, n), t)) for t in chebyshev_nodes(50))
+    assert worst >= 1e-2
 
 
 def test_sl_residual_rejects_endpoints():
