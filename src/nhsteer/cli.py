@@ -199,9 +199,7 @@ def _cmd_plan_so3(args) -> int:
         )
     else:
         plan = underactuated_plan(g0, g1, args.duration)
-    data = {"system": "so3"}
-    data.update(plan.to_json_dict())
-    _emit(args, json.dumps(data, indent=2) + "\n")
+    _emit(args, plan.to_json())
     return 0
 
 
@@ -410,7 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use the closed-form weighted-minimum-energy inputs (pure x3 transfers)",
     )
     nhi.add_argument(
-        "--split", type=float, default=0.0, help="phase split for --optimal (-1 < s < 1)"
+        "--split", type=float, default=0.0,
+        help="angle in radians that rotates the --optimal (b1, b2) pair",
     )
     nhi.add_argument("--out", help="write JSON here instead of stdout")
     nhi.set_defaults(func=_cmd_plan_nhi)

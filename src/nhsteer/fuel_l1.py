@@ -10,7 +10,8 @@ b1 b2 = c = a / D, and the fuel  J = integral |u1| + |u2| = |b1| c1 + |b2| c2
 by the arithmetic-geometric inequality.  ``fuel_min`` reports the closed form
 and cross-checks it against a dense logarithmic grid; ``compare_families``
 ranks several shape pairs for the same target and refuses to return a report
-whose transfer does not survive simulation.
+whose transfer does not survive simulation.  ``fuel_min_lp`` solves the Lp
+fuel in closed form by the same inequality, J* = 2 |c|^(p/2) sqrt(c1p c2p).
 
 The coupling D is summed exactly by ``dynamics.coupling_displacement`` (Gauss-
 Jacobi nodes, or the trapezoid rule for trig shapes).  Shape norms come from
@@ -59,8 +60,8 @@ class FuelConstants:
     interval: tuple[float, float]
 
 
-def fuel_constants(u1, u2, a: float, interval=None) -> FuelConstants:
-    """Compute (c1, c2, c) for the shape pair and target displacement ``a``."""
+def _shape_constants(u1, u2, a: float, interval, norm) -> FuelConstants:
+    """Checked target, interval, coupling and ``norm`` of each shape, as ``FuelConstants``."""
     a = float(a)
     if not 0.0 < abs(a) < math.inf:
         raise ValueError(f"the displacement target must be nonzero and finite, got {a!r}")
@@ -69,13 +70,18 @@ def fuel_constants(u1, u2, a: float, interval=None) -> FuelConstants:
     interval = _infer_interval((u1, u2), interval)
     coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval))
     return FuelConstants(
-        c1=l1_norm(u1),
-        c2=l1_norm(u2),
+        c1=norm(u1),
+        c2=norm(u2),
         c=a / coupling,
         coupling=coupling,
         a=a,
         interval=interval,
     )
+
+
+def fuel_constants(u1, u2, a: float, interval=None) -> FuelConstants:
+    """Compute (c1, c2, c) for the shape pair and target displacement ``a``."""
+    return _shape_constants(u1, u2, a, interval, l1_norm)
 
 
 @dataclass(frozen=True)
@@ -144,14 +150,14 @@ def fuel_min(constants: FuelConstants, family=None, pair=None) -> FuelReport:
     )
 
 
-def compare_families(specs, a: float, interval=None, steps: int = 4000) -> list[FuelReport]:
+def compare_families(specs, a: float, interval=None) -> list[FuelReport]:
     """Rank shape pairs by fuel for a common target, verifying each by simulation.
 
     ``specs`` is an iterable of (family, pair) entries understood by
-    ``steering.pair_signals``.  Every report's (b1, b2) transfer is
-    integrated from the origin; a report is only returned if the simulated
-    endpoint hits the target within 1e-6 with the direct coordinates back at
-    rest, otherwise the whole comparison fails loudly.
+    ``steering.pair_signals``.  Every report's (b1, b2) transfer is integrated
+    from the origin in 4000 RK4 steps; a report is only returned if the
+    simulated endpoint hits the target within 1e-6 with the direct coordinates
+    back at rest, otherwise the whole comparison fails loudly.
     """
     a = float(a)
     reports = []
@@ -162,7 +168,7 @@ def compare_families(specs, a: float, interval=None, steps: int = 4000) -> list[
         report = fuel_min(consts, family=family, pair=pair)
         tr = integrate_nhi(
             (scale_signal(odd, report.b1), scale_signal(even, report.b2)),
-            steps=steps,
+            steps=4000,
         )
         end = tr.terminal
         err = abs(end["x3"] - a)
@@ -190,45 +196,21 @@ class LpFuelReport:
 def fuel_min_lp(u1, u2, a: float, p: float, interval=None) -> LpFuelReport:
     """Minimize integral(|u1|^p + |u2|^p) subject to the displacement constraint.
 
-    Solved by a golden-section search over |b1| on a log scale (no closed
-    form is assumed); p = 1 reproduces ``fuel_min`` to solver precision.
+    With c1p, c2p the integrals of |u1|^p, |u2|^p and b1 b2 = c, the value is
+    b1^p c1p + (|c|/b1)^p c2p >= 2 |c|^(p/2) sqrt(c1p c2p) by the
+    arithmetic-geometric inequality, with equality at
+    b1 = sqrt(|c|) (c2p/c1p)^(1/(2p)); p = 1 is ``fuel_min``'s closed form.
     Exponent combinations that make |u|^p non-integrable raise
     ``IntegrabilityError``.
     """
     p = float(p)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be at least 1 and finite, got {p!r}")
-    consts = fuel_constants(u1, u2, a, interval)
-    c = consts.c
-    c1p = lp_norm(u1, p)
-    c2p = lp_norm(u2, p)
+    consts = _shape_constants(u1, u2, a, interval, lambda u: lp_norm(u, p))
+    c1p, c2p, c = consts.c1, consts.c2, consts.c
     if not (c1p > 0.0) or not (c2p > 0.0):
         raise ValueError("shape Lp norms must be positive")
-
-    def objective(log_b: float) -> float:
-        b = 10.0**log_b
-        return b**p * c1p + (abs(c) / b) ** p * c2p
-
-    center = 0.5 * math.log10(abs(c))
-    lo, hi = center - 3.0, center + 3.0
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(200):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = objective(x2)
-        if hi - lo < 1e-14:
-            break
-    log_b = 0.5 * (lo + hi)
-    b1 = 10.0**log_b
+    b1 = math.sqrt(abs(c)) * (c2p / c1p) ** (0.5 / p)
     b2 = math.copysign(abs(c) / b1, c)
-    return LpFuelReport(
-        p=p, c1p=c1p, c2p=c2p, c=c, b1=b1, b2=b2, min_value=objective(log_b)
-    )
+    min_value = 2.0 * abs(c) ** (0.5 * p) * math.sqrt(c1p * c2p)
+    return LpFuelReport(p=p, c1p=c1p, c2p=c2p, c=c, b1=b1, b2=b2, min_value=min_value)

@@ -431,18 +431,17 @@ def _gl_panel(f, lo: float, hi: float) -> float:
     return half * float(np.dot(weights, _eval_array(f, mid + half * nodes)))
 
 
-def integrate_smooth(
-    f,
-    lo: float,
-    hi: float,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-    max_panels: int = 4096,
-) -> float:
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_MAX_PANELS = 4096
+
+
+def integrate_smooth(f, lo: float, hi: float) -> float:
     """Globally adaptive 20-point Gauss-Legendre integration.
 
     The worst panel (largest difference between its one-panel and two-panel
-    estimates) is split until the summed error estimate meets the tolerance.
+    estimates) is split until the summed error estimate meets the tolerance
+    max(1e-12, 1e-10 |total|), or 4096 panels are in use.
     Endpoint kinks of algebraic type just cost a geometric cascade of panels;
     an actually divergent integrand runs the panel budget out and raises
     ``IntegrabilityError``.
@@ -465,8 +464,8 @@ def integrate_smooth(
     heap = [(-err, counter, lo, hi, fine)]
     total, total_err = fine, err
     while heap:
-        tol = max(abs_tol, rel_tol * abs(total))
-        if total_err <= tol or len(heap) >= max_panels:
+        tol = max(_ABS_TOL, _REL_TOL * abs(total))
+        if total_err <= tol or len(heap) >= _MAX_PANELS:
             break
         neg_err, _, a, b, fval = heapq.heappop(heap)
         perr = -neg_err
@@ -483,7 +482,7 @@ def integrate_smooth(
         heapq.heappush(heap, (-el, counter, a, m, fl))
         counter += 1
         heapq.heappush(heap, (-er, counter, m, b, fr))
-    if total_err > 1e3 * max(abs_tol, rel_tol * abs(total)):
+    if total_err > 1e3 * max(_ABS_TOL, _REL_TOL * abs(total)):
         raise IntegrabilityError(
             "quadrature failed to converge; integrand appears singular"
         )
@@ -495,16 +494,15 @@ def integrate(
     interval: tuple[float, float],
     exponents: tuple[float, float] = (0.0, 0.0),
     box: tuple[float, float] | None = None,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
 ) -> float:
     """Integrate ``f_smooth(t) * (1 - tau)^a (1 + tau)^b`` over ``interval``.
 
     ``tau`` is the canonical variable of ``box`` (defaults to ``interval``),
     so endpoint singularities sit at the box edges.  Nonzero exponents are
     handled with the substitution tau = -cos(s), which turns the weight into
-    ``2^(a+b+1) cos(s/2)^(2a+1) sin(s/2)^(2b+1)`` — smooth whenever the
-    integral exists at all.  Exponents at or below -1 raise
+    ``2^(a+b+1) cos(s/2)^(2a+1) sin(s/2)^(2b+1)``: smooth when 2a + 1 and
+    2b + 1 are nonnegative integers, otherwise a milder endpoint power that
+    the adaptive panels resolve by splitting.  Exponents at or below -1 raise
     ``IntegrabilityError``.
     """
     a, b = exponents
@@ -517,7 +515,7 @@ def integrate(
     if hi <= lo:
         return 0.0
     if a == 0.0 and b == 0.0:
-        return integrate_smooth(f_smooth, lo, hi, abs_tol, rel_tol)
+        return integrate_smooth(f_smooth, lo, hi)
     if a <= -1.0 or b <= -1.0:
         raise IntegrabilityError(
             f"endpoint exponents {exponents} are not integrable"
@@ -540,7 +538,7 @@ def integrate(
             * np.sin(0.5 * s) ** (2.0 * b + 1.0)
         )
 
-    return factor * integrate_smooth(g, s_lo, s_hi, abs_tol, rel_tol)
+    return factor * integrate_smooth(g, s_lo, s_hi)
 
 
 # ---------------------------------------------------------------------------

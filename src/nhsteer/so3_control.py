@@ -19,6 +19,7 @@ form d/dt[(q/(c-q)) d/dt(q w)] + (c-q) w = 0 for rate-weighted problems.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -49,6 +50,9 @@ __all__ = [
     "costate_residual",
     "so3_sl_residual",
 ]
+
+_SHOOT_TOL = 1e-12  # residual at which a shooting start stops iterating
+_SHOOT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,7 @@ class AttitudePlan:
 
     def to_json_dict(self) -> dict:
         return {
+            "system": "so3",
             "mode": self.mode,
             "duration": self.duration,
             "g0": [[float(v) for v in row] for row in self.g0.matrix],
@@ -92,6 +97,9 @@ class AttitudePlan:
             "params": {k: float(v) for k, v in self.params.items()},
             "cost": float(self.cost),
         }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     @staticmethod
     def from_json_dict(data: dict) -> "AttitudePlan":
@@ -206,13 +214,7 @@ def _shooting_residual(params: np.ndarray, duration: float, g0: np.ndarray, g1: 
     return log_rotation(pred @ g1.T, accept_pi_tiebreak=True)
 
 
-def underactuated_plan(
-    g0,
-    g1,
-    duration: float,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> AttitudePlan:
+def underactuated_plan(g0, g1, duration: float) -> AttitudePlan:
     """Steer with omega3 pinned to one and extremal sinusoids in the plane.
 
     Shooting unknowns are (r, phi, c).  The initial rate amplitude comes
@@ -250,9 +252,9 @@ def underactuated_plan(
         norm = float(np.linalg.norm(err))
         mu = 1e-6
         iterations = 0
-        for _ in range(max_iter):
+        for _ in range(_SHOOT_MAX_ITER):
             iterations += 1
-            if norm < tol:
+            if norm < _SHOOT_TOL:
                 break
             jac = np.empty((3, 3))
             for k in range(3):
@@ -280,10 +282,10 @@ def underactuated_plan(
                 break
         if best is None or norm < best[1]:
             best = (params, norm, iterations)
-        if norm < tol:
+        if norm < _SHOOT_TOL:
             break
     params, norm, iterations = best
-    if not norm < max(tol, 1e-10):
+    if not norm < 1e-10:
         raise ConvergenceError(
             f"underactuated shooting stalled at residual {norm:.3e}",
             best_residual=norm,

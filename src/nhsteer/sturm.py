@@ -91,17 +91,14 @@ def value_and_derivatives(y, t: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class SLProblem:
-    """Coefficients of (1/w) (P y')' + Q y + lambda y with its eigenvalue.
+    """Coefficients of (1/w) (P y')' + lambda y with its eigenvalue.
 
-    ``p`` is anything ``value_and_derivatives`` takes; ``dp``, when given,
-    overrides the slope it finds.
+    ``p`` is anything ``value_and_derivatives`` takes.
     """
 
     p: object
-    dp: object
     w: object
     lam: float
-    q: object | None = None
     interval: tuple[float, float] = CANONICAL_INTERVAL
 
 
@@ -117,17 +114,17 @@ def family_sl_problem(family: str, index: int, jacobi_params=None) -> SLProblem:
         raise ValueError("index must be nonnegative")
     w = weight_fn(family, jacobi_params=jacobi_params)
     if family in (TRIG_SIN, TRIG_COS):
-        return SLProblem(p=w, dp=None, w=w, lam=float(n * n) * math.pi**2)
+        return SLProblem(p=w, w=w, lam=float(n * n) * math.pi**2)
     a, b = w.exponents
     p = weight_fn(JACOBI, jacobi_params=(a + 1.0, b + 1.0))
-    return SLProblem(p=p, dp=None, w=w, lam=float(n * (n + a + b + 1.0)))
+    return SLProblem(p=p, w=w, lam=float(n * (n + a + b + 1.0)))
 
 
 def sl_residual(problem: SLProblem, y, t: float) -> float:
     """Residual of the self-adjoint equation at an interior point t.
 
-    Computes (P'(t) y' + P(t) y'') / w(t) + Q(t) y + lambda y; an
-    eigenfunction makes this vanish identically.
+    Computes (P'(t) y' + P(t) y'') / w(t) + lambda y; an eigenfunction
+    makes this vanish identically.
     """
     lo, hi = problem.interval
     t = float(t)
@@ -135,13 +132,7 @@ def sl_residual(problem: SLProblem, y, t: float) -> float:
         raise DomainError("sl_residual is defined at interior points only")
     val, d1, d2 = value_and_derivatives(y, t)
     p_val, dp_val, _ = value_and_derivatives(problem.p, t)
-    if problem.dp is not None:
-        dp_val = float(problem.dp(t))
-    w_val = float(problem.w(t))
-    res = (dp_val * d1 + p_val * d2) / w_val + problem.lam * val
-    if problem.q is not None:
-        res += float(problem.q(t)) * val
-    return res
+    return (dp_val * d1 + p_val * d2) / float(problem.w(t)) + problem.lam * val
 
 
 @dataclass(frozen=True)
@@ -217,15 +208,15 @@ class PairingReport:
     nodes: int
 
 
-def certify_pair(pairing: JacobiPairing, nodes: int = 50) -> PairingReport:
-    """Max self-adjoint residual of each channel shape over interior nodes.
+def certify_pair(pairing: JacobiPairing) -> PairingReport:
+    """Max self-adjoint residual of each channel shape over 50 interior Chebyshev nodes.
 
     The first channel is checked against the (alpha, beta) Jacobi problem
     with eigenvalue 4 lambda^2; the second, when constructible, against the
     (eta, zeta) problem at the shared eigenvalue.  Residuals of genuine
     pairs sit at roundoff.
     """
-    pts = chebyshev_nodes(nodes)
+    pts = chebyshev_nodes(50)
     prob1 = family_sl_problem(JACOBI, pairing.n, (pairing.alpha, pairing.beta))
     res1 = max(abs(sl_residual(prob1, pairing.k1, t)) for t in pts)
     res2 = None

@@ -231,3 +231,66 @@ def test_compare_families_refuses_a_nan_simulation(monkeypatch):
     monkeypatch.setattr(fuel_l1, "integrate_nhi", nan_endpoint)
     with pytest.raises(PlannerError):
         compare_families([(LEGENDRE, (1, 2))], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the Lp minimum in closed form
+
+LP_SHAPES = [
+    (LEGENDRE, (2, 3), (-1.0, 1.0)),
+    (CHEBYSHEV_SECOND, (1, 2), SHIFTED_INTERVAL),
+    ("trig", (2, 2), (-1.0, 1.0)),
+]
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+@pytest.mark.parametrize("family, pair, interval", LP_SHAPES)
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("a", [0.37, -12.5, 1e-3])
+def test_lp_minimum_is_the_closed_form(family, pair, interval, p, a):
+    # b1^p c1p + (|c|/b1)^p c2p is least where both terms are equal
+    odd, even = pair_signals(family, pair, interval=interval)
+    rep = fuel_min_lp(odd, even, a, p)
+    b1 = (abs(rep.c) ** p * rep.c2p / rep.c1p) ** (1.0 / (2.0 * p))
+    assert _rel(rep.b1, b1) <= 1e-15
+    assert _rel(rep.b2, rep.c / b1) <= 1e-15
+    assert _rel(rep.min_value, 2.0 * math.sqrt(abs(rep.c) ** p * rep.c1p * rep.c2p)) <= 1e-15
+
+
+@pytest.mark.parametrize("family, pair, interval", LP_SHAPES)
+@pytest.mark.parametrize("a", [0.37, -12.5, 1e-3])
+def test_lp_at_one_is_fuel_min(family, pair, interval, a):
+    odd, even = pair_signals(family, pair, interval=interval)
+    lp = fuel_min_lp(odd, even, a, 1.0)
+    l1 = fuel_min(fuel_constants(odd, even, a))
+    assert (lp.c1p, lp.c2p, lp.c) == (l1.c1, l1.c2, l1.c)
+    assert_allclose([lp.b1, lp.b2, lp.min_value], [l1.b1, l1.b2, l1.min_fuel], rtol=1e-15, atol=0.0)
+
+
+def test_lp_minimum_computes_no_l1_norm(monkeypatch):
+    import nhsteer.fuel_l1 as fuel_l1
+    import nhsteer.orthopoly as orthopoly
+
+    calls = []
+
+    def spy(signal):
+        calls.append(signal)
+        return orthopoly.lp_norm(signal, 1.0)
+
+    monkeypatch.setattr(fuel_l1, "l1_norm", spy)
+    monkeypatch.setattr(orthopoly, "l1_norm", spy)
+    odd, even = pair_signals(LEGENDRE, (2, 3))
+    fuel_min_lp(odd, even, 0.37, 2.0)
+    assert calls == []
+
+
+def test_lp_minimum_for_a_huge_target_is_exact():
+    odd, even = pair_signals(LEGENDRE, (2, 3))
+    rep = fuel_min_lp(odd, even, 1e100, 4.0)
+    assert math.isfinite(rep.b1) and math.isfinite(rep.min_value)
+    assert _rel(rep.b1 * rep.b2, rep.c) <= 1e-15
+    assert _rel(rep.b1, math.sqrt(abs(rep.c)) * (rep.c2p / rep.c1p) ** 0.125) <= 1e-15
+    assert _rel(rep.min_value, 2.0 * rep.c**2 * math.sqrt(rep.c1p * rep.c2p)) <= 1e-15

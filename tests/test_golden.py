@@ -60,3 +60,20 @@ def test_split_keeps_names_and_finds_numbers():
     layout, numbers = _split('{"x12": -1.5e-3, "f": "chebyshev_first", "k": 2}')
     assert layout == '{"x12": #, "f": "chebyshev_first", "k": #}'
     assert numbers == [-1.5e-3, 2.0]
+
+
+def test_readme_library_session_prints_what_its_comments_say(capsys):
+    # each print in the README's python session ends with a comment giving its
+    # output; "~" marks a simulated value, so it compares within the same 1e-12
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    session = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    comments = [line.split("#", 1)[1].strip() for line in session.splitlines() if line.startswith("print(")]
+    exec(compile(session, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(comments) == 2
+    for got_text, want_text in zip(printed, comments):
+        got_layout, got = _split(got_text)
+        want_layout, want = _split(want_text.replace("~", ""))
+        assert got_layout == want_layout
+        assert len(got) == len(want)
+        assert all(math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12) for g, w in zip(got, want)), (got, want)

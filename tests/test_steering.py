@@ -106,6 +106,18 @@ def test_jacobi_family_plan():
         assert abs(end[name] - want) < 1e-6
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="RK4 in the arc variable converges at order about 2a + 2 for weight exponent a: "
+    "cos(s/2)^(2a+1) is not smooth at s = pi, so this plan ends 7.6e-5 off at 4000 steps",
+)
+def test_weighted_jacobi_plan_with_a_small_exponent_meets_verify_tolerance():
+    plan = plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), family=JACOBI, jacobi_params=(-0.45, -0.45))
+    end = simulate_plan(plan, steps=4000).terminal
+    for name, want in plan.predicted_endpoint.items():
+        assert abs(end[name] - want) <= 1e-6, name
+
+
 def test_jacobi_params_given_as_a_list():
     # the coupling cache key must not depend on the container type
     as_list = plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), family=JACOBI, jacobi_params=[0.5, 0.5])
