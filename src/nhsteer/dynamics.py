@@ -20,7 +20,15 @@ constant.  That is smooth, keeping the full fourth order, when 2a + 1 and
 min(4, 2a + 2) (2b + 2 at the other end): weighted Jacobi plans at
 a = b = -0.45 end 7.6e-5 off at 4000 steps.  The trajectory samples t
 non-uniformly and the input columns record the effective integrand
-u * dt/ds on the s-grid.
+u * dt/ds on the s-grid.  Weight exponents below -1/2 make that integrand
+infinite at an endpoint and are refused with ``CapabilityError``.
+
+``integrate_so3`` computes every step's Magnus vector and every step's
+Rodrigues exponential as array operations over the whole grid
+(``_exp_rotations``, bit-identical to ``exp_rotation`` row by row); only the
+3x3 running product stays in a Python loop.  All three integrators refuse
+non-finite interval bounds and non-finite input or rate values with
+``DomainError`` before integrating.
 """
 
 from __future__ import annotations
@@ -205,6 +213,13 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def _finite_interval(interval) -> tuple[float, float]:
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DomainError(f"interval bounds must be finite, got {(lo, hi)}")
+    return lo, hi
+
+
 def _grids(inputs, interval, steps, reparam):
     """Node/midpoint times and per-channel values (effective values if reparam)."""
     lo, hi = interval
@@ -247,15 +262,23 @@ def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps) -> Trajectory:
     """
     if steps < _MIN_STEPS:
         raise ValueError(f"steps must be at least {_MIN_STEPS}")
-    interval = _infer_interval(u, interval)
+    interval = _finite_interval(_infer_interval(u, interval))
     signals = [sig for sig in u if isinstance(sig, InputSignal)]
     if interval != CANONICAL_INTERVAL and any(sig.is_singular for sig in signals):
         raise CapabilityError(
             "inputs with singular endpoint weights are only supported on "
             f"the canonical interval {CANONICAL_INTERVAL}"
         )
+    low = min((min(term.exponents) for sig in signals for term in sig.terms), default=0.0)
+    if low < -0.5:
+        raise CapabilityError(
+            f"weight exponent {low!r} is below -1/2: the arc-variable integrand "
+            "cos(s/2)^(2a+1) sin(s/2)^(2b+1) is infinite at an endpoint, so it cannot be simulated"
+        )
     reparam = any(sig.is_weighted for sig in signals)
     t_nodes, h, u_nodes, u_mid = _grids(u, interval, steps, reparam)
+    if not (np.isfinite(u_nodes).all() and np.isfinite(u_mid).all()):
+        raise DomainError("inputs must be finite on the interval")
     m = len(u)
     u0 = u_nodes[:, :-1]
     u1 = u_nodes[:, 1:]
@@ -363,6 +386,30 @@ def exp_rotation(v) -> np.ndarray:
     return np.eye(3) + c1 * k + c2 * (k @ k)
 
 
+def _exp_rotations(v: np.ndarray) -> np.ndarray:
+    """``exp_rotation`` of every row of an (n, 3) array, as one (n, 3, 3) stack.
+
+    Each matrix equals ``exp_rotation(v[k])`` bit for bit: the angle is a
+    row-wise dot product, the way ``np.linalg.norm`` reduces one vector
+    (``norm(v, axis=1)``, ``einsum`` and ``sum(v * v)`` round differently in
+    the last bit), and the series branch is picked per row.
+    """
+    n = v.shape[0]
+    theta = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    k = np.zeros((n, 3, 3))
+    k[:, 0, 1] = -v[:, 2]
+    k[:, 0, 2] = v[:, 1]
+    k[:, 1, 0] = v[:, 2]
+    k[:, 1, 2] = -v[:, 0]
+    k[:, 2, 0] = -v[:, 1]
+    k[:, 2, 1] = v[:, 0]
+    small = theta < 1e-8
+    safe = np.where(small, 1.0, theta)
+    c1 = np.where(small, 1.0 - theta * theta / 6.0, np.sin(safe) / safe)
+    c2 = np.where(small, 0.5 - theta * theta / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
+    return np.eye(3) + c1[:, None, None] * k + c2[:, None, None] * (k @ k)
+
+
 def log_rotation(mat, accept_pi_tiebreak: bool = False) -> np.ndarray:
     """Rotation vector v with exp_rotation(v) equal to the given matrix.
 
@@ -442,8 +489,14 @@ def integrate_so3(
     two-stage fourth-order Magnus/commutator step (exact for constant
     rates); ``lie_midpoint`` gives the classical second-order geometric
     step.  Both move by rotation exponentials, so every sample stays on the
-    group to roundoff; if accumulated drift ever exceeds 1e-12 the state is
-    polar-projected back.
+    group to roundoff; drift is checked every 256 steps and at the end, and
+    a state more than 1e-12 off the group is polar-projected back.
+
+    The step vectors of all steps and their exponentials are built at once,
+    as one (steps, 3, 3) stack; the loop only multiplies the running
+    product, so the samples equal those of one ``exp_rotation`` per step bit
+    for bit.  Non-finite interval bounds or rate values raise
+    ``DomainError``.
     """
     omega = tuple(omega)
     if len(omega) != 3:
@@ -456,36 +509,34 @@ def integrate_so3(
         g0 = Rotation.identity()
     if not isinstance(g0, Rotation):
         g0 = Rotation(np.asarray(g0, dtype=float))
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = _finite_interval(interval)
     if hi <= lo:
         raise ValueError("interval must have positive length")
     h = (hi - lo) / steps
     t_nodes = np.linspace(lo, hi, steps + 1)
-    w_nodes = np.stack([_eval_array(f, t_nodes) for f in omega])
     if scheme == "magnus4":
-        ta = t_nodes[:-1] + (0.5 - _SQ3 / 6.0) * h
-        tb = t_nodes[:-1] + (0.5 + _SQ3 / 6.0) * h
-        wa = np.stack([_eval_array(f, ta) for f in omega])
-        wb = np.stack([_eval_array(f, tb) for f in omega])
-        steps_vec = 0.5 * h * (wa + wb).T - (_SQ3 / 12.0) * h * h * np.cross(
-            wa.T, wb.T
-        )
+        stage_times = (t_nodes[:-1] + (0.5 - _SQ3 / 6.0) * h, t_nodes[:-1] + (0.5 + _SQ3 / 6.0) * h)
     else:
-        tm = t_nodes[:-1] + 0.5 * h
-        wm = np.stack([_eval_array(f, tm) for f in omega])
-        steps_vec = h * wm.T
-    g = g0.matrix.copy()
+        stage_times = (t_nodes[:-1] + 0.5 * h,)
+    w_nodes, *stages = [np.stack([_eval_array(f, t) for f in omega]) for t in (t_nodes, *stage_times)]
+    if not all(np.isfinite(w).all() for w in (w_nodes, *stages)):
+        raise DomainError("rates must be finite on the interval")
+    if scheme == "magnus4":
+        wa, wb = stages
+        steps_vec = 0.5 * h * (wa + wb).T - (_SQ3 / 12.0) * h * h * np.cross(wa.T, wb.T)
+    else:
+        steps_vec = h * stages[0].T
     samples = np.empty((steps + 1, 3, 3))
-    samples[0] = g
+    samples[0] = g0.matrix
+    g = samples[0]
     eye = np.eye(3)
-    for k in range(steps):
-        g = exp_rotation(steps_vec[k]) @ g
-        if (k + 1) % 256 == 0 and np.max(np.abs(g.T @ g - eye)) > 1e-12:
-            g = project_rotation(g)
-        samples[k + 1] = g
+    # the running product is the only sequential part; each step writes its sample in place
+    for k, (rot, out) in enumerate(zip(_exp_rotations(steps_vec), samples[1:]), start=1):
+        g = np.matmul(rot, g, out=out)
+        if k % 256 == 0 and np.max(np.abs(g.T @ g - eye)) > 1e-12:
+            out[...] = project_rotation(g)
     if np.max(np.abs(g.T @ g - eye)) > 1e-12:
-        g = project_rotation(g)
-        samples[-1] = g
+        samples[-1] = project_rotation(g)
     columns = {}
     state_names = []
     for i in range(3):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,36 @@ def test_domain_errors_exit_one(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_jacobi_plan_with_an_exponent_below_minus_half_is_refused(tmp_path, capsys, command):
+    # the arc-variable integrand sin(s/2)^(2b+1) is infinite at s = 0 for b < -1/2;
+    # it used to print numpy RuntimeWarnings and "state coordinates must be finite"
+    plan_file = tmp_path / "plan.json"
+    code, _, _ = run(
+        capsys, "plan", "nhi", "--from", "0,0,0", "--to", "0,0,1",
+        "--family", "jacobi", "--jacobi", "-0.9,-0.9", "--out", str(plan_file),
+    )
+    assert code == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, command, "--plan", str(plan_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "exponent -0.9 is below -1/2" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_jacobi_plan_with_exponent_minus_half_verifies(tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    run(
+        capsys, "plan", "nhi", "--from", "0,0,0", "--to", "0,0,1",
+        "--family", "jacobi", "--jacobi", "-0.5,-0.5", "--out", str(plan_file),
+    )
+    code, out, _ = run(capsys, "verify", "--plan", str(plan_file))
+    assert code == 0
+    assert "within tolerance" in out
 
 
 @pytest.mark.parametrize("mode", ["constant", "underactuated"])

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from scipy import integrate as sp_integrate
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from nhsteer.errors import AmbiguityError, CapabilityError
+import nhsteer.dynamics as dynamics
+from nhsteer.errors import AmbiguityError, CapabilityError, DomainError
 from nhsteer.dynamics import (
     GnhiState,
     NhiState,
@@ -23,6 +24,7 @@ from nhsteer.dynamics import (
     project_rotation,
     vee,
 )
+from nhsteer.dynamics import _exp_rotations
 from nhsteer.orthopoly import (
     CHEBYSHEV_FIRST,
     CHEBYSHEV_SECOND,
@@ -388,3 +390,146 @@ def test_rotation_refuses_non_finite_entries(bad):
     g[0, 0] = bad
     with pytest.raises(ValueError):
         Rotation(g)
+
+
+# ---------------------------------------------------------------------------
+# batched exponentials: the same bits as the per-step scalar formula
+
+
+def _spread_vectors(rng, n, lo, hi):
+    """n random directions with lengths log-uniform over [10^lo, 10^hi]."""
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    return d * 10.0 ** rng.uniform(lo, hi, size=(n, 1))
+
+
+def test_batched_exponentials_equal_the_scalar_formula_exactly():
+    rng = np.random.default_rng(2024)
+    cut = 1e-8  # the series branch of exp_rotation
+    rows = [
+        _spread_vectors(rng, 3000, -10.0, 1.0),
+        np.zeros((3, 3)),
+        np.array([[0.0, 0.0, -0.0], [cut, 0.0, 0.0], [0.0, -cut, 0.0]]),
+        _spread_vectors(rng, 200, np.log10(cut) - 1e-6, np.log10(cut)),
+        _spread_vectors(rng, 200, np.log10(cut), np.log10(cut) + 1e-6),
+        np.array([[np.nextafter(cut, 0.0), 0.0, 0.0], [0.0, 0.0, np.nextafter(cut, 1.0)]]),
+    ]
+    v = np.concatenate(rows)
+    got = _exp_rotations(v)
+    assert got.shape == (len(v), 3, 3)
+    want = np.stack([exp_rotation(row) for row in v])
+    differ = np.argwhere(got != want)
+    assert differ.size == 0, f"{len(np.unique(differ[:, 0]))} of {len(v)} rows differ, first {v[differ[0, 0]]!r}"
+
+
+def _reference_so3(omega, g0, interval, steps, scheme):
+    """The per-step integrator: one scalar exponential and one product per step."""
+    lo, hi = interval
+    h = (hi - lo) / steps
+    t = np.linspace(lo, hi, steps + 1)
+    sq3 = np.sqrt(3.0)
+    if scheme == "magnus4":
+        wa = np.stack([f(t[:-1] + (0.5 - sq3 / 6.0) * h) for f in omega])
+        wb = np.stack([f(t[:-1] + (0.5 + sq3 / 6.0) * h) for f in omega])
+        vecs = 0.5 * h * (wa + wb).T - (sq3 / 12.0) * h * h * np.cross(wa.T, wb.T)
+    else:
+        vecs = h * np.stack([f(t[:-1] + 0.5 * h) for f in omega]).T
+    g = np.array(g0, dtype=float)
+    out = [g]
+    eye = np.eye(3)
+    for k in range(steps):
+        g = exp_rotation(vecs[k]) @ g
+        if (k + 1) % 256 == 0 and np.max(np.abs(g.T @ g - eye)) > 1e-12:
+            g = project_rotation(g)
+        out.append(g)
+    if np.max(np.abs(g.T @ g - eye)) > 1e-12:
+        out[-1] = project_rotation(g)
+    return np.stack(out)
+
+
+def _samples(traj):
+    return np.stack([traj.columns[f"g{i}{j}"] for i in (1, 2, 3) for j in (1, 2, 3)], axis=1).reshape(-1, 3, 3)
+
+
+@pytest.mark.parametrize("scheme", ["magnus4", "lie_midpoint"])
+@pytest.mark.parametrize("case", range(7))
+def test_integrate_so3_samples_equal_the_per_step_loop(scheme, case):
+    rng = np.random.default_rng(100 + case)
+    coef = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-6.0, 1.0)
+    if case == 0:
+        coef[:] = 0.0  # every step vector is exactly zero
+    if case == 1:
+        coef[2] = 0.0  # one rate stays zero
+    omega = tuple(
+        (lambda t, c=c: c[0] + c[1] * np.sin(2.0 * t) + c[2] * t * t) for c in coef
+    )
+    g0 = exp_rotation(rng.normal(size=3))
+    steps = {5: 4000, 6: 200}.get(case, 600)
+    if case in (4, 6):
+        # a start 2e-10 off the group: re-projected at step 256 (case 4) or at the end (case 6)
+        g0 = g0 * (1.0 + 1e-10)
+    traj = integrate_so3(omega, Rotation(g0), (0.0, 2.5), steps=steps, scheme=scheme)
+    want = _reference_so3(omega, g0, (0.0, 2.5), steps, scheme)
+    assert np.array_equal(_samples(traj), want)
+
+
+def test_integrate_so3_never_calls_the_scalar_exponential(monkeypatch):
+    def spy(v):
+        raise AssertionError("integrate_so3 called exp_rotation")
+
+    monkeypatch.setattr(dynamics, "exp_rotation", spy)
+    omega = (Harmonic("cos", 2.0), Harmonic("sin", 3.0), ConstantRate(0.5))
+    for scheme in ("magnus4", "lie_midpoint"):
+        integrate_so3(omega, interval=(0.0, 1.0), steps=300, scheme=scheme)
+
+
+# ---------------------------------------------------------------------------
+# non-finite rates, inputs and intervals are refused
+
+
+def _nan_after_half(t):
+    return np.where(np.asarray(t) > 0.5, np.nan, 1.0)
+
+
+def _zero(t):
+    return 0.0 * np.asarray(t, dtype=float)
+
+
+@pytest.mark.parametrize("scheme", ["magnus4", "lie_midpoint"])
+def test_integrate_so3_refuses_non_finite_rates(scheme):
+    with pytest.raises(DomainError, match="finite"):
+        integrate_so3((_nan_after_half, _zero, _zero), steps=200, scheme=scheme)
+    with pytest.raises(DomainError, match="finite"):
+        integrate_so3((_zero, _zero, lambda t: np.full(np.shape(t), np.inf)), steps=200, scheme=scheme)
+
+
+@pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)])
+def test_integrate_so3_refuses_non_finite_intervals(interval):
+    with pytest.raises(DomainError, match="finite"):
+        integrate_so3((_zero, _zero, _zero), interval=interval, steps=200)
+
+
+def test_bilinear_integrators_refuse_non_finite_inputs():
+    with pytest.raises(DomainError, match="finite"):
+        integrate_nhi((_nan_after_half, _zero), interval=(0.0, 1.0))
+    with pytest.raises(DomainError, match="finite"):
+        integrate_gnhi((_zero, _zero, _nan_after_half), GnhiState.zeros(3), interval=(0.0, 1.0))
+    with pytest.raises(DomainError, match="finite"):
+        integrate_nhi((_zero, _zero), interval=(0.0, math.inf))
+
+
+@pytest.mark.parametrize("params", [(-0.9, -0.9), (-0.6, 0.3), (0.3, -0.51)])
+def test_weighted_jacobi_exponent_below_minus_half_is_refused(params):
+    sig = basis_signal(JACOBI, 1, weighted=True, jacobi_params=params)
+    smooth = basis_signal(LEGENDRE, 2)
+    low = min(params)
+    with pytest.raises(CapabilityError, match=f"exponent {low!r}"):
+        integrate_nhi((sig, smooth), steps=200)
+    with pytest.raises(CapabilityError, match=f"exponent {low!r}"):
+        integrate_gnhi((smooth, smooth, sig), GnhiState.zeros(3), steps=200)
+
+
+def test_weighted_jacobi_exponent_minus_half_still_integrates():
+    sig = basis_signal(JACOBI, 1, weighted=True, jacobi_params=(-0.5, -0.5))
+    end = integrate_nhi((sig, basis_signal(LEGENDRE, 2)), steps=200).terminal
+    assert all(np.isfinite(list(end.values())))

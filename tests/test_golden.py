@@ -1,5 +1,8 @@
 """Golden outputs of the README CLI examples, `fuel --compare` and `paper-repro`.
 
+The attitude case simulates the checked-in underactuated plan golden, so the
+SO(3) integrator is pinned independently of the shooting solver.
+
 The files under ``tests/golden`` were written by the CLI itself (see
 CHANGES.md for the commands).  Everything that is not a number (keys,
 strings, column names, spacing, line breaks) must match exactly; numbers
@@ -30,6 +33,13 @@ CASES = {
     "plan_gnhi_m3_trig.json": [
         "plan", "gnhi", "--m", "3", "--from", "0,0,0,0,0,0",
         "--to", "1,-2,0.5,1.5,-0.75,2", "--family", "trig",
+    ],
+    "plan_so3_underactuated.json": [
+        "plan", "so3", "--from", "identity", "--to", "0.36,0.48,-0.8,-0.8,0.6,0,0.48,0.64,0.6",
+        "--duration", "2", "--mode", "underactuated",
+    ],
+    "simulate_so3_underactuated.csv": [
+        "simulate", "--plan", str(GOLDEN / "plan_so3_underactuated.json"), "--steps", "100",
     ],
     "fuel_compare.csv": ["fuel", "--target", "1", "--compare", "trig,legendre,chebyshev_first"],
     "paper_repro.txt": ["paper-repro"],
