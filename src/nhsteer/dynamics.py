@@ -248,6 +248,22 @@ def _grids(inputs, interval, steps, reparam):
     return t_nodes, h, u_nodes, u_mid
 
 
+def _check_simulable(u, interval) -> None:
+    """``CapabilityError`` for endpoint weights the arc-variable integrator cannot take."""
+    signals = [sig for sig in u if isinstance(sig, InputSignal)]
+    if interval != CANONICAL_INTERVAL and any(sig.is_singular for sig in signals):
+        raise CapabilityError(
+            "inputs with singular endpoint weights are only supported on "
+            f"the canonical interval {CANONICAL_INTERVAL}"
+        )
+    low = min((min(term.exponents) for sig in signals for term in sig.terms), default=0.0)
+    if low < -0.5:
+        raise CapabilityError(
+            f"weight exponent {low!r} is below -1/2: the arc-variable integrand "
+            "cos(s/2)^(2a+1) sin(s/2)^(2b+1) is infinite at an endpoint, so it cannot be simulated"
+        )
+
+
 def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps) -> Trajectory:
     """Classical-RK4 trajectory of the m-input model, m = len(u).
 
@@ -263,43 +279,35 @@ def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps) -> Trajectory:
     if steps < _MIN_STEPS:
         raise ValueError(f"steps must be at least {_MIN_STEPS}")
     interval = _finite_interval(_infer_interval(u, interval))
-    signals = [sig for sig in u if isinstance(sig, InputSignal)]
-    if interval != CANONICAL_INTERVAL and any(sig.is_singular for sig in signals):
-        raise CapabilityError(
-            "inputs with singular endpoint weights are only supported on "
-            f"the canonical interval {CANONICAL_INTERVAL}"
-        )
-    low = min((min(term.exponents) for sig in signals for term in sig.terms), default=0.0)
-    if low < -0.5:
-        raise CapabilityError(
-            f"weight exponent {low!r} is below -1/2: the arc-variable integrand "
-            "cos(s/2)^(2a+1) sin(s/2)^(2b+1) is infinite at an endpoint, so it cannot be simulated"
-        )
-    reparam = any(sig.is_weighted for sig in signals)
+    _check_simulable(u, interval)
+    reparam = any(isinstance(sig, InputSignal) and sig.is_weighted for sig in u)
     t_nodes, h, u_nodes, u_mid = _grids(u, interval, steps, reparam)
     if not (np.isfinite(u_nodes).all() and np.isfinite(u_mid).all()):
         raise DomainError("inputs must be finite on the interval")
     m = len(u)
     u0 = u_nodes[:, :-1]
     u1 = u_nodes[:, 1:]
-    s_sum = u0 + 4.0 * u_mid + u1
-    x = np.empty((m, steps + 1))
-    x[:, 0] = x0
-    x[:, 1:] = x[:, :1] + (h / 6.0) * np.cumsum(s_sum, axis=1)
-    x_start = x[:, :-1]
     state_names = [f"x{i + 1}" for i in range(m)]
-    columns = dict(zip(state_names, x))
-    for name, (i, j), start in zip(cross_names, _pairs(m), xx0):
-        incr = (h / 6.0) * (x_start[i] * s_sum[j] - x_start[j] * s_sum[i]) + (
-            h * h / 6.0
-        ) * (
-            (u0[i] * u_mid[j] - u0[j] * u_mid[i])
-            + (u_mid[i] * u1[j] - u_mid[j] * u1[i])
-        )
-        path = np.empty(steps + 1)
-        path[0] = start
-        path[1:] = start + np.cumsum(incr)
-        columns[name] = path
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_sum = u0 + 4.0 * u_mid + u1
+        x = np.empty((m, steps + 1))
+        x[:, 0] = x0
+        x[:, 1:] = x[:, :1] + (h / 6.0) * np.cumsum(s_sum, axis=1)
+        x_start = x[:, :-1]
+        columns = dict(zip(state_names, x))
+        for name, (i, j), start in zip(cross_names, _pairs(m), xx0):
+            incr = (h / 6.0) * (x_start[i] * s_sum[j] - x_start[j] * s_sum[i]) + (
+                h * h / 6.0
+            ) * (
+                (u0[i] * u_mid[j] - u0[j] * u_mid[i])
+                + (u_mid[i] * u1[j] - u_mid[j] * u1[i])
+            )
+            path = np.empty(steps + 1)
+            path[0] = start
+            path[1:] = start + np.cumsum(incr)
+            columns[name] = path
+    if not all(np.isfinite(col).all() for col in columns.values()):
+        raise DomainError("inputs overflow the integrator: a state coordinate is not finite")
     input_names = tuple(f"u{i + 1}" for i in range(m))
     columns.update(zip(input_names, u_nodes))
     return Trajectory(
@@ -521,17 +529,21 @@ def integrate_so3(
     w_nodes, *stages = [np.stack([_eval_array(f, t) for f in omega]) for t in (t_nodes, *stage_times)]
     if not all(np.isfinite(w).all() for w in (w_nodes, *stages)):
         raise DomainError("rates must be finite on the interval")
-    if scheme == "magnus4":
-        wa, wb = stages
-        steps_vec = 0.5 * h * (wa + wb).T - (_SQ3 / 12.0) * h * h * np.cross(wa.T, wb.T)
-    else:
-        steps_vec = h * stages[0].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scheme == "magnus4":
+            wa, wb = stages
+            steps_vec = 0.5 * h * (wa + wb).T - (_SQ3 / 12.0) * h * h * np.cross(wa.T, wb.T)
+        else:
+            steps_vec = h * stages[0].T
+        rots = _exp_rotations(steps_vec)
+    if not np.isfinite(rots).all():
+        raise DomainError("rates overflow the integrator: a step rotation is not finite")
     samples = np.empty((steps + 1, 3, 3))
     samples[0] = g0.matrix
     g = samples[0]
     eye = np.eye(3)
     # the running product is the only sequential part; each step writes its sample in place
-    for k, (rot, out) in enumerate(zip(_exp_rotations(steps_vec), samples[1:]), start=1):
+    for k, (rot, out) in enumerate(zip(rots, samples[1:]), start=1):
         g = np.matmul(rot, g, out=out)
         if k % 256 == 0 and np.max(np.abs(g.T @ g - eye)) > 1e-12:
             out[...] = project_rotation(g)

@@ -20,15 +20,17 @@ differential equation, so ``sturm.sl_residual`` checks the recurrences.
 Which rule serves which integrand:
 
 * Products of family terms (``inner_product``, ``optimal_energy.weighted_cost``
-  and ``dynamics.coupling_displacement``, whose running integrals are closed
-  forms) go through ``_product_integrals``.  A polynomial of degree D against
-  (1 - t)^a (1 + t)^b is summed on floor(D/2) + 1 Gauss-Jacobi nodes
-  (``_gauss_jacobi``, built on first use and cached), a trig polynomial of
-  index sum K by the K + 1 point trapezoid sum over its period; both exact.
+  and ``dynamics.coupling_displacement``) go through ``_product_integrals``.
+  A polynomial of degree D against (1 - t)^a (1 + t)^b is summed on
+  floor(D/2) + 1 Gauss-Jacobi nodes (``_gauss_jacobi``, built on first use
+  and cached), a trig polynomial of index sum K by the K + 1 point trapezoid
+  sum over its period; both exact.
+* Running integrals of terms are exact (``_term_running_integral_canonical``):
+  a polynomial times a Jacobi weight, a trig polynomial or an arcsine form.
 * ``integrate``, adaptive Gauss-Legendre in s with t = -cos(s) for endpoint
   weights, serves bare callables, mixed trig and polynomial products and
-  terms whose antiderivative is no polynomial or trig polynomial (weighted
-  index 0, unweighted Jacobi of index >= 1).
+  weighted Jacobi of index 0, whose antiderivative is an incomplete beta
+  function.
 * L1/Lp norms go panel by panel between the sign changes (a degree-sized
   scan in s and batched bisection): closed-form running integrals at p = 1,
   otherwise a 40-node Gauss-Legendre rule in s checked against 20 nodes,
@@ -283,29 +285,19 @@ def _unwrap(value: np.ndarray, t):
     return value
 
 
-def _on_element(element: BasisElement, t, order: int):
-    """The element (order 0) or its ``order``-th derivative in its own variable ``t``."""
-    tau = _to_canonical(element.interval, t)
-    args = (element.family, element.index, element.jacobi_params, np.atleast_1d(tau))
-    out = _deriv_canonical(*args, order) if order else _eval_canonical(*args)
-    if element.interval == SHIFTED_INTERVAL:
-        out = 2.0**order * out
-    return _unwrap(out.reshape(np.shape(tau)), t)
-
-
 def evaluate(element: BasisElement, t):
     """Evaluate the element at ``t`` (scalar or array) on its own interval."""
-    return _on_element(element, t, 0)
+    return Term(element).value(t)
 
 
 def evaluate_derivative(element: BasisElement, t):
     """First derivative with respect to the element's own variable ``t``."""
-    return _on_element(element, t, 1)
+    return InputSignal((Term(element),), element.interval).derivative(t)
 
 
 def evaluate_second_derivative(element: BasisElement, t):
     """Second derivative with respect to the element's own variable ``t``."""
-    return _on_element(element, t, 2)
+    return InputSignal((Term(element),), element.interval).second_derivative(t)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +318,22 @@ def weight_exponents(family: str, jacobi_params=None) -> tuple[float, float]:
             raise ValueError("jacobi weight requires jacobi_params")
         return (float(jacobi_params[0]), float(jacobi_params[1]))
     raise ValueError(f"unknown family {family!r}")
+
+
+def _weigh(factor, tau, a: float, b: float):
+    """factor * (1 - tau)^a * (1 + tau)^b, left to right; a singular endpoint in ``tau`` raises."""
+    if a == 0.0 and b == 0.0:
+        return factor
+    if a < 0 and np.any(tau >= 1.0 - _EDGE_TOL):
+        raise DomainError("weight is singular at the right endpoint")
+    if b < 0 and np.any(tau <= -1.0 + _EDGE_TOL):
+        raise DomainError("weight is singular at the left endpoint")
+    return factor * (1.0 - tau) ** a * (1.0 + tau) ** b
+
+
+def _arc_weigh(factor, s, a: float, b: float):
+    """factor * cos(s/2)^(2a+1) * sin(s/2)^(2b+1): the weight times dt/ds under tau = -cos(s), up to a constant."""
+    return factor * np.cos(0.5 * s) ** (2.0 * a + 1.0) * np.sin(0.5 * s) ** (2.0 * b + 1.0)
 
 
 @dataclass(frozen=True)
@@ -349,14 +357,8 @@ class WeightFn:
 
     def __call__(self, t):
         tau = _to_canonical(self.interval, t)
-        a, b = self.exponents
         arr = np.atleast_1d(tau)
-        if a < 0 and np.any(arr >= 1.0 - _EDGE_TOL):
-            raise DomainError("weight is singular at the right endpoint")
-        if b < 0 and np.any(arr <= -1.0 + _EDGE_TOL):
-            raise DomainError("weight is singular at the left endpoint")
-        out = (1.0 - arr) ** a * (1.0 + arr) ** b
-        return _unwrap(out.reshape(np.shape(tau)), t)
+        return _unwrap(_weigh(np.ones_like(arr), arr, *self.exponents).reshape(np.shape(tau)), t)
 
     def log_derivative(self, t):
         """w'(t)/w(t); on the shifted interval the chain-rule factor is included."""
@@ -531,12 +533,7 @@ def integrate(
     s_hi = float(np.arccos(-tau_of(hi)))
 
     def g(s):
-        t = mid - half * np.cos(s)
-        return (
-            np.asarray(f_smooth(t), dtype=float)
-            * np.cos(0.5 * s) ** (2.0 * a + 1.0)
-            * np.sin(0.5 * s) ** (2.0 * b + 1.0)
-        )
+        return _arc_weigh(np.asarray(f_smooth(mid - half * np.cos(s)), dtype=float), s, a, b)
 
     return factor * integrate_smooth(g, s_lo, s_hi)
 
@@ -570,17 +567,9 @@ class Term:
     def value(self, t):
         tau = _to_canonical(self.element.interval, t)
         arr = np.atleast_1d(tau)
-        base = self.scale * _eval_canonical(
-            self.element.family, self.element.index, self.element.jacobi_params, arr
-        )
-        a, b = self.exponents
-        if a != 0.0 or b != 0.0:
-            if a < 0 and np.any(arr >= 1.0 - _EDGE_TOL):
-                raise DomainError("weighted term is singular at the right endpoint")
-            if b < 0 and np.any(arr <= -1.0 + _EDGE_TOL):
-                raise DomainError("weighted term is singular at the left endpoint")
-            base = base * (1.0 - arr) ** a * (1.0 + arr) ** b
-        return _unwrap(base.reshape(np.shape(tau)), t)
+        el = self.element
+        base = self.scale * _eval_canonical(el.family, el.index, el.jacobi_params, arr)
+        return _unwrap(_weigh(base, arr, *self.exponents).reshape(np.shape(tau)), t)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -614,7 +603,8 @@ def _term_running_integral_canonical(term: Term):
     ``degree`` the (polynomial degree, trig index) of p, or None for the
     arcsine forms of weighted index 0.  Weighted Jacobi of index n >= 1 uses
     d/dtau [(1-tau)^(a+1) (1+tau)^(b+1) P_{n-1}^(a+1,b+1)] = -2n (1-tau)^a (1+tau)^b P_n^(a,b);
-    None for weighted Jacobi of index 0 and unweighted Jacobi of index >= 1.
+    unweighted Jacobi of index n >= 1 sums P_n on floor(n/2) + 1 Gauss-Legendre
+    nodes of [-1, tau], exact for degree n.  None for weighted Jacobi of index 0.
     """
     fam = term.element.family
     n = term.element.index
@@ -666,6 +656,14 @@ def _term_running_integral_canonical(term: Term):
     if fam == JACOBI and (a, b) != unweighted and n > 0:
         raised = (a + 1.0, b + 1.0)
         return (lambda tau: _jacobi_all(n - 1, *raised, tau)[n - 1]), raised, -2.0 * n, (n - 1, 0)
+    if fam == JACOBI and (a, b) == unweighted:
+
+        def gauss_legendre(tau):
+            x, w = _gauss_jacobi(0.0, 0.0, n // 2 + 1)
+            half = 0.5 * (tau[..., None] + 1.0)
+            return half[..., 0] * (_jacobi_all(n, *term.element.jacobi_params, half * (x + 1.0) - 1.0)[n] @ w)
+
+        return gauss_legendre, unweighted, 1.0, (n + 1, 0)
     return None
 
 
@@ -680,9 +678,8 @@ class InputSignal:
 
     Callable; also knows its derivative and second derivative (the Jacobi
     rule per term, with the Leibniz rule for weighted terms) and its running
-    integral (closed forms where the family admits one, adaptive quadrature
-    per point for weighted Jacobi of index 0 and unweighted Jacobi of index
-    >= 1).
+    integral (exact per term, adaptive quadrature per point only for
+    weighted Jacobi of index 0).
     """
 
     terms: tuple[Term, ...]
@@ -727,7 +724,7 @@ class InputSignal:
             if np.any(np.abs(arr) >= 1.0 - _EDGE_TOL):
                 raise DomainError("derivatives of a weighted term require interior points")
             # the weight w = (1 - tau)^a (1 + tau)^b and its derivatives through rho = w'/w
-            w = (1.0 - arr) ** a * (1.0 + arr) ** b
+            w = _weigh(1.0, arr, a, b)
             rho = -a / (1.0 - arr) + b / (1.0 + arr)
             weight = (w, w * rho, w * (rho * rho - a / (1.0 - arr) ** 2 - b / (1.0 + arr) ** 2))
             elem = (_eval_canonical(*args),) + tuple(_deriv_canonical(*args, j) for j in range(1, order + 1))
@@ -757,7 +754,7 @@ class InputSignal:
                 if (a, b) == (0.5, 0.5):  # the Chebyshev closed forms take their weight as sqrt(1 - tau^2)
                     weight = np.sqrt(np.clip(1.0 - arr * arr, 0.0, None))
                 else:
-                    weight = (1.0 - arr) ** a * (1.0 + arr) ** b
+                    weight = _weigh(1.0, arr, a, b)
                 acc = acc + term.scale * scale_dt * (weight * p(arr) / d)
             else:
                 run = _running_quadrature(term.smooth, term.exponents, self.interval)
@@ -771,14 +768,11 @@ class InputSignal:
     def theta_factor(self, s):
         """Value of u(t(s)) * dt/ds under t = mid - half*cos(s), s in [0, pi].
 
-        The endpoint weights combine with the Jacobian into
-        half * 2^(a+b+1) * cos(s/2)^(2a+1) * sin(s/2)^(2b+1), smooth for any
-        integrable exponents; this is what reparameterized integrators use.
+        Each term's weight and the Jacobian combine into half * 2^(a+b+1)
+        times the ``_arc_weigh`` factor; reparameterized integrators use this.
         """
         s = np.asarray(s, dtype=float)
-        lo, hi = self.interval
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
+        half = 0.5 * (self.interval[1] - self.interval[0])
         arr = np.atleast_1d(s)
         tau = -np.cos(arr)
         acc = np.zeros_like(arr)
@@ -786,17 +780,8 @@ class InputSignal:
             el = term.element
             e = term.scale * _eval_canonical(el.family, el.index, el.jacobi_params, tau)
             a, b = term.exponents
-            acc = acc + (
-                e
-                * half
-                * 2.0 ** (a + b + 1.0)
-                * np.cos(0.5 * arr) ** (2.0 * a + 1.0)
-                * np.sin(0.5 * arr) ** (2.0 * b + 1.0)
-            )
-        out = acc.reshape(np.shape(s))
-        if np.isscalar(s) or out.ndim == 0:
-            return float(out)
-        return out
+            acc = acc + _arc_weigh(e * half * 2.0 ** (a + b + 1.0), arr, a, b)
+        return _unwrap(acc.reshape(np.shape(s)), s)
 
     def to_json_dict(self) -> dict:
         return {
@@ -1034,8 +1019,8 @@ def _sign_cuts(signal: InputSignal) -> np.ndarray:
 def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
     """integral of |u|^p over the signal's interval, panel by constant-sign panel.
 
-    p = 1 with closed forms (every term but unweighted Jacobi of index >= 1
-    and weighted Jacobi of index 0): signed running-integral differences.
+    p = 1 with exact running integrals (every term but weighted Jacobi of
+    index 0): signed running-integral differences.
     Otherwise a 40-node Gauss rule in s per panel (weights and
     Jacobian folded in as in ``InputSignal.theta_factor``); panels where the
     20-node rule differs by over 1e-13 relative go to ``integrate_smooth``.

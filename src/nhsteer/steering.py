@@ -46,6 +46,7 @@ from .dynamics import (
     GnhiState,
     NhiState,
     Trajectory,
+    _check_simulable,
     _pairs,
     coupling_displacement,
     integrate_gnhi,
@@ -173,7 +174,8 @@ class Phase:
 
 
 def _phase(interval, inputs, names, values, moves) -> Phase:
-    """A phase that moves ``moves``, fixes the other ``names`` and ends at ``values``."""
+    """A phase that moves ``moves``, fixes the other ``names``, ends at ``values`` and can be simulated."""
+    _check_simulable(inputs, interval)
     return Phase(
         interval=interval,
         inputs=tuple(inputs),

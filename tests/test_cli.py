@@ -256,14 +256,30 @@ def test_domain_errors_exit_one(capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_jacobi_plan_with_an_exponent_below_minus_half_is_refused(tmp_path, capsys, command):
-    # the arc-variable integrand sin(s/2)^(2b+1) is infinite at s = 0 for b < -1/2;
-    # it used to print numpy RuntimeWarnings and "state coordinates must be finite"
+    # the arc-variable integrand sin(s/2)^(2b+1) is infinite at s = 0 for b < -1/2,
+    # so plan refuses what simulate and verify refuse (plan used to exit 0)
     plan_file = tmp_path / "plan.json"
-    code, _, _ = run(
+    code, out, err = run(
         capsys, "plan", "nhi", "--from", "0,0,0", "--to", "0,0,1",
         "--family", "jacobi", "--jacobi", "-0.9,-0.9", "--out", str(plan_file),
     )
-    assert code == 0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "exponent -0.9 is below -1/2" in err
+    assert not plan_file.exists()
+    # a hand-edited plan file still reaches simulate and verify: the alpha = -0.5 plan
+    # with its exponents set to -0.9 (this used to print numpy RuntimeWarnings and
+    # "state coordinates must be finite")
+    run(
+        capsys, "plan", "nhi", "--from", "0,0,0", "--to", "0,0,1",
+        "--family", "jacobi", "--jacobi", "-0.5,-0.5", "--out", str(plan_file),
+    )
+    plan = json.loads(plan_file.read_text())
+    for phase in plan["phases"]:
+        for signal in phase["inputs"]:
+            for term in signal["terms"]:
+                term["alpha"] = term["beta"] = -0.9
+    plan_file.write_text(json.dumps(plan))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, command, "--plan", str(plan_file))

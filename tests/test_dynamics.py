@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ def test_singular_weight_requires_canonical_interval():
     smooth = basis_signal(CHEBYSHEV_SECOND, 1, interval=SHIFTED_INTERVAL)
     with pytest.raises(CapabilityError):
         integrate_nhi((sig, smooth), steps=200)
+
+
+def test_a_callable_beside_a_weighted_signal_is_integrated_in_the_arc_variable():
+    # the weighted input moves both channels onto s; the callable takes u(t(s)) dt/ds
+    weighted = basis_signal(CHEBYSHEV_FIRST, 1, weighted=True)
+    as_signal = integrate_nhi((weighted, basis_signal(LEGENDRE, 2)), steps=400)
+    as_callable = integrate_nhi((weighted, lambda t: 1.5 * t * t - 0.5), steps=400)
+    assert as_callable.scheme == as_signal.scheme == "rk4_reparam"
+    assert_allclose(as_callable.t, as_signal.t, rtol=0.0, atol=0.0)
+    for name in ("x1", "x2", "x3", "u1", "u2"):
+        assert_allclose(as_callable.columns[name], as_signal.columns[name], rtol=0.0, atol=1e-15)
 
 
 def test_trajectory_csv_schema():
@@ -516,6 +528,35 @@ def test_bilinear_integrators_refuse_non_finite_inputs():
         integrate_gnhi((_zero, _zero, _nan_after_half), GnhiState.zeros(3), interval=(0.0, 1.0))
     with pytest.raises(DomainError, match="finite"):
         integrate_nhi((_zero, _zero), interval=(0.0, math.inf))
+
+
+def _const(value):
+    return lambda t: np.full(np.shape(t), value)
+
+
+@pytest.mark.parametrize("scheme", ["magnus4", "lie_midpoint"])
+def test_integrate_so3_refuses_finite_rates_that_overflow(scheme):
+    # the step vectors (magnus4) or their angles (lie_midpoint) overflow to inf, and the
+    # samples came out NaN with numpy overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow"):
+            integrate_so3((_const(1e200), _const(-1e200), _zero), steps=200, scheme=scheme)
+        trajectory = integrate_so3((_const(1e100), _const(-1e100), _zero), steps=200, scheme=scheme)
+    assert np.isfinite([trajectory.columns[name] for name in trajectory.state_names]).all()
+
+
+def test_bilinear_integrators_refuse_finite_inputs_that_overflow():
+    # x1 u2 - x2 u1 overflows to inf - inf, and x3 came out NaN with numpy overflow warnings
+    big = (_const(1e200), _const(-1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow"):
+            integrate_nhi(big, interval=(0.0, 1.0), steps=200)
+        with pytest.raises(DomainError, match="overflow"):
+            integrate_gnhi((*big, _zero), GnhiState.zeros(3), interval=(0.0, 1.0), steps=200)
+        end = integrate_nhi((_const(1e100), _const(-1e100)), interval=(0.0, 1.0), steps=200).terminal
+    assert np.isfinite(list(end.values())).all()
 
 
 @pytest.mark.parametrize("params", [(-0.9, -0.9), (-0.6, 0.3), (0.3, -0.51)])

@@ -13,10 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from nhsteer import orthopoly
-from nhsteer.dynamics import GnhiState
+from nhsteer.dynamics import GnhiState, coupling_displacement
 from nhsteer.fuel_l1 import fuel_constants, fuel_min
 from nhsteer.optimal_energy import cheb_cost, cheb_optimal_inputs, unit_cost, weighted_cost
 from nhsteer.orthopoly import (
@@ -92,16 +93,34 @@ def test_fuel_analysis_uses_exact_rules_only(family, params, interval):
 
 @pytest.mark.usefixtures("no_adaptive_quadrature")
 def test_l1_norms_use_exact_rules_only():
-    # unweighted Jacobi of index >= 1 has no family antiderivative: its panels
-    # take the 40-node rule and fall back to adaptive quadrature where the
-    # 20-node check disagrees, so it is not among these cases
     cases = [(LEGENDRE, False, None), (TRIG_SIN, False, None), (TRIG_COS, False, None)]
     cases += [(fam, w, None) for fam in (CHEBYSHEV_FIRST, CHEBYSHEV_SECOND) for w in (False, True)]
     cases += [(JACOBI, True, (a, a)) for a in ALPHAS + (-0.9,)]
+    cases += [(JACOBI, False, (a, a)) for a in ALPHAS + (-0.9,)]
     for family, weighted, params in cases:
         for n in (1, 2, 7, 24, 64):
             for interval in (CANONICAL_INTERVAL, SHIFTED_INTERVAL):
                 assert l1_norm(basis_signal(family, n, interval, weighted=weighted, jacobi_params=params)) > 0.0
+
+
+@pytest.mark.usefixtures("no_adaptive_quadrature")
+def test_unweighted_jacobi_running_integral_matches_mpmath():
+    # coupling of weighted P_1 against unweighted P_2 at alpha = beta = -0.45; the weighted
+    # running integral X_1 vanishes at 1, so the coupling is -2 * integral of X_2 u_1
+    a = -0.45
+    u1 = basis_signal(JACOBI, 1, weighted=True, jacobi_params=(a, a))
+    u2 = basis_signal(JACOBI, 2, jacobi_params=(a, a))
+    with mp.workdps(40):
+        alpha = mp.mpf(a)
+        # P_2 = c2 x^2 + c0 (even), so X_2 = c2 (x^3 + 1) / 3 + c0 (x + 1); P_1 = (alpha + 1) x
+        c0 = mp.jacobi(2, alpha, alpha, 0)
+        c2 = mp.jacobi(2, alpha, alpha, 1) - c0
+
+        def x2_u1(x):
+            return (c2 * (x**3 + 1) / 3 + c0 * (x + 1)) * (1 - x * x) ** alpha * (alpha + 1) * x
+
+        want = float(-2 * mp.quad(x2_u1, [-1, 0, 1]))
+    assert coupling_displacement(u1, u2) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.usefixtures("no_adaptive_quadrature")

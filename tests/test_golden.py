@@ -1,7 +1,9 @@
 """Golden outputs of the README CLI examples, `fuel --compare` and `paper-repro`.
 
-The attitude case simulates the checked-in underactuated plan golden, so the
-SO(3) integrator is pinned independently of the shooting solver.
+The simulate cases replay checked-in plan goldens, so the SO(3) integrator
+is pinned independently of the shooting solver and the arc-variable bilinear
+integrator (weighted first and second kind, ``rk4_reparam``) independently
+of the planners.
 
 The files under ``tests/golden`` were written by the CLI itself (see
 CHANGES.md for the commands).  Everything that is not a number (keys,
@@ -37,6 +39,15 @@ CASES = {
     "plan_so3_underactuated.json": [
         "plan", "so3", "--from", "identity", "--to", "0.36,0.48,-0.8,-0.8,0.6,0,0.48,0.64,0.6",
         "--duration", "2", "--mode", "underactuated",
+    ],
+    "simulate_nhi_optimal.csv": [
+        "simulate", "--plan", str(GOLDEN / "plan_nhi_optimal.json"), "--steps", "100",
+    ],
+    "plan_nhi_chebyshev_second.json": [
+        "plan", "nhi", "--from", "0,0,0", "--to", "0,0,1", "--family", "chebyshev_second", "--interval", "0,1",
+    ],
+    "simulate_nhi_chebyshev_second.csv": [
+        "simulate", "--plan", str(GOLDEN / "plan_nhi_chebyshev_second.json"), "--steps", "100",
     ],
     "simulate_so3_underactuated.csv": [
         "simulate", "--plan", str(GOLDEN / "plan_so3_underactuated.json"), "--steps", "100",

@@ -364,6 +364,29 @@ def test_jacobi_running_integral_falls_back_to_quadrature():
     assert_allclose(sig.running_integral(0.3), _quadrature_running_integral(sig, 0.3), atol=1e-9)
 
 
+@pytest.mark.parametrize("params", [(-0.45, -0.45), (1.7, 0.5)])
+def test_weighted_jacobi_index_zero_running_integral_matches_mpmath(params):
+    # the one family term without a closed-form antiderivative: adaptive quadrature per point;
+    # the integral of (1 - x)^a (1 + x)^b from -1 is 2^(a+b+1) times an incomplete beta function
+    a, b = params
+    sig = basis_signal(JACOBI, 0, scale=1.3, weighted=True, jacobi_params=params)
+    t = np.array([-0.9, -0.2, 0.4, 0.95, 1.0])
+    with mp.workdps(30):
+        want = [1.3 * float(2 ** mp.mpf(a + b + 1) * mp.betainc(b + 1, a + 1, 0, (mp.mpf(x) + 1) / 2)) for x in t]
+    assert_allclose(sig.running_integral(t), want, rtol=1e-9, atol=0.0)
+
+
+def test_arcsine_running_integrals_of_the_weighted_zeroth_chebyshev_terms():
+    t = np.array([-1.0, -0.7, 0.0, 0.3, 0.99, 1.0])
+    first = basis_signal(CHEBYSHEV_FIRST, 0, scale=1.3, weighted=True)
+    assert_allclose(first.running_integral(t), 1.3 * (np.arcsin(t) + 0.5 * np.pi), rtol=1e-15, atol=1e-15)
+    second = basis_signal(CHEBYSHEV_SECOND, 0, scale=1.3, weighted=True)
+    want = 1.3 * (0.5 * (t * np.sqrt(1.0 - t * t) + np.arcsin(t)) + 0.25 * np.pi)
+    assert_allclose(second.running_integral(t), want, rtol=1e-15, atol=1e-15)
+    shifted = basis_signal(CHEBYSHEV_SECOND, 0, SHIFTED_INTERVAL, scale=1.3, weighted=True)
+    assert_allclose(shifted.running_integral(0.5 * (t + 1.0)), 0.5 * want, rtol=1e-15, atol=1e-15)
+
+
 def test_signal_arithmetic_and_json_round_trip():
     s1 = basis_signal(LEGENDRE, 1, scale=2.0)
     s2 = basis_signal(LEGENDRE, 2, scale=-0.5)
@@ -404,6 +427,16 @@ def test_theta_factor_is_smooth_at_the_ends():
     mid = math.pi / 3.0
     t_mid = -math.cos(mid)
     assert_allclose(vals[2], sig(t_mid) * math.sin(mid), atol=1e-12)
+
+
+@pytest.mark.parametrize("family", [CHEBYSHEV_FIRST, CHEBYSHEV_SECOND])
+def test_derivatives_of_a_weighted_term_refuse_the_endpoints(family):
+    sig = basis_signal(family, 2, weighted=True)
+    for t in (-1.0, 1.0, np.array([0.0, 1.0])):
+        with pytest.raises(DomainError, match="interior points"):
+            sig.derivative(t)
+        with pytest.raises(DomainError, match="interior points"):
+            sig.second_derivative(t)
 
 
 def test_signal_derivatives_match_finite_differences():

@@ -118,6 +118,25 @@ def test_weighted_jacobi_plan_with_a_small_exponent_meets_verify_tolerance():
         assert abs(end[name] - want) <= 1e-6, name
 
 
+def test_planners_refuse_jacobi_exponents_below_minus_half():
+    # simulate_plan refuses such weighted inputs, so the planners do not write them
+    params, refusal = (-0.9, -0.9), "exponent -0.9 is below -1/2"
+    with pytest.raises(CapabilityError, match=refusal):
+        plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), family=JACOBI, jacobi_params=params)
+    cross = GnhiState.from_flat(3, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(CapabilityError, match=refusal):
+        plan_gnhi(GnhiState.zeros(3), cross, family=JACOBI, jacobi_params=params)
+    # translations use constant (unweighted) inputs and still plan and simulate
+    translation = GnhiState.from_flat(3, [1.0, -1.0, 0.5, 0.0, 0.0, 0.0])
+    for plan in (
+        plan_nhi((0.0, 0.0, 0.0), (1.0, -1.0, 0.0), family=JACOBI, jacobi_params=params),
+        plan_gnhi(GnhiState.zeros(3), translation, family=JACOBI, jacobi_params=params),
+    ):
+        end = simulate_plan(plan, steps=200).terminal
+        for name, want in plan.predicted_endpoint.items():
+            assert abs(end[name] - want) < 1e-12
+
+
 def test_jacobi_params_given_as_a_list():
     # the coupling cache key must not depend on the container type
     as_list = plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), family=JACOBI, jacobi_params=[0.5, 0.5])
@@ -276,6 +295,20 @@ def test_merged_trajectory_is_continuous():
     total = sum(ph.interval[1] - ph.interval[0] for ph in plan.phases)
     assert_allclose(t[-1] - t[0], total, atol=1e-12)
     assert result.terminal == result.merged.terminal
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_plan_with_no_phases_simulates_at_rest(m):
+    start = [0.5 * k - 1.0 for k in range(m * (m + 1) // 2)]
+    if m == 2:
+        plan = plan_nhi(start, start)
+    else:
+        plan = plan_gnhi(GnhiState.from_flat(m, start), GnhiState.from_flat(m, start))
+    assert plan.phases == ()
+    result = simulate_plan(plan, steps=200)
+    assert result.terminal == plan.initial
+    assert result.merged.interval == (0.0, 2.0) and result.merged.steps == 200
+    assert not np.any([result.merged.columns[name] for name in result.merged.input_names])
 
 
 # ---------------------------------------------------------------------------
