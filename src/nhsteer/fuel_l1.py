@@ -15,11 +15,12 @@ fuel in closed form by the same inequality, J* = 2 |c|^(p/2) sqrt(c1p c2p).
 
 The coupling D is summed exactly by ``dynamics.coupling_displacement`` (Gauss-
 Jacobi nodes, or the trapezoid rule for trig shapes).  Shape norms come from
-``orthopoly.l1_norm`` / ``lp_norm``: sign changes are found first (a
-degree-sized scan in s, t = -cos s, then batched bisection) and each
-constant-sign panel is summed from closed-form running integrals (every
-planner family, weighted Jacobi included) or integrated in s by a doubled
-fixed Gauss rule, so |u| never meets a kink.
+``orthopoly.l1_norm`` / ``lp_norm``: a shape is a single term, so its sign
+changes are its known zeros (Gauss-Jacobi nodes, or the trig closed forms);
+only a combined signal is scanned and bisected.  Each constant-sign panel is
+summed from closed-form running integrals (every planner family, weighted
+Jacobi included) or integrated in s by a doubled fixed Gauss rule, so |u|
+never meets a kink.
 """
 
 from __future__ import annotations

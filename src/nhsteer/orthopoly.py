@@ -9,13 +9,13 @@ Supported families on the canonical interval [-1, 1] (or shifted to [0, 1]):
 * ``trig_sin``           sin(n pi t), weight 1
 * ``trig_cos``           cos(n pi t), weight 1
 
-Derivatives (``evaluate_derivative``, ``InputSignal.derivative`` and their
-second-order versions) come from one rule for every polynomial family,
-d/dt P_n^(a,b) = (n + a + b + 1)/2 P_{n-1}^(a+1,b+1) (DLMF 18.9.15), applied
-to the family's Jacobi form and accurate up to and at the endpoints; trig
-elements use their closed forms, and a weighted term adds its weight's
-derivatives by the Leibniz rule.  No derivative is taken from a
-differential equation, so ``sturm.sl_residual`` checks the recurrences.
+Derivatives (``InputSignal.derivative`` and ``second_derivative``) come from
+one rule for every polynomial family, d/dt P_n^(a,b) = (n + a + b + 1)/2
+P_{n-1}^(a+1,b+1) (DLMF 18.9.15), applied to the family's Jacobi form and
+accurate up to and at the endpoints; trig elements use their closed forms,
+and a weighted term adds its weight's derivatives by the Leibniz rule.  No
+derivative is taken from a differential equation, so ``sturm.sl_residual``
+checks the recurrences.
 
 Which rule serves which integrand:
 
@@ -31,10 +31,12 @@ Which rule serves which integrand:
   weights, serves bare callables, mixed trig and polynomial products and
   weighted Jacobi of index 0, whose antiderivative is an incomplete beta
   function.
-* L1/Lp norms go panel by panel between the sign changes (a degree-sized
-  scan in s and batched bisection): closed-form running integrals at p = 1,
-  otherwise a 40-node Gauss-Legendre rule in s checked against 20 nodes,
-  and ``integrate_smooth`` for a panel where the two disagree.
+* L1/Lp norms go panel by panel between the sign changes: a single term's
+  known zeros (Gauss-Jacobi nodes, or k/n and (2k+1)/(2n) for trig), and for
+  a combined signal a degree-sized scan in s with batched bisection.  Panels
+  take closed-form running integrals at p = 1, otherwise a 40-node
+  Gauss-Legendre rule in s checked against 20 nodes, and ``integrate_smooth``
+  for a panel where the two disagree.
 
 Degrees are capped at 64; beyond that the
 recurrences are still fine but we refuse rather than pretend the rest of the
@@ -71,8 +73,6 @@ __all__ = [
     "InputSignal",
     "Harmonic",
     "evaluate",
-    "evaluate_derivative",
-    "evaluate_second_derivative",
     "shift",
     "weight_fn",
     "weight_exponents",
@@ -288,16 +288,6 @@ def _unwrap(value: np.ndarray, t):
 def evaluate(element: BasisElement, t):
     """Evaluate the element at ``t`` (scalar or array) on its own interval."""
     return Term(element).value(t)
-
-
-def evaluate_derivative(element: BasisElement, t):
-    """First derivative with respect to the element's own variable ``t``."""
-    return InputSignal((Term(element),), element.interval).derivative(t)
-
-
-def evaluate_second_derivative(element: BasisElement, t):
-    """Second derivative with respect to the element's own variable ``t``."""
-    return InputSignal((Term(element),), element.interval).second_derivative(t)
 
 
 # ---------------------------------------------------------------------------
@@ -994,12 +984,30 @@ def inner_product(f, g, w: WeightFn | None = None, interval=None) -> float:
 def _sign_cuts(signal: InputSignal) -> np.ndarray:
     """Sorted panel edges: the interval ends and every sign change inside.
 
-    The scan is uniform in s under t = mid - half*cos(s), densest near the
-    ends where polynomial zeros cluster, with at least 512 points and about
-    16 per possible zero (degree n, or 2n for trig index n).  All brackets
-    are then halved together until narrower than 1e-15, at most 90 times.
+    A single term changes sign at its element's known zeros, which neither
+    its scale nor its weight moves: the Gauss-Jacobi nodes of the family's
+    exponents (every polynomial family is a multiple of P_n^(a,b)), k/n for
+    ``trig_sin`` and (2k+1)/(2n) for ``trig_cos``; it is not evaluated.
+
+    A combined signal is scanned uniformly in s under t = mid - half*cos(s),
+    densest near the ends where polynomial zeros cluster, with at least 512
+    points and about 16 per possible zero (degree n, or 2n for trig index n).
+    All brackets are then halved together until narrower than 1e-15, at most
+    90 times.
     """
     lo, hi = signal.interval
+    if len(signal.terms) == 1:
+        el = signal.terms[0].element
+        n = el.index
+        if n == 0:
+            tau = np.empty(0)
+        elif el.family == TRIG_SIN:
+            tau = np.arange(1 - n, n) / n
+        elif el.family == TRIG_COS:
+            tau = (2.0 * np.arange(-n, n) + 1.0) / (2 * n)
+        else:
+            tau = _gauss_jacobi(*weight_exponents(el.family, el.jacobi_params), n)[0]
+        return np.concatenate(([lo], 0.5 * (hi + lo) + 0.5 * (hi - lo) * tau, [hi]))
     inset = (hi - lo) * 1e-9
     zeros = max((2 if t.element.family in (TRIG_SIN, TRIG_COS) else 1) * t.element.index for t in signal.terms)
     s = np.linspace(0.0, np.pi, max(512, 16 * zeros))
@@ -1060,7 +1068,8 @@ def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
 def l1_norm(signal: InputSignal) -> float:
     """integral of |u| over the signal's interval (``lp_norm`` at p = 1).
 
-    Sign changes: a degree-sized scan uniform in s, then batched bisection.
-    Panels: closed-form running integrals, else a doubled fixed Gauss rule in s.
+    Sign changes: a single term's known zeros; a combined signal is scanned
+    uniformly in s, then bisected.  Panels: closed-form running integrals,
+    else a doubled fixed Gauss rule in s.
     """
     return lp_norm(signal, 1.0)

@@ -26,13 +26,12 @@ from nhsteer.orthopoly import (
     Term,
     WeightFn,
     _gauss_jacobi,
+    _sign_cuts,
     basis_signal,
     combine_signals,
     constant_signal,
     element_parity,
     evaluate,
-    evaluate_derivative,
-    evaluate_second_derivative,
     inner_product,
     integrate,
     integrate_smooth,
@@ -194,7 +193,7 @@ def test_first_kind_derivative_identity():
     # dT_n/dt = n U_{n-1} at 100 interior points
     t = np.linspace(-0.99, 0.99, 100)
     for n in range(1, 11):
-        lhs = evaluate_derivative(BasisElement(CHEBYSHEV_FIRST, n), t)
+        lhs = basis_signal(CHEBYSHEV_FIRST, n).derivative(t)
         rhs = n * evaluate(BasisElement(CHEBYSHEV_SECOND, n - 1), t)
         assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -204,12 +203,12 @@ def test_derivatives_match_finite_differences(family):
     h = 1e-6
     t = np.linspace(-0.9, 0.9, 19)
     for n in range(1, 7):
-        el = BasisElement(family, n)
-        fd1 = (evaluate(el, t + h) - evaluate(el, t - h)) / (2.0 * h)
-        assert_allclose(evaluate_derivative(el, t), fd1, rtol=1e-6, atol=1e-5)
+        sig = basis_signal(family, n)
+        fd1 = (sig(t + h) - sig(t - h)) / (2.0 * h)
+        assert_allclose(sig.derivative(t), fd1, rtol=1e-6, atol=1e-5)
         h2 = 1e-5
-        fd2 = (evaluate(el, t + h2) - 2.0 * evaluate(el, t) + evaluate(el, t - h2)) / (h2 * h2)
-        assert_allclose(evaluate_second_derivative(el, t), fd2, rtol=1e-4, atol=1e-4)
+        fd2 = (sig(t + h2) - 2.0 * sig(t) + sig(t - h2)) / (h2 * h2)
+        assert_allclose(sig.second_derivative(t), fd2, rtol=1e-4, atol=1e-4)
 
 
 def test_jacobi_derivative_reduction():
@@ -217,25 +216,25 @@ def test_jacobi_derivative_reduction():
     a, b = 0.3, -0.4
     t = np.linspace(-0.95, 0.95, 15)
     for n in range(1, 7):
-        el = BasisElement(JACOBI, n, jacobi_params=(a, b))
+        sig = basis_signal(JACOBI, n, jacobi_params=(a, b))
         expected = (n + a + b + 1.0) / 2.0 * sp_special.eval_jacobi(n - 1, a + 1.0, b + 1.0, t)
-        assert_allclose(evaluate_derivative(el, t), expected, atol=1e-11)
+        assert_allclose(sig.derivative(t), expected, atol=1e-11)
 
 
 def test_legendre_endpoint_derivative_is_the_limit():
     # P_n'(1) = n(n+1)/2
     for n in range(1, 8):
-        el = BasisElement(LEGENDRE, n)
-        assert_allclose(evaluate_derivative(el, 1.0), n * (n + 1) / 2.0, atol=1e-10)
-        assert_allclose(evaluate_derivative(el, -1.0), (-1.0) ** (n - 1) * n * (n + 1) / 2.0, atol=1e-10)
+        sig = basis_signal(LEGENDRE, n)
+        assert_allclose(sig.derivative(1.0), n * (n + 1) / 2.0, atol=1e-10)
+        assert_allclose(sig.derivative(-1.0), (-1.0) ** (n - 1) * n * (n + 1) / 2.0, atol=1e-10)
 
 
 def test_second_kind_derivative_endpoint_value():
     # U_n'(+-1) = (+-1)^(n+1) n (n+1) (n+2) / 3
     for n in range(1, 9):
-        el = BasisElement(CHEBYSHEV_SECOND, n)
+        sig = basis_signal(CHEBYSHEV_SECOND, n)
         for end in (1.0, -1.0):
-            assert_allclose(evaluate_derivative(el, end), end ** (n + 1) * n * (n + 1) * (n + 2) / 3.0, rtol=1e-13)
+            assert_allclose(sig.derivative(end), end ** (n + 1) * n * (n + 1) * (n + 2) / 3.0, rtol=1e-13)
 
 
 _DERIVATIVE_POINTS = np.array([-1.0, 1.0, -(1.0 - 1e-9), 1.0 - 1e-9, -0.7, 0.0, 0.3, 0.91])
@@ -255,7 +254,7 @@ _DERIVATIVE_POINTS = np.array([-1.0, 1.0, -(1.0 - 1e-9), 1.0 - 1e-9, -0.7, 0.0, 
 @pytest.mark.parametrize("n", [1, 2, 5, 20, 64])
 def test_derivatives_match_mpmath(family, params, rel, n):
     # errors are measured against max |E^(k)(+-1)|, the size of the k-th derivative on [-1, 1]
-    el = BasisElement(family, n, jacobi_params=params)
+    sig = basis_signal(family, n, jacobi_params=params)
     with mp.workdps(50):
         if family == JACOBI:
             a, b = (mp.mpf(p) for p in params)
@@ -263,8 +262,8 @@ def test_derivatives_match_mpmath(family, params, rel, n):
         else:
             special = {LEGENDRE: mp.legendre, CHEBYSHEV_FIRST: mp.chebyt, CHEBYSHEV_SECOND: mp.chebyu}[family]
             exact = lambda x: special(n, x)  # noqa: E731
-        for order, fn in ((1, evaluate_derivative), (2, evaluate_second_derivative)):
-            got = fn(el, _DERIVATIVE_POINTS)
+        for order, fn in ((1, sig.derivative), (2, sig.second_derivative)):
+            got = fn(_DERIVATIVE_POINTS)
             if order > n:
                 assert np.all(got == 0.0)
                 continue
@@ -275,13 +274,11 @@ def test_derivatives_match_mpmath(family, params, rel, n):
 
 
 def test_shifted_derivative_chain_rule():
-    el = BasisElement(LEGENDRE, 3, interval=SHIFTED_INTERVAL)
-    base = BasisElement(LEGENDRE, 3)
+    sig = basis_signal(LEGENDRE, 3, interval=SHIFTED_INTERVAL)
+    base = basis_signal(LEGENDRE, 3)
     t = np.linspace(0.05, 0.95, 9)
-    assert_allclose(evaluate_derivative(el, t), 2.0 * evaluate_derivative(base, 2 * t - 1), atol=1e-12)
-    assert_allclose(
-        evaluate_second_derivative(el, t), 4.0 * evaluate_second_derivative(base, 2 * t - 1), atol=1e-11
-    )
+    assert_allclose(sig.derivative(t), 2.0 * base.derivative(2 * t - 1), atol=1e-12)
+    assert_allclose(sig.second_derivative(t), 4.0 * base.second_derivative(2 * t - 1), atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +356,7 @@ def test_weighted_running_integrals_match_quadrature():
             assert_allclose(sig.running_integral(t), _quadrature_running_integral(sig, t), atol=1e-10)
 
 
-def test_jacobi_running_integral_falls_back_to_quadrature():
+def test_weighted_jacobi_running_integral_closed_form_matches_quadrature():
     sig = basis_signal(JACOBI, 2, scale=1.0, weighted=True, jacobi_params=(0.5, 0.5))
     assert_allclose(sig.running_integral(0.3), _quadrature_running_integral(sig, 0.3), atol=1e-9)
 
@@ -567,6 +564,50 @@ def test_l1_norm_finds_every_sign_change_at_degree_64():
     assert abs(l1_norm(basis_signal(LEGENDRE, 64)) - reference) < 1e-12
     # int |T_64| w dt = int_0^pi |cos 64 s| ds = 2
     assert abs(l1_norm(basis_signal(CHEBYSHEV_FIRST, 64, weighted=True)) - 2.0) < 1e-12
+    assert abs(l1_norm(basis_signal(CHEBYSHEV_SECOND, 64, weighted=True)) - _second_kind_weighted_l1(64)) < 1e-12
+    # int |sin 64 pi t| = int |cos 64 pi t| = 4/pi over [-1, 1], half that over [0, 1]
+    for family in (TRIG_SIN, TRIG_COS):
+        assert abs(l1_norm(basis_signal(family, 64)) - 4.0 / math.pi) < 1e-12
+        assert abs(l1_norm(basis_signal(family, 64, interval=SHIFTED_INTERVAL)) - 2.0 / math.pi) < 1e-12
+
+
+def _single_term_cases():
+    """(family, interval, weighted, jacobi_params) of every family; singular weights on [-1, 1] only."""
+    for interval in (CANONICAL_INTERVAL, SHIFTED_INTERVAL):
+        yield LEGENDRE, interval, False, None
+        yield CHEBYSHEV_SECOND, interval, False, None
+        yield CHEBYSHEV_SECOND, interval, True, None
+        yield TRIG_SIN, interval, False, None
+        yield TRIG_COS, interval, False, None
+        yield JACOBI, interval, False, (0.3, -0.4)
+        for g in (-0.45, 0.05, 1.7):
+            if g > 0 or interval == CANONICAL_INTERVAL:
+                yield JACOBI, interval, True, (g, g)
+    yield CHEBYSHEV_FIRST, CANONICAL_INTERVAL, False, None
+    yield CHEBYSHEV_FIRST, CANONICAL_INTERVAL, True, None
+
+
+@pytest.mark.parametrize("family, interval, weighted, params", list(_single_term_cases()))
+def test_single_term_cuts_are_the_known_zeros(family, interval, weighted, params):
+    # adding a zero constant makes the same function a combined signal, which is scanned and bisected
+    lo, hi = interval
+    zero = constant_signal(family, 0.0, interval=interval, jacobi_params=params)
+    for n in range(1, INDEX_CAP + 1):
+        term = basis_signal(family, n, interval=interval, scale=1.3, weighted=weighted, jacobi_params=params)
+        known = _sign_cuts(term)
+        scanned = _sign_cuts(combine_signals(term, zero))
+        assert known.shape == scanned.shape, n
+        assert np.max(np.abs(known - scanned)) <= 1e-15 * (hi - lo), n
+
+
+def test_l1_norm_of_a_single_term_evaluates_it_once(monkeypatch):
+    calls = []
+    call = InputSignal.__call__
+    monkeypatch.setattr(InputSignal, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    for family in (LEGENDRE, CHEBYSHEV_FIRST, TRIG_SIN):
+        calls.clear()
+        l1_norm(basis_signal(family, 40))
+        assert len(calls) <= 1, family
 
 
 def test_lp_norm_cubic_at_degree_64():
@@ -607,8 +648,8 @@ def test_l1_norm_matches_reference(family, n, shifted, g):
     params = (g, g) if family == JACOBI else None
     signal = basis_signal(family, n, interval=interval, weighted=weighted, jacobi_params=params)
     reference = (0.5 if shifted else 1.0) * _l1_reference(family, n, weighted, g)
-    # Jacobi end panels carry the adaptive rule's 1e-10 relative tolerance
-    rtol = 1e-9 if family == JACOBI else 1e-12
+    # every panel is exact (closed-form running integrals); the Jacobi reference is scipy's quad at 1e-13
+    rtol = 1e-13 if family == JACOBI else 1e-12
     assert_allclose(l1_norm(signal), reference, rtol=rtol)
 
 
