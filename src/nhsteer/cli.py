@@ -250,7 +250,7 @@ def _cmd_fuel(args) -> int:
         for name in args.compare.split(","):
             name = name.strip()
             specs.append((name, args.pair if args.pair else default_pair(name)))
-        reports = compare_families(specs, args.target, interval=args.interval)
+        reports = compare_families(specs, args.target, interval=args.interval, jacobi_params=args.jacobi)
         lines = ["family,odd,even,c1,c2,c,b1,b2,min_fuel,grid_min_fuel,sim_error"]
         for r in reports:
             cells = [r.family, repr(r.pair[0]), repr(r.pair[1])]

@@ -578,11 +578,11 @@ def coupling_displacement(u1, u2, interval=None) -> float:
     """Net change of the cross coordinate from rest: integral of X1 u2 - X2 u1.
 
     X_i is the running integral of u_i from the left endpoint.  Elements,
-    terms and signals expand term by term, X_i into closed forms (a
-    polynomial times a Jacobi weight, or a trig polynomial), so each product
-    of family terms is summed exactly on Gauss-Jacobi nodes or by the
-    trapezoid rule; bare callables, mixed trig and polynomial products and
-    terms without such a closed form go through adaptive quadrature.
+    terms and signals expand term by term into exact antiderivatives, so a
+    product of family terms with a polynomial or trig X_i is summed exactly
+    on Gauss-Jacobi nodes or by the trapezoid rule; bare callables, mixed trig
+    and polynomial products and the incomplete beta function of a weighted
+    index 0 go through adaptive quadrature.
     """
     interval = _infer_interval((u1, u2), interval)
     total = 0.0

@@ -30,9 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PlannerError
+from .errors import DomainError, PlannerError
 from .dynamics import coupling_displacement, integrate_nhi
-from .orthopoly import InputSignal, _infer_interval, l1_norm, lp_norm, scale_signal
+from .orthopoly import JACOBI, InputSignal, _infer_interval, l1_norm, lp_norm, scale_signal
 from .steering import _nonzero_coupling, pair_signals
 
 __all__ = [
@@ -70,10 +70,13 @@ def _shape_constants(u1, u2, a: float, interval, norm) -> FuelConstants:
         raise ValueError("fuel analysis expects InputSignal shapes")
     interval = _infer_interval((u1, u2), interval)
     coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval))
+    c = a / coupling
+    if not math.isfinite(c):
+        raise DomainError(f"the target {a!r} over the coupling {coupling!r} overflows")
     return FuelConstants(
         c1=norm(u1),
         c2=norm(u2),
-        c=a / coupling,
+        c=c,
         coupling=coupling,
         a=a,
         interval=interval,
@@ -134,6 +137,8 @@ def fuel_min(constants: FuelConstants, family=None, pair=None) -> FuelReport:
     b1 = math.sqrt(abs(c) * c2 / c1)
     b2 = math.copysign(math.sqrt(abs(c) * c1 / c2), c)
     min_fuel = 2.0 * math.sqrt(abs(c) * c1 * c2)
+    if not all(map(math.isfinite, (b1, b2, min_fuel))):
+        raise DomainError(f"the fuel minimum for c = {c!r} overflows")
     grid = math.sqrt(abs(c)) * np.logspace(-2.0, 2.0, GRID_POINTS)
     fuel = grid * c1 + (abs(c) / grid) * c2
     grid_min = float(np.min(fuel))
@@ -151,20 +156,22 @@ def fuel_min(constants: FuelConstants, family=None, pair=None) -> FuelReport:
     )
 
 
-def compare_families(specs, a: float, interval=None) -> list[FuelReport]:
+def compare_families(specs, a: float, interval=None, jacobi_params=None) -> list[FuelReport]:
     """Rank shape pairs by fuel for a common target, verifying each by simulation.
 
     ``specs`` is an iterable of (family, pair) entries understood by
-    ``steering.pair_signals``.  Every report's (b1, b2) transfer is integrated
-    from the origin in 4000 RK4 steps; a report is only returned if the
-    simulated endpoint hits the target within 1e-6 with the direct coordinates
-    back at rest, otherwise the whole comparison fails loudly.
+    ``steering.pair_signals``; ``jacobi_params`` goes to the ``jacobi``
+    entries only.  Every report's (b1, b2) transfer is integrated from the
+    origin in 4000 RK4 steps; a report is only returned if the simulated
+    endpoint hits the target within 1e-6 with the direct coordinates back at
+    rest, otherwise the whole comparison fails loudly.
     """
     a = float(a)
     reports = []
     for family, pair in specs:
         box = interval
-        odd, even = pair_signals(family, pair, interval=box if box is not None else (-1.0, 1.0))
+        params = jacobi_params if family == JACOBI else None
+        odd, even = pair_signals(family, pair, box if box is not None else (-1.0, 1.0), params)
         consts = fuel_constants(odd, even, a, interval=box)
         report = fuel_min(consts, family=family, pair=pair)
         tr = integrate_nhi(

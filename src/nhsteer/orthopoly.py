@@ -26,11 +26,10 @@ Which rule serves which integrand:
   and cached), a trig polynomial of index sum K by the K + 1 point trapezoid
   sum over its period; both exact.
 * Running integrals of terms are exact (``_term_running_integral_canonical``):
-  a polynomial times a Jacobi weight, a trig polynomial or an arcsine form.
+  a polynomial times a Jacobi weight, a trig polynomial, or for a weighted
+  index 0 the incomplete beta function by its continued fraction.
 * ``integrate``, adaptive Gauss-Legendre in s with t = -cos(s) for endpoint
-  weights, serves bare callables, mixed trig and polynomial products and
-  weighted Jacobi of index 0, whose antiderivative is an incomplete beta
-  function.
+  weights, serves only bare callables and mixed trig and polynomial products.
 * L1/Lp norms go panel by panel between the sign changes: a single term's
   known zeros (Gauss-Jacobi nodes, or k/n and (2k+1)/(2n) for trig), and for
   a combined signal a degree-sized scan in s with batched bisection.  Panels
@@ -54,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, IntegrabilityError
+from .errors import CapabilityError, ConvergenceError, DomainError, IntegrabilityError
 
 __all__ = [
     "LEGENDRE",
@@ -400,6 +399,37 @@ def _gauss_jacobi(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _weight_running_integral(a: float, b: float, tau) -> np.ndarray:
+    """Integral of (1 - x)^a (1 + x)^b from -1 to tau: 2^(a+b+1) B_y(b+1, a+1) with y = (1 + tau)/2.
+
+    B_y(p, q) = y^p (1 - y)^q h / p, where h is the continued fraction of
+    DLMF 8.17.22, evaluated for all points at once by modified Lentz.  It
+    converges for tau <= tau0 = (p - q)/(p + q + 2); above tau0 the result is
+    the total minus the mirrored piece over [tau, 1], and the total is the sum
+    of both pieces at tau0 (rounded to a multiple of 2^-20, so 1 +- tau0 are exact).
+    """
+    p, q = b + 1.0, a + 1.0
+    tau0 = round((p - q) / (p + q + 2.0) * 2.0**20) / 2.0**20
+    low = np.append(np.asarray(tau) <= tau0, [True, False])
+    t = np.append(tau, [tau0, tau0])
+    p, q, y = np.where(low, p, q), np.where(low, q, p), 0.5 * (1.0 + np.where(low, t, -t))
+    c, h = np.ones_like(y), 1.0 / (1.0 - (p + q) * y / (p + 1.0))
+    d, done = h, np.zeros(y.shape, dtype=bool)
+    for m in range(1, 1000):
+        k, delta = p + 2.0 * m, 1.0
+        for coef in (m * (q - m) * y / ((k - 1.0) * k), -(p + m) * (p + q + m) * y / (k * (k + 1.0))):
+            d, c = 1.0 + coef * d, 1.0 + coef / c
+            d, c = 1.0 / np.where(d == 0.0, 1e-300, d), np.where(c == 0.0, 1e-300, c)
+            delta = delta * d * c
+        h, done = np.where(done, h, h * delta), done | (np.abs(delta - 1.0) <= 2.3e-16)
+        if done.all():
+            break
+    else:
+        raise ConvergenceError(f"incomplete beta fraction did not converge for exponents {(a, b)}")
+    piece = _weigh(h / (2.0 * p), t, a + 1.0, b + 1.0)
+    return np.where(low[:-2], piece[:-2], piece[-2] + piece[-1] - piece[:-2]).reshape(np.shape(tau))
+
+
 def _eval_array(f, t) -> np.ndarray:
     """Values of ``f`` at the points of ``t``, with the shape of ``t``.
 
@@ -590,11 +620,13 @@ def _term_running_integral_canonical(term: Term):
     """The antiderivative F from -1 of a term in the canonical variable.
 
     As (p, (a, b), d, degree) with F = (1 - tau)^a (1 + tau)^b p(tau) / d and
-    ``degree`` the (polynomial degree, trig index) of p, or None for the
-    arcsine forms of weighted index 0.  Weighted Jacobi of index n >= 1 uses
+    ``degree`` the (polynomial degree, trig index) of p, or None when p is
+    not a polynomial.  Every weighted term of index 0 (Chebyshev of both
+    kinds, Jacobi) integrates its weight by one incomplete-beta rule,
+    ``_weight_running_integral``.  Weighted Jacobi of index n >= 1 uses
     d/dtau [(1-tau)^(a+1) (1+tau)^(b+1) P_{n-1}^(a+1,b+1)] = -2n (1-tau)^a (1+tau)^b P_n^(a,b);
     unweighted Jacobi of index n >= 1 sums P_n on floor(n/2) + 1 Gauss-Legendre
-    nodes of [-1, tau], exact for degree n.  None for weighted Jacobi of index 0.
+    nodes of [-1, tau], exact for degree n.
     """
     fam = term.element.family
     n = term.element.index
@@ -602,6 +634,8 @@ def _term_running_integral_canonical(term: Term):
     unweighted = (0.0, 0.0)
     if n == 0 and (a, b) == unweighted:
         return (lambda tau: tau + 1.0), unweighted, 1.0, (1, 0)
+    if n == 0:
+        return functools.partial(_weight_running_integral, a, b), unweighted, 1.0, None
     if fam == LEGENDRE:
 
         def legendre(tau):  # P_{n+1} - P_{n-1} vanishes at -1
@@ -623,43 +657,27 @@ def _term_running_integral_canonical(term: Term):
 
         return first_kind, unweighted, 1.0, (n + 1, 0)
     if fam == CHEBYSHEV_FIRST:
-        if n == 0:
-            return (lambda tau: np.arcsin(tau) + 0.5 * np.pi), unweighted, 1.0, None
         return (lambda tau: -_chebyshev_u_all(n - 1, tau)[n - 1]), (0.5, 0.5), float(n), (n - 1, 0)
     if fam == CHEBYSHEV_SECOND and (a, b) == unweighted:
         end = (-1.0) ** (n + 1)
         return (lambda tau: _chebyshev_t_all(n + 1, tau)[n + 1] - end), unweighted, n + 1.0, (n + 1, 0)
     if fam == CHEBYSHEV_SECOND:
-        if n == 0:
-
-            def arcsine(tau):
-                root = np.sqrt(np.clip(1.0 - tau * tau, 0.0, None))
-                return 0.5 * (tau * root + np.arcsin(tau)) + 0.25 * np.pi
-
-            return arcsine, unweighted, 1.0, None
 
         def second_kind(tau):
             vals = _chebyshev_u_all(n + 1, tau)
             return vals[n + 1] / (n + 2) - vals[n - 1] / n
 
         return second_kind, (0.5, 0.5), 2.0, (n + 1, 0)
-    if fam == JACOBI and (a, b) != unweighted and n > 0:
+    if (a, b) != unweighted:  # Jacobi
         raised = (a + 1.0, b + 1.0)
         return (lambda tau: _jacobi_all(n - 1, *raised, tau)[n - 1]), raised, -2.0 * n, (n - 1, 0)
-    if fam == JACOBI and (a, b) == unweighted:
 
-        def gauss_legendre(tau):
-            x, w = _gauss_jacobi(0.0, 0.0, n // 2 + 1)
-            half = 0.5 * (tau[..., None] + 1.0)
-            return half[..., 0] * (_jacobi_all(n, *term.element.jacobi_params, half * (x + 1.0) - 1.0)[n] @ w)
+    def gauss_legendre(tau):
+        x, w = _gauss_jacobi(0.0, 0.0, n // 2 + 1)
+        half = 0.5 * (tau[..., None] + 1.0)
+        return half[..., 0] * (_jacobi_all(n, *term.element.jacobi_params, half * (x + 1.0) - 1.0)[n] @ w)
 
-        return gauss_legendre, unweighted, 1.0, (n + 1, 0)
-    return None
-
-
-def _running_quadrature(fn, exponents, box):
-    """Running integral of fn * (1 - tau)^a (1 + tau)^b from the left end of ``box``, adaptively per point."""
-    return np.vectorize(lambda t: integrate(fn, (box[0], t), exponents, box=box), otypes=[float])
+    return gauss_legendre, unweighted, 1.0, (n + 1, 0)
 
 
 @dataclass(frozen=True)
@@ -668,8 +686,7 @@ class InputSignal:
 
     Callable; also knows its derivative and second derivative (the Jacobi
     rule per term, with the Leibniz rule for weighted terms) and its running
-    integral (exact per term, adaptive quadrature per point only for
-    weighted Jacobi of index 0).
+    integral (exact per term: ``_term_running_integral_canonical``).
     """
 
     terms: tuple[Term, ...]
@@ -738,17 +755,12 @@ class InputSignal:
         lo, hi = self.interval
         scale_dt = 0.5 * (hi - lo)  # dt = scale_dt * dtau
         for term in self.terms:
-            closed = _term_running_integral_canonical(term)
-            if closed is not None:
-                p, (a, b), d, _ = closed
-                if (a, b) == (0.5, 0.5):  # the Chebyshev closed forms take their weight as sqrt(1 - tau^2)
-                    weight = np.sqrt(np.clip(1.0 - arr * arr, 0.0, None))
-                else:
-                    weight = _weigh(1.0, arr, a, b)
-                acc = acc + term.scale * scale_dt * (weight * p(arr) / d)
+            p, (a, b), d, _ = _term_running_integral_canonical(term)
+            if (a, b) == (0.5, 0.5):  # the Chebyshev closed forms take their weight as sqrt(1 - tau^2)
+                weight = np.sqrt(np.clip(1.0 - arr * arr, 0.0, None))
             else:
-                run = _running_quadrature(term.smooth, term.exponents, self.interval)
-                acc = acc + run(lo + scale_dt * (arr + 1.0))
+                weight = _weigh(1.0, arr, a, b)
+            acc = acc + term.scale * scale_dt * (weight * p(arr) / d)
         return _unwrap(acc.reshape(np.shape(tau)), t)
 
     def integral(self) -> float:
@@ -891,19 +903,15 @@ def _factors(obj) -> tuple:
 def _running_factors(obj, box) -> tuple:
     """The ``_factors`` of the running integral of one operand from the left end of ``box``.
 
-    Terms with a closed-form antiderivative give its parts; other terms and
-    bare callables are integrated adaptively per point.
+    Every term gives the parts of its exact antiderivative; a bare callable
+    is integrated adaptively per point.
     """
     terms = _terms(obj)
     if terms is None:
-        return ((_running_quadrature(obj, (0.0, 0.0), box), (0.0, 0.0), None),)
+        return ((np.vectorize(lambda t: integrate_smooth(obj, box[0], t), otypes=[float]), (0.0, 0.0), None),)
     factors = []
     for term in terms:
-        closed = _term_running_integral_canonical(term)
-        if closed is None:
-            factors.append((_running_quadrature(term.smooth, term.exponents, box), (0.0, 0.0), None))
-            continue
-        p, exponents, d, degree = closed
+        p, exponents, d, degree = _term_running_integral_canonical(term)
         scale = term.scale * 0.5 * (box[1] - box[0]) / d
         factors.append((lambda t, p=p, c=scale: c * p(_to_canonical(box, t)), exponents, degree))
     return tuple(factors)
@@ -1027,8 +1035,7 @@ def _sign_cuts(signal: InputSignal) -> np.ndarray:
 def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
     """integral of |u|^p over the signal's interval, panel by constant-sign panel.
 
-    p = 1 with exact running integrals (every term but weighted Jacobi of
-    index 0): signed running-integral differences.
+    p = 1 by exact running integrals: signed running-integral differences.
     Otherwise a 40-node Gauss rule in s per panel (weights and
     Jacobian folded in as in ``InputSignal.theta_factor``); panels where the
     20-node rule differs by over 1e-13 relative go to ``integrate_smooth``.
@@ -1043,7 +1050,7 @@ def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
         raise IntegrabilityError(f"|u|^{p} is not integrable against the endpoint weights")
     cuts = _sign_cuts(signal)
     keep = np.diff(cuts) >= 1e-14
-    if p == 1.0 and all(_term_running_integral_canonical(t) is not None for t in signal.terms):
+    if p == 1.0:
         signs = np.where(np.asarray(signal(0.5 * (cuts[:-1] + cuts[1:]))) >= 0, 1.0, -1.0)
         return float(np.sum((signs * np.diff(signal.running_integral(cuts)))[keep]))
     lo, hi = signal.interval
@@ -1069,7 +1076,7 @@ def l1_norm(signal: InputSignal) -> float:
     """integral of |u| over the signal's interval (``lp_norm`` at p = 1).
 
     Sign changes: a single term's known zeros; a combined signal is scanned
-    uniformly in s, then bisected.  Panels: closed-form running integrals,
-    else a doubled fixed Gauss rule in s.
+    uniformly in s, then bisected.  Panels: signed differences of the
+    exact running integral.
     """
     return lp_norm(signal, 1.0)

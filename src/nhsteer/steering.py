@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, IntegrabilityError, PlannerError
+from .errors import CapabilityError, DomainError, IntegrabilityError, PlannerError
 from .orthopoly import (
     CANONICAL_INTERVAL,
     CHEBYSHEV_FIRST,
@@ -137,10 +137,15 @@ def _nonzero_coupling(coupling: float, what: str = "the pair") -> float:
 
 
 def _signal_energy(sig: InputSignal) -> float:
+    """The plain energy of ``sig``: infinite for a non-integrable weight; an overflow raises ``DomainError``."""
     try:
-        return inner_product(sig, sig)
+        with np.errstate(over="ignore"):
+            energy = inner_product(sig, sig)
     except IntegrabilityError:
         return math.inf
+    if not math.isfinite(energy):
+        raise DomainError("the target is too far: the input energy overflows")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,8 @@ class Phase:
 def _phase(interval, inputs, names, values, moves) -> Phase:
     """A phase that moves ``moves``, fixes the other ``names``, ends at ``values`` and can be simulated."""
     _check_simulable(inputs, interval)
+    if not all(map(math.isfinite, [*values, *(term.scale for sig in inputs for term in sig.terms)])):
+        raise DomainError("the target is too far: an input scale or the endpoint overflows")
     return Phase(
         interval=interval,
         inputs=tuple(inputs),
@@ -293,7 +300,10 @@ def _plan_bilinear(system, start, target, cross_names, family, pair, interval, j
         inputs = [constant_signal(const_family, vi, interval, jacobi_params) for vi in v]
         phases.append(_phase(interval, inputs, names, [*cur_x, *cur_xx.values()], moves))
         # np.sum, not sum: from m = 8 on its pairwise order sets the last digit
-        cost += float(np.sum(np.square(v))) * duration
+        with np.errstate(over="ignore"):
+            cost += float(np.sum(np.square(v))) * duration
+        if not math.isfinite(cost):
+            raise DomainError("the translation is too far: its input energy overflows")
     coupling = None
     zero = InputSignal(terms=(), interval=interval)
     for i, row in itertools.groupby(pairs, key=lambda ij: ij[0]):
@@ -322,7 +332,10 @@ def _plan_bilinear(system, start, target, cross_names, family, pair, interval, j
                 cur_xx[i, k] += d
         moves = [cross_name[i, k] for k, d in deltas.items() if d != 0.0]
         phases.append(_phase(interval, inputs, names, [*cur_x, *cur_xx.values()], moves))
-        cost += sum(_signal_energy(sig) for sig in inputs)
+        energies = [_signal_energy(sig) for sig in inputs]
+        if math.inf not in energies and math.isinf(sum(energies)):
+            raise DomainError("the target is too far: the input energy overflows")
+        cost += sum(energies)
     return SteeringPlan(
         system=system,
         family=family,

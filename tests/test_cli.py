@@ -200,6 +200,40 @@ def test_fuel_compare_csv(tmp_path, capsys):
     assert families == ["trig", "legendre", "chebyshev_first"]  # sorted by fuel
 
 
+def test_fuel_compare_passes_jacobi_params(capsys):
+    # --jacobi used to be dropped, so a jacobi entry failed with "jacobi pairs need jacobi_params"
+    code, out, _ = run(capsys, "fuel", "--target", "1", "--compare", "legendre,jacobi", "--jacobi", "0.5,0.5")
+    assert code == 0
+    rows = {line.split(",")[0]: line.split(",") for line in out.strip().splitlines()[1:]}
+    assert set(rows) == {"legendre", "jacobi"}
+    code, out, _ = run(capsys, "fuel", "--target", "1", "--family", "jacobi", "--jacobi", "0.5,0.5")
+    assert code == 0
+    assert rows["jacobi"][8] == repr(json.loads(out)["min_fuel"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plan", "nhi", "--from", "0,0,0", "--to", "0,0,1e308"),
+        ("plan", "nhi", "--from", "-1e308,0,0", "--to", "1e308,0,0"),
+        ("plan", "nhi", "--from", "0,0,0", "--to", "1e308,-1e308,0"),
+        ("plan", "nhi", "--from", "0,0,0", "--to", "0,0,1e308", "--optimal"),
+        ("plan", "gnhi", "--m", "3", "--from", "0,0,0,0,0,0", "--to", "0,0,0,1e308,1e308,0"),
+        ("fuel", "--target", "1e308"),
+        ("fuel", "--target", "1e308", "--family", "chebyshev_second"),
+    ],
+)
+def test_overflowing_plans_and_fuel_reports_exit_one(capsys, argv):
+    # these used to write Infinity or NaN (or print a RuntimeWarning) and exit 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err and "Warning" not in err
+    assert not caught
+
+
 def test_fuel_rejects_zero_target(capsys):
     code, _, err = run(capsys, "fuel", "--target", "0")
     assert code == 1

@@ -3,9 +3,12 @@
 Every coupling, energy, inner product and L1 integrand built from Legendre,
 Chebyshev, Jacobi and trig terms is a polynomial times a Jacobi weight or a
 trig polynomial, so ``orthopoly`` sums it on Gauss-Jacobi nodes or by the
-trapezoid rule.  Here both adaptive routines are replaced by functions that
-raise, and the planners, fuel analysis, norms, costs and inner products must
-still complete.
+trapezoid rule.  Every running integral of a family term has an exact form:
+a polynomial times a Jacobi weight, a trig polynomial, or for a weighted
+term of index 0 an incomplete beta function summed by its continued
+fraction.  Here both adaptive routines are replaced by functions that raise,
+and the planners, fuel analysis, running integrals, norms, costs and inner
+products must still complete.
 """
 
 import os
@@ -14,6 +17,7 @@ import sys
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from nhsteer import orthopoly
@@ -98,9 +102,20 @@ def test_l1_norms_use_exact_rules_only():
     cases += [(JACOBI, True, (a, a)) for a in ALPHAS + (-0.9,)]
     cases += [(JACOBI, False, (a, a)) for a in ALPHAS + (-0.9,)]
     for family, weighted, params in cases:
-        for n in (1, 2, 7, 24, 64):
+        for n in ((0,) if weighted else ()) + (1, 2, 7, 24, 64):
             for interval in (CANONICAL_INTERVAL, SHIFTED_INTERVAL):
                 assert l1_norm(basis_signal(family, n, interval, weighted=weighted, jacobi_params=params)) > 0.0
+
+
+@pytest.mark.usefixtures("no_adaptive_quadrature")
+@pytest.mark.parametrize(
+    "family,params", [(CHEBYSHEV_FIRST, None), (CHEBYSHEV_SECOND, None)] + [(JACOBI, (a, a)) for a in ALPHAS + (-0.9,)]
+)
+def test_weighted_zeroth_running_integrals_use_exact_rules_only(family, params):
+    for lo, hi in (CANONICAL_INTERVAL, SHIFTED_INTERVAL):
+        sig = basis_signal(family, 0, (lo, hi), weighted=True, jacobi_params=params)
+        run = sig.running_integral(lo + (hi - lo) * np.array([0.0, 0.1, 0.5, 0.9, 1.0]))
+        assert run[0] == 0.0 and np.all(np.diff(run) > 0.0)
 
 
 @pytest.mark.usefixtures("no_adaptive_quadrature")

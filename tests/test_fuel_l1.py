@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nhsteer.dynamics import integrate_nhi
-from nhsteer.errors import IntegrabilityError, PlannerError
+from nhsteer.errors import DomainError, IntegrabilityError, PlannerError
 from nhsteer.fuel_l1 import (
     FuelConstants,
     compare_families,
@@ -16,6 +16,7 @@ from nhsteer.fuel_l1 import (
 from nhsteer.orthopoly import (
     CHEBYSHEV_FIRST,
     CHEBYSHEV_SECOND,
+    JACOBI,
     LEGENDRE,
     SHIFTED_INTERVAL,
     basis_signal,
@@ -210,6 +211,25 @@ def test_fuel_constants_refuse_non_finite_targets(a):
     odd, even = pair_signals(LEGENDRE, (1, 2))
     with pytest.raises(ValueError, match="nonzero and finite"):
         fuel_constants(odd, even, a)
+
+
+@pytest.mark.parametrize("a", [1e308, -1e308])
+def test_fuel_analysis_refuses_overflowing_constants(a):
+    # c = a / coupling and the closed-form minimum used to come out infinite
+    odd, even = pair_signals(LEGENDRE, (1, 2))
+    with pytest.raises(DomainError, match="over the coupling"):
+        fuel_constants(odd, even, a)
+    odd, even = pair_signals(CHEBYSHEV_SECOND, (1, 2))
+    with pytest.raises(DomainError, match="fuel minimum"):
+        fuel_min(fuel_constants(odd, even, a))
+
+
+def test_compare_families_passes_jacobi_params_to_jacobi_entries_only():
+    specs = [(LEGENDRE, (1, 2)), (JACOBI, (1, 2))]
+    reports = {r.family: r for r in compare_families(specs, 1.0, jacobi_params=(0.5, 0.5))}
+    odd, even = pair_signals(JACOBI, (1, 2), jacobi_params=(0.5, 0.5))
+    assert reports[JACOBI].min_fuel == fuel_min(fuel_constants(odd, even, 1.0)).min_fuel
+    assert reports[LEGENDRE].min_fuel == compare_families(specs[:1], 1.0)[0].min_fuel
 
 
 def test_fuel_min_lp_refuses_a_nan_exponent():

@@ -361,16 +361,26 @@ def test_weighted_jacobi_running_integral_closed_form_matches_quadrature():
     assert_allclose(sig.running_integral(0.3), _quadrature_running_integral(sig, 0.3), atol=1e-9)
 
 
-@pytest.mark.parametrize("params", [(-0.45, -0.45), (1.7, 0.5)])
+@pytest.mark.parametrize(
+    "params", [(-0.45, -0.45), (1.7, 0.5), (-0.9, -0.9), (-0.8, 0.3), (-0.9, 60.0), (60.0, 0.05), (10.0, 10.0)]
+)
 def test_weighted_jacobi_index_zero_running_integral_matches_mpmath(params):
-    # the one family term without a closed-form antiderivative: adaptive quadrature per point;
-    # the integral of (1 - x)^a (1 + x)^b from -1 is 2^(a+b+1) times an incomplete beta function
+    # the integral of (1 - x)^a (1 + x)^b from -1 is 2^(a+b+1) times an incomplete beta function,
+    # summed by its continued fraction; exponents at or below -0.8 used to fail to converge
     a, b = params
     sig = basis_signal(JACOBI, 0, scale=1.3, weighted=True, jacobi_params=params)
     t = np.array([-0.9, -0.2, 0.4, 0.95, 1.0])
     with mp.workdps(30):
         want = [1.3 * float(2 ** mp.mpf(a + b + 1) * mp.betainc(b + 1, a + 1, 0, (mp.mpf(x) + 1) / 2)) for x in t]
-    assert_allclose(sig.running_integral(t), want, rtol=1e-9, atol=0.0)
+    assert_allclose(sig.running_integral(t), want, rtol=1e-13, atol=0.0)
+
+
+def test_weighted_jacobi_index_zero_integral_and_l1_norm_at_singular_exponents():
+    sig = basis_signal(JACOBI, 0, weighted=True, jacobi_params=(-0.9, -0.9))
+    with mp.workdps(40):
+        want = float(2 ** mp.mpf(-0.8) * mp.beta(mp.mpf(0.1), mp.mpf(0.1)))
+    assert_allclose(sig.integral(), want, rtol=1e-13, atol=0.0)
+    assert_allclose(l1_norm(sig), want, rtol=1e-13, atol=0.0)
 
 
 def test_arcsine_running_integrals_of_the_weighted_zeroth_chebyshev_terms():

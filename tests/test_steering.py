@@ -371,3 +371,25 @@ def test_gnhi_m2_is_the_planar_planner_renamed(x0, xf, family):
         gnhi_run.state_names + gnhi_run.input_names, nhi_run.state_names + nhi_run.input_names
     ):
         assert np.array_equal(gnhi_run.columns[g_name], nhi_run.columns[n_name])
+
+
+@pytest.mark.parametrize(
+    "x0, xf, family, match",
+    [
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 1e308), LEGENDRE, "input scale or the endpoint"),
+        ((-1e308, 0.0, 0.0), (1e308, 0.0, 0.0), LEGENDRE, "input scale or the endpoint"),
+        ((0.0, 0.0, 0.0), (1e308, -1e308, 0.0), LEGENDRE, "energy overflows"),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, -1e308), CHEBYSHEV_SECOND, "energy overflows"),
+    ],
+)
+def test_plans_whose_numbers_overflow_are_refused(x0, xf, family, match):
+    # these used to return plans with an infinite or NaN scale, endpoint or cost
+    with pytest.raises(DomainError, match=match):
+        plan_nhi(x0, xf, family=family)
+    with pytest.raises(DomainError, match=match):
+        plan_gnhi(GnhiState.from_flat(2, x0), GnhiState.from_flat(2, xf), family=family)
+
+
+def test_divergent_energy_of_a_huge_target_stays_infinite():
+    # weighted T_n have infinite energy at every target, which is not an overflow
+    assert plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1e308), family=CHEBYSHEV_FIRST).cost == math.inf
