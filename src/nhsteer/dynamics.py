@@ -33,6 +33,8 @@ non-finite interval bounds and non-finite input or rate values with
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -418,6 +420,31 @@ def _exp_rotations(v: np.ndarray) -> np.ndarray:
     return np.eye(3) + c1[:, None, None] * k + c2[:, None, None] * (k @ k)
 
 
+def _rotation_quaternion(mat: np.ndarray) -> tuple[float, float, float, float]:
+    """Quaternion (w, x, y, z) of a 3x3 rotation matrix, either sign.
+
+    Extracted from the largest of the trace and the three diagonal entries,
+    which stays well-conditioned for angles near pi.
+    """
+    m = mat.tolist()
+    tr = m[0][0] + m[1][1] + m[2][2]
+    choices = [tr, m[0][0], m[1][1], m[2][2]]
+    best = choices.index(max(choices))
+    if best == 0:
+        w = 0.5 * math.sqrt(max(1.0 + tr, 0.0))
+        d = 4.0 * w
+        return (w, (m[2][1] - m[1][2]) / d, (m[0][2] - m[2][0]) / d, (m[1][0] - m[0][1]) / d)
+    i = best - 1
+    j = (i + 1) % 3
+    k = (i + 2) % 3
+    s = math.sqrt(max(1.0 + m[i][i] - m[j][j] - m[k][k], 0.0))
+    q = [0.0, 0.0, 0.0]
+    q[i] = 0.5 * s
+    q[j] = (m[j][i] + m[i][j]) / (2.0 * s)
+    q[k] = (m[k][i] + m[i][k]) / (2.0 * s)
+    return ((m[k][j] - m[j][k]) / (2.0 * s), q[0], q[1], q[2])
+
+
 def log_rotation(mat, accept_pi_tiebreak: bool = False) -> np.ndarray:
     """Rotation vector v with exp_rotation(v) equal to the given matrix.
 
@@ -432,24 +459,8 @@ def log_rotation(mat, accept_pi_tiebreak: bool = False) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 3):
         raise ValueError("log_rotation expects a 3x3 matrix")
-    tr = float(np.trace(mat))
-    choices = [tr, mat[0, 0], mat[1, 1], mat[2, 2]]
-    best = int(np.argmax(choices))
-    if best == 0:
-        w = 0.5 * np.sqrt(max(1.0 + tr, 0.0))
-        q = np.array(
-            [mat[2, 1] - mat[1, 2], mat[0, 2] - mat[2, 0], mat[1, 0] - mat[0, 1]]
-        ) / (4.0 * w)
-    else:
-        i = best - 1
-        j = (i + 1) % 3
-        k = (i + 2) % 3
-        s = np.sqrt(max(1.0 + mat[i, i] - mat[j, j] - mat[k, k], 0.0))
-        q = np.zeros(3)
-        q[i] = 0.5 * s
-        q[j] = (mat[j, i] + mat[i, j]) / (2.0 * s)
-        q[k] = (mat[k, i] + mat[i, k]) / (2.0 * s)
-        w = (mat[k, j] - mat[j, k]) / (2.0 * s)
+    w, *vec = _rotation_quaternion(mat)
+    q = np.array(vec)
     if w < 0.0:
         w = -w
         q = -q
@@ -580,14 +591,27 @@ def coupling_displacement(u1, u2, interval=None) -> float:
     X_i is the running integral of u_i from the left endpoint.  Elements,
     terms and signals expand term by term into exact antiderivatives, so a
     product of family terms with a polynomial or trig X_i is summed exactly
-    on Gauss-Jacobi nodes or by the trapezoid rule; bare callables, mixed trig
-    and polynomial products and the incomplete beta function of a weighted
-    index 0 go through adaptive quadrature.
+    on Gauss-Jacobi nodes or by the trapezoid rule.  The running integral of
+    a weighted index-0 term (an incomplete beta function) is not a
+    polynomial; against a term whose running integral is, its product is
+    integrated by parts, X1(hi) X2(hi) = integral of X1 u2 + X2 u1, which
+    leaves only exact rules.  Bare callables and mixed trig and polynomial
+    products go through adaptive quadrature.
     """
     interval = _infer_interval((u1, u2), interval)
+    ops1 = tuple(zip(_running_factors(u1, interval), _factors(u1)))
+    ops2 = tuple(zip(_running_factors(u2, interval), _factors(u2)))
+
+    def part(x, f, y, g):
+        """Integral of X times the other term: X's running factor x and factor f, the other's y and g."""
+        if x[2] is None and f[2] is not None and y[2] is not None:
+            ends = next(_product_integrals(((f,),), interval)) * next(_product_integrals(((g,),), interval))
+            return ends - next(_product_integrals(((y,), (f,)), interval))
+        return next(_product_integrals(((x,), (g,)), interval))
+
     total = 0.0
-    for part in _product_integrals((_running_factors(u1, interval), _factors(u2)), interval):
-        total += part
-    for part in _product_integrals((_running_factors(u2, interval), _factors(u1)), interval):
-        total -= part
+    for (x1, f1), (x2, f2) in itertools.product(ops1, ops2):
+        total += part(x1, f1, x2, f2)
+    for (x2, f2), (x1, f1) in itertools.product(ops2, ops1):
+        total -= part(x2, f2, x1, f1)
     return total

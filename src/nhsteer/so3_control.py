@@ -9,7 +9,10 @@ Three planners, all exact in the boundary conditions:
   whose flow has the closed form
       g(t) = exp(-t (c-1) E3) exp(t hat(r cos phi, -r sin phi, c)) g0,
   so the boundary condition reduces to a three-parameter shooting problem
-  solved with a damped (Levenberg) Newton iteration on (r, phi, c).
+  solved with a damped (Levenberg) Newton iteration on (r, phi, c).  The
+  residual is the rotation vector of the endpoint miss, measured on unit
+  quaternions in plain floats (``underactuated_flow`` is the matrix form),
+  and each damped step is a closed-form 3x3 Cholesky solve.
 
 The underactuated extremals satisfy the costate system p' = omega x p with
 p = (2 omega1, 2 omega2, 2c); ``costate_residual`` checks that along any
@@ -28,6 +31,7 @@ import numpy as np
 from .errors import ConvergenceError, SingularityError
 from .dynamics import (
     Rotation,
+    _rotation_quaternion,
     exp_rotation,
     hat,
     integrate_so3,
@@ -208,10 +212,78 @@ def underactuated_flow(r: float, phi: float, c: float, t: float, g0: np.ndarray)
     return exp_rotation(-t * (c - 1.0) * _E3) @ exp_rotation(body) @ g0
 
 
-def _shooting_residual(params: np.ndarray, duration: float, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+def _quaternion_product(p: tuple, q: tuple) -> tuple:
+    """Hamilton product p q of quaternions (w, x, y, z); the matrix of p q is R(p) R(q)."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy - px * qz + py * qw + pz * qx,
+        pw * qz + px * qy - py * qx + pz * qw,
+    )
+
+
+def _shooting_residual(params, duration: float, rel: tuple) -> tuple:
+    """Rotation vector of exp(-T (c-1) E3) exp(T hat(r cos phi, -r sin phi, c)) g0 g1^T.
+
+    ``rel`` is the unit quaternion (w, x, y, z) of g0 g1^T.  The flow and the
+    logarithm are taken on quaternions in plain floats with the rules of
+    ``log_rotation(..., accept_pi_tiebreak=True)``, which the result matches
+    to roundoff (``underactuated_flow`` is the matrix form).
+    """
     r, phi, c = params
-    pred = underactuated_flow(r, phi, c, duration, g0)
-    return log_rotation(pred @ g1.T, accept_pi_tiebreak=True)
+    v1, v2, v3 = duration * (r * math.cos(phi)), duration * (-r * math.sin(phi)), duration * c
+    theta = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    # sin(theta/2)/theta, by its series where the quotient loses accuracy
+    k = 0.5 - theta * theta / 48.0 if theta < 1e-8 else math.sin(0.5 * theta) / theta
+    half_turn = -0.5 * duration * (c - 1.0)
+    turn = (math.cos(half_turn), 0.0, 0.0, math.sin(half_turn))
+    w, x, y, z = _quaternion_product(_quaternion_product(turn, (math.cos(0.5 * theta), k * v1, k * v2, k * v3)), rel)
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < 1e-12:
+        return (2.0 * x, 2.0 * y, 2.0 * z)
+    if w < 1e-12:
+        # half-turn: the representative whose first nonzero component is positive
+        first = x if x != 0.0 else y if y != 0.0 else z
+        if first < 0.0:
+            x, y, z = -x, -y, -z
+    scale = 2.0 * math.atan2(s, w) / s
+    return (scale * x, scale * y, scale * z)
+
+
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _damped_solve(gram: list, rhs: list, mu: float):
+    """Solve (gram + mu I) x = rhs for a symmetric 3x3 ``gram`` by closed-form Cholesky.
+
+    Returns None where a pivot is not positive (or is NaN), the case in
+    which the caller raises the damping.
+    """
+    d0 = gram[0][0] + mu
+    if not d0 > 0.0:
+        return None
+    l00 = math.sqrt(d0)
+    l10, l20 = gram[1][0] / l00, gram[2][0] / l00
+    d1 = gram[1][1] + mu - l10 * l10
+    if not d1 > 0.0:
+        return None
+    l11 = math.sqrt(d1)
+    l21 = (gram[2][1] - l20 * l10) / l11
+    d2 = gram[2][2] + mu - l20 * l20 - l21 * l21
+    if not d2 > 0.0:
+        return None
+    l22 = math.sqrt(d2)
+    y0 = rhs[0] / l00
+    y1 = (rhs[1] - l10 * y0) / l11
+    y2 = (rhs[2] - l20 * y0 - l21 * y1) / l22
+    x2 = y2 / l22
+    x1 = (y1 - l21 * x2) / l11
+    return ((y0 - l10 * x1 - l20 * x2) / l00, x1, x2)
 
 
 def underactuated_plan(g0, g1, duration: float) -> AttitudePlan:
@@ -221,7 +293,9 @@ def underactuated_plan(g0, g1, duration: float) -> AttitudePlan:
     from the log of what remains after the pure third-axis turn, the phase
     starts at zero, and c starts one whole oscillation above the drift
     (c = 1 + 2 pi / T); a few damped-Newton iterations on the closed-form
-    flow polish the boundary residual to roundoff.  Cost is r^2 T / 2.
+    flow polish the boundary residual to roundoff.  The residual is the
+    rotation vector of the endpoint miss, measured on unit quaternions, and
+    each damped step is a closed-form 3x3 Cholesky solve.  Cost is r^2 T / 2.
     """
     g0, g1, duration = _boundary(g0, g1, duration)
     g0m, g1m = g0.matrix, g1.matrix
@@ -239,39 +313,40 @@ def underactuated_plan(g0, g1, duration: float) -> AttitudePlan:
             params={"r": 0.0, "phi": 0.0, "c": 1.0, "residual": 0.0, "iterations": 0},
             cost=0.0,
         )
+    rel = _rotation_quaternion(g0m @ g1m.T)
     best = None
     inits = [
-        np.array([r0, 0.0, 1.0 + 2.0 * math.pi / duration]),
-        np.array([r0, 0.0, 1.0 - 2.0 * math.pi / duration]),
-        np.array([r0, 0.0, 1.0 + 4.0 * math.pi / duration]),
-        np.array([max(r0, 0.5), 0.0, 1.0]),
+        (r0, 0.0, 1.0 + 2.0 * math.pi / duration),
+        (r0, 0.0, 1.0 - 2.0 * math.pi / duration),
+        (r0, 0.0, 1.0 + 4.0 * math.pi / duration),
+        (max(r0, 0.5), 0.0, 1.0),
     ]
-    for init in inits:
-        params = init.copy()
-        err = _shooting_residual(params, duration, g0m, g1m)
-        norm = float(np.linalg.norm(err))
+    for params in inits:
+        err = _shooting_residual(params, duration, rel)
+        norm = math.sqrt(_dot(err, err))
         mu = 1e-6
         iterations = 0
         for _ in range(_SHOOT_MAX_ITER):
             iterations += 1
             if norm < _SHOOT_TOL:
                 break
-            jac = np.empty((3, 3))
+            cols = []  # the finite-difference Jacobian, column by column
             for k in range(3):
                 h = 1e-7 * max(1.0, abs(params[k]))
-                bumped = params.copy()
+                bumped = list(params)
                 bumped[k] += h
-                jac[:, k] = (_shooting_residual(bumped, duration, g0m, g1m) - err) / h
+                cols.append([(e - e0) / h for e, e0 in zip(_shooting_residual(bumped, duration, rel), err)])
+            gram = [[_dot(u, v) for v in cols] for u in cols]
+            rhs = [-_dot(u, err) for u in cols]
             accepted = False
             for _ in range(60):
-                try:
-                    step = np.linalg.solve(jac.T @ jac + mu * np.eye(3), -jac.T @ err)
-                except np.linalg.LinAlgError:
+                step = _damped_solve(gram, rhs, mu)
+                if step is None:
                     mu *= 10.0
                     continue
-                trial = params + step
-                trial_err = _shooting_residual(trial, duration, g0m, g1m)
-                trial_norm = float(np.linalg.norm(trial_err))
+                trial = tuple(p + d for p, d in zip(params, step))
+                trial_err = _shooting_residual(trial, duration, rel)
+                trial_norm = math.sqrt(_dot(trial_err, trial_err))
                 if trial_norm < norm:
                     params, err, norm = trial, trial_err, trial_norm
                     mu = max(mu / 3.0, 1e-12)

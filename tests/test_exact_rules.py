@@ -139,6 +139,34 @@ def test_unweighted_jacobi_running_integral_matches_mpmath():
 
 
 @pytest.mark.usefixtures("no_adaptive_quadrature")
+@pytest.mark.parametrize("a", (-0.9,) + ALPHAS)
+def test_weighted_index_zero_coupling_matches_mpmath(a):
+    # X_0 is an incomplete beta function, not a polynomial, so the coupling of weighted
+    # P_0 against weighted P_1 is integrated by parts; either operand order
+    u0 = basis_signal(JACOBI, 0, weighted=True, jacobi_params=(a, a))
+    u1 = basis_signal(JACOBI, 1, weighted=True, jacobi_params=(a, a))
+    with mp.workdps(40):
+        alpha = mp.mpf(a)
+
+        def x0_u1_minus_x1_u0(u, side):
+            # x = side * cos(theta) on each half, theta = u^5, so that (1 - x^2)^alpha dx is
+            # smooth at the ends even for alpha = -0.9; X_1 = -(1 - x^2)^(alpha + 1) / 2
+            theta = u**5
+            s = mp.sin(theta)
+            # X_0(-cos theta), and X_0(cos theta) by symmetry (betainc near 1 is inaccurate)
+            x0 = 2 ** (2 * alpha + 1) * mp.betainc(alpha + 1, alpha + 1, 0, mp.sin(theta / 2) ** 2)
+            if side > 0:
+                x0 = 2 ** (2 * alpha + 1) * mp.beta(alpha + 1, alpha + 1) - x0
+            x = side * mp.cos(theta)
+            return (x0 * (alpha + 1) * x + s ** (2 * alpha + 2) / 2) * s ** (2 * alpha + 1) * 5 * u**4
+
+        end = (mp.pi / 2) ** (mp.mpf(1) / 5)
+        want = float(sum(mp.quad(lambda u: x0_u1_minus_x1_u0(u, side), [0, end]) for side in (-1, 1)))
+    assert coupling_displacement(u0, u1) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert coupling_displacement(u1, u0) == pytest.approx(-want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.usefixtures("no_adaptive_quadrature")
 def test_weighted_costs_use_exact_rules_only():
     solution = cheb_optimal_inputs(1.7, split=0.3)
     assert weighted_cost(solution.u1, solution.u2, cheb_cost()) == pytest.approx(1.7, rel=1e-14)

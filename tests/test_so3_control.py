@@ -1,10 +1,11 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nhsteer.dynamics import Rotation, exp_rotation, integrate_so3
+from nhsteer.dynamics import Rotation, _rotation_quaternion, exp_rotation, integrate_so3, log_rotation
 from nhsteer import so3_control
 from nhsteer.errors import ConvergenceError, SingularityError
 from nhsteer.orthopoly import Harmonic
@@ -177,6 +178,90 @@ def test_underactuated_trivial_target_needs_no_steering():
     assert plan.cost == 0.0
     _, err = simulate_attitude(plan, steps=2000)
     assert err < 1e-12
+
+
+def test_shooting_residual_matches_the_matrix_flow():
+    # the quaternion residual against log(flow g1^T) on matrices; every fifth relative
+    # rotation is within 1e-9 of a half-turn (the tie-break) and every fifth within
+    # 1e-13 of the identity (the 2 vec branch of the logarithm)
+    rng = np.random.default_rng(11)
+    for k in range(600):
+        duration = (0.3, 1.0, 2.0, 5.0)[k % 4]
+        params = (rng.uniform(-3.0, 3.0), rng.uniform(-math.pi, math.pi), rng.uniform(-8.0, 8.0))
+        g0 = _random_rotation(rng, scale=2.0).matrix
+        pred = underactuated_flow(*params, duration, g0)
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        if k % 5 == 3:
+            angle = math.pi - (1e-9, 1e-11, 0.0)[k % 3]
+        elif k % 5 == 4:
+            angle = rng.uniform(0.0, 1e-13)
+        else:
+            angle = rng.uniform(0.0, math.pi)
+        g1 = exp_rotation(angle * axis).T @ pred
+        want = log_rotation(pred @ g1.T, accept_pi_tiebreak=True)
+        got = so3_control._shooting_residual(params, duration, _rotation_quaternion(g0 @ g1.T))
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-13 * max(1.0, np.linalg.norm(want)), (k, got, want)
+
+
+def test_underactuated_shooting_calls_no_matrix_routine(monkeypatch):
+    # the README target: the loop runs on quaternions in plain floats, so the only
+    # matrix exponential and logarithm are the two that give the start amplitude r0
+    calls = collections.Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("exp_rotation", "log_rotation", "underactuated_flow"):
+        monkeypatch.setattr(so3_control, name, spy(name, getattr(so3_control, name)))
+    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+    g1 = np.array([[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]])
+    plan = underactuated_plan(np.eye(3), g1, 2.0)
+    assert plan.params["iterations"] == 9
+    assert all(calls[name] <= 1 for name in ("exp_rotation", "log_rotation", "underactuated_flow", "solve")), calls
+
+
+def _quaternion_rotation(q):
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+_PROBE_QUATERNIONS = np.random.default_rng(0).normal(size=(200, 4))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceError,
+    reason="defect (b): underactuated shooting stalls on these targets; ROADMAP direction 2 (one scalar root) fixes it",
+)
+@pytest.mark.parametrize(
+    "target, duration",
+    [
+        pytest.param(_quaternion_rotation(_PROBE_QUATERNIONS[43]), 5.0, id="probe-k43-T5"),
+        pytest.param(_quaternion_rotation(_PROBE_QUATERNIONS[125]), 1.0, id="probe-k125-T1"),
+        pytest.param(_quaternion_rotation(_PROBE_QUATERNIONS[159]), 5.0, id="probe-k159-T5"),
+        # 0.368 rad at T = 0.3; the shooting stalls at residual 4.2e-3
+        pytest.param(
+            exp_rotation(np.array([0.13624107791516032, -0.2802135821380453, 0.19510988617953484])),
+            0.3,
+            id="small-rotation-T0.3",
+        ),
+    ],
+)
+def test_underactuated_shooting_reaches_defect_b_targets(target, duration):
+    plan = underactuated_plan(np.eye(3), target, duration)
+    _, err = simulate_attitude(plan, steps=4000)
+    assert err < 1e-8
 
 
 # ---------------------------------------------------------------------------
