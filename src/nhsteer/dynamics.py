@@ -23,10 +23,11 @@ non-uniformly and the input columns record the effective integrand
 u * dt/ds on the s-grid.  Weight exponents below -1/2 make that integrand
 infinite at an endpoint and are refused with ``CapabilityError``.
 
-``integrate_so3`` computes every step's Magnus vector and every step's
-Rodrigues exponential as array operations over the whole grid
-(``_exp_rotations``, bit-identical to ``exp_rotation`` row by row); only the
-3x3 running product stays in a Python loop.  All three integrators refuse
+``integrate_so3`` takes one step rule, the two-stage fourth-order Magnus
+step, and computes every step's Magnus vector and every step's Rodrigues
+exponential as array operations over the whole grid (``_exp_rotations``, of
+which ``exp_rotation`` is the one-row case); only the 3x3 running product
+stays in a Python loop.  All three integrators refuse
 non-finite interval bounds and non-finite input or rate values with
 ``DomainError`` before integrating.
 """
@@ -223,31 +224,34 @@ def _finite_interval(interval) -> tuple[float, float]:
 
 
 def _grids(inputs, interval, steps, reparam):
-    """Node/midpoint times and per-channel values (effective values if reparam)."""
+    """Node times, the step, and per-channel values at the nodes and midpoints.
+
+    The grid is uniform in a variable v: v = t on the plain map, and on the
+    arc map (``reparam``) v = s with t = mid - half*cos(s), where a channel's
+    value is its effective integrand u(t) dt/ds.
+    """
     lo, hi = interval
     if reparam:
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        s_nodes = np.linspace(0.0, np.pi, steps + 1)
-        s_mid = 0.5 * (s_nodes[:-1] + s_nodes[1:])
-        t_nodes = mid - half * np.cos(s_nodes)
-        h = np.pi / steps
+        lo, hi = 0.0, np.pi
 
-        def eff(u, s):
+        def time(s):
+            return mid - half * np.cos(s)
+
+        def value(u, s):
             if isinstance(u, InputSignal):
                 return np.asarray(u.theta_factor(s), dtype=float)
-            t = mid - half * np.cos(s)
-            return _eval_array(u, t) * half * np.sin(s)
+            return _eval_array(u, time(s)) * half * np.sin(s)
 
-        u_nodes = np.stack([eff(u, s_nodes) for u in inputs])
-        u_mid = np.stack([eff(u, s_mid) for u in inputs])
-        return t_nodes, h, u_nodes, u_mid
-    t_nodes = np.linspace(lo, hi, steps + 1)
-    t_mid = 0.5 * (t_nodes[:-1] + t_nodes[1:])
-    h = (hi - lo) / steps
-    u_nodes = np.stack([_eval_array(u, t_nodes) for u in inputs])
-    u_mid = np.stack([_eval_array(u, t_mid) for u in inputs])
-    return t_nodes, h, u_nodes, u_mid
+    else:
+        time = np.asarray
+        value = _eval_array
+    nodes = np.linspace(lo, hi, steps + 1)
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    u_nodes = np.stack([value(u, nodes) for u in inputs])
+    u_mid = np.stack([value(u, mids) for u in inputs])
+    return time(nodes), (hi - lo) / steps, u_nodes, u_mid
 
 
 def _check_simulable(u, interval) -> None:
@@ -384,25 +388,17 @@ def vee(mat) -> np.ndarray:
 def exp_rotation(v) -> np.ndarray:
     """Matrix exponential of hat(v) via the Rodrigues formula."""
     v = np.asarray(v, dtype=float)
-    theta = float(np.linalg.norm(v))
-    k = hat(v)
-    if theta < 1e-8:
-        # series for sin(t)/t and (1-cos t)/t^2
-        c1 = 1.0 - theta * theta / 6.0
-        c2 = 0.5 - theta * theta / 24.0
-    else:
-        c1 = np.sin(theta) / theta
-        c2 = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + c1 * k + c2 * (k @ k)
+    if v.shape != (3,):
+        raise ValueError("hat expects a 3-vector")
+    return _exp_rotations(v[None])[0]
 
 
 def _exp_rotations(v: np.ndarray) -> np.ndarray:
-    """``exp_rotation`` of every row of an (n, 3) array, as one (n, 3, 3) stack.
+    """Rodrigues exponentials of every row of an (n, 3) array, as one (n, 3, 3) stack.
 
-    Each matrix equals ``exp_rotation(v[k])`` bit for bit: the angle is a
-    row-wise dot product, the way ``np.linalg.norm`` reduces one vector
-    (``norm(v, axis=1)``, ``einsum`` and ``sum(v * v)`` round differently in
-    the last bit), and the series branch is picked per row.
+    The angle is a row-wise dot product, the way ``np.linalg.norm`` reduces
+    one vector, and below 1e-8 sin(t)/t and (1-cos t)/t^2 come from their
+    series, picked per row.  ``exp_rotation`` is its one-row case.
     """
     n = v.shape[0]
     theta = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
@@ -495,26 +491,18 @@ def project_rotation(mat) -> np.ndarray:
 _SQ3 = np.sqrt(3.0)
 
 
-def integrate_so3(
-    omega,
-    g0=None,
-    interval=(0.0, 1.0),
-    steps: int = 2000,
-    scheme: str = "magnus4",
-) -> Trajectory:
+def integrate_so3(omega, g0=None, interval=(0.0, 1.0), steps: int = 2000) -> Trajectory:
     """Integrate g' = hat(omega(t)) g and sample the matrix entries.
 
-    ``omega`` is a triple of scalar rate callables.  The default scheme is a
+    ``omega`` is a triple of scalar rate callables.  Each step is the
     two-stage fourth-order Magnus/commutator step (exact for constant
-    rates); ``lie_midpoint`` gives the classical second-order geometric
-    step.  Both move by rotation exponentials, so every sample stays on the
-    group to roundoff; drift is checked every 256 steps and at the end, and
-    a state more than 1e-12 off the group is polar-projected back.
+    rates), which moves by a rotation exponential, so every sample stays on
+    the group to roundoff; drift is checked every 256 steps and at the end,
+    and a state more than 1e-12 off the group is polar-projected back.
 
     The step vectors of all steps and their exponentials are built at once,
     as one (steps, 3, 3) stack; the loop only multiplies the running
-    product, so the samples equal those of one ``exp_rotation`` per step bit
-    for bit.  Non-finite interval bounds or rate values raise
+    product.  Non-finite interval bounds or rate values raise
     ``DomainError``.
     """
     omega = tuple(omega)
@@ -522,8 +510,6 @@ def integrate_so3(
         raise ValueError("omega must be a triple of rate callables")
     if steps < _MIN_STEPS:
         raise ValueError(f"steps must be at least {_MIN_STEPS}")
-    if scheme not in ("magnus4", "lie_midpoint"):
-        raise ValueError("scheme must be 'magnus4' or 'lie_midpoint'")
     if g0 is None:
         g0 = Rotation.identity()
     if not isinstance(g0, Rotation):
@@ -533,19 +519,12 @@ def integrate_so3(
         raise ValueError("interval must have positive length")
     h = (hi - lo) / steps
     t_nodes = np.linspace(lo, hi, steps + 1)
-    if scheme == "magnus4":
-        stage_times = (t_nodes[:-1] + (0.5 - _SQ3 / 6.0) * h, t_nodes[:-1] + (0.5 + _SQ3 / 6.0) * h)
-    else:
-        stage_times = (t_nodes[:-1] + 0.5 * h,)
-    w_nodes, *stages = [np.stack([_eval_array(f, t) for f in omega]) for t in (t_nodes, *stage_times)]
-    if not all(np.isfinite(w).all() for w in (w_nodes, *stages)):
+    stage_times = (t_nodes[:-1] + (0.5 - _SQ3 / 6.0) * h, t_nodes[:-1] + (0.5 + _SQ3 / 6.0) * h)
+    w_nodes, wa, wb = [np.stack([_eval_array(f, t) for f in omega]) for t in (t_nodes, *stage_times)]
+    if not all(np.isfinite(w).all() for w in (w_nodes, wa, wb)):
         raise DomainError("rates must be finite on the interval")
     with np.errstate(over="ignore", invalid="ignore"):
-        if scheme == "magnus4":
-            wa, wb = stages
-            steps_vec = 0.5 * h * (wa + wb).T - (_SQ3 / 12.0) * h * h * np.cross(wa.T, wb.T)
-        else:
-            steps_vec = h * stages[0].T
+        steps_vec = 0.5 * h * (wa + wb).T - (_SQ3 / 12.0) * h * h * np.cross(wa.T, wb.T)
         rots = _exp_rotations(steps_vec)
     if not np.isfinite(rots).all():
         raise DomainError("rates overflow the integrator: a step rotation is not finite")
@@ -575,7 +554,7 @@ def integrate_so3(
         columns=columns,
         state_names=tuple(state_names),
         input_names=input_names,
-        scheme=scheme,
+        scheme="magnus4",
         interval=(lo, hi),
     )
 

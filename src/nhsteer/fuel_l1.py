@@ -163,8 +163,9 @@ def compare_families(specs, a: float, interval=None, jacobi_params=None) -> list
     ``steering.pair_signals``; ``jacobi_params`` goes to the ``jacobi``
     entries only.  Every report's (b1, b2) transfer is integrated from the
     origin in 4000 RK4 steps; a report is only returned if the simulated
-    endpoint hits the target within 1e-6 with the direct coordinates back at
-    rest, otherwise the whole comparison fails loudly.
+    endpoint hits the target within 1e-6 max(1, |a|) with the direct
+    coordinates back at rest within 1e-8 max(1, |b1|, |b2|), otherwise the
+    whole comparison fails loudly.
     """
     a = float(a)
     reports = []
@@ -180,7 +181,8 @@ def compare_families(specs, a: float, interval=None, jacobi_params=None) -> list
         )
         end = tr.terminal
         err = abs(end["x3"] - a)
-        if not (err <= 1e-6 and abs(end["x1"]) <= 1e-8 and abs(end["x2"]) <= 1e-8):
+        rest = 1e-8 * max(1.0, abs(report.b1), abs(report.b2))
+        if not (err <= 1e-6 * max(1.0, abs(a)) and abs(end["x1"]) <= rest and abs(end["x2"]) <= rest):
             raise PlannerError(
                 f"fuel transfer for {family!r} pair {pair} missed its target "
                 f"(x3 error {err:.3e})"

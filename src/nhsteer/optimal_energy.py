@@ -87,10 +87,6 @@ class ChebOptimalSolution:
     cost: float
     swapped: bool
 
-    @property
-    def displacement(self) -> float:
-        return self.a
-
 
 def _cheb_pair(b_t: float, b_u: float, order: int) -> InputSignal:
     terms = []

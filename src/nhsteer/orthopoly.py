@@ -64,6 +64,7 @@ __all__ = [
     "TRIG_COS",
     "FAMILIES",
     "INDEX_CAP",
+    "JACOBI_EXPONENT_CAP",
     "CANONICAL_INTERVAL",
     "SHIFTED_INTERVAL",
     "BasisElement",
@@ -97,6 +98,7 @@ TRIG_COS = "trig_cos"
 FAMILIES = (LEGENDRE, CHEBYSHEV_FIRST, CHEBYSHEV_SECOND, JACOBI, TRIG_SIN, TRIG_COS)
 
 INDEX_CAP = 64
+JACOBI_EXPONENT_CAP = 100  # largest Jacobi exponent, with room below the overflow of weights and rules
 
 CANONICAL_INTERVAL = (-1.0, 1.0)
 SHIFTED_INTERVAL = (0.0, 1.0)
@@ -124,6 +126,11 @@ def _check_family_fields(obj) -> None:
         alpha, beta = map(float, obj.jacobi_params)
         if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
             raise ValueError(f"jacobi parameters must be finite with alpha, beta > -1, got {(alpha, beta)}")
+        # a pure weight (a WeightFn or index 0) may go one higher: the self-adjoint
+        # coefficient of an admitted family has exponents (alpha + 1, beta + 1)
+        cap = JACOBI_EXPONENT_CAP + (getattr(obj, "index", 0) == 0)
+        if max(alpha, beta) > cap:
+            raise CapabilityError(f"jacobi parameters above {cap} are not supported, got {(alpha, beta)}")
         object.__setattr__(obj, "jacobi_params", (alpha, beta))
     elif obj.jacobi_params is not None:
         raise ValueError("jacobi_params is only valid for the jacobi family")
@@ -348,18 +355,6 @@ class WeightFn:
         tau = _to_canonical(self.interval, t)
         arr = np.atleast_1d(tau)
         return _unwrap(_weigh(np.ones_like(arr), arr, *self.exponents).reshape(np.shape(tau)), t)
-
-    def log_derivative(self, t):
-        """w'(t)/w(t); on the shifted interval the chain-rule factor is included."""
-        tau = _to_canonical(self.interval, t)
-        a, b = self.exponents
-        arr = np.atleast_1d(tau)
-        if np.any(np.abs(arr) >= 1.0 - _EDGE_TOL) and (a != 0 or b != 0):
-            raise DomainError("weight log-derivative requires interior points")
-        out = -a / (1.0 - arr) + b / (1.0 + arr)
-        if self.interval == SHIFTED_INTERVAL:
-            out = 2.0 * out
-        return _unwrap(out.reshape(np.shape(tau)), t)
 
 
 def weight_fn(family: str, interval=CANONICAL_INTERVAL, jacobi_params=None) -> WeightFn:

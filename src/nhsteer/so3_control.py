@@ -18,6 +18,8 @@ The underactuated extremals satisfy the costate system p' = omega x p with
 p = (2 omega1, 2 omega2, 2c); ``costate_residual`` checks that along any
 plan.  ``so3_sl_residual`` checks the equivalent second-order self-adjoint
 form d/dt[(q/(c-q)) d/dt(q w)] + (c-q) w = 0 for rate-weighted problems.
+``simulate_attitude`` replays any plan with the Magnus-4 step of
+``dynamics.integrate_so3``.
 """
 
 from __future__ import annotations
@@ -29,23 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SingularityError
-from .dynamics import (
-    Rotation,
-    _rotation_quaternion,
-    exp_rotation,
-    hat,
-    integrate_so3,
-    log_rotation,
-    vee,
-)
+from .dynamics import Rotation, _rotation_quaternion, exp_rotation, integrate_so3, log_rotation
 from .orthopoly import Harmonic, _eval_array, integrate_smooth
 from .sturm import value_and_derivatives
 
 __all__ = [
     "AttitudePlan",
     "ConstantRate",
-    "hat",
-    "vee",
     "constant_omega_plan",
     "weighted_rate_plan",
     "underactuated_plan",
@@ -380,14 +372,14 @@ def underactuated_plan(g0, g1, duration: float) -> AttitudePlan:
     )
 
 
-def simulate_attitude(plan: AttitudePlan, steps: int = 4000, scheme: str = "magnus4"):
+def simulate_attitude(plan: AttitudePlan, steps: int = 4000):
     """Integrate a plan's rate laws; returns (trajectory, terminal error).
 
     The error is the Frobenius norm of the difference between the integrated
     terminal attitude and the plan's target, the figure ``nhsteer verify``
     prints.
     """
-    traj = integrate_so3(plan.omega, plan.g0, (0.0, plan.duration), steps=steps, scheme=scheme)
+    traj = integrate_so3(plan.omega, plan.g0, (0.0, plan.duration), steps=steps)
     g_end = np.array([[traj.columns[f"g{i}{j}"][-1] for j in (1, 2, 3)] for i in (1, 2, 3)])
     err = float(np.sqrt(np.sum((g_end - plan.g1.matrix) ** 2)))
     return traj, err

@@ -106,19 +106,13 @@ def pair_signals(
         return odd, even
     if i == 0 or j == 0:
         raise ValueError("index 0 is the constant element and cannot steer")
-    if family == JACOBI:
-        if jacobi_params is None:
-            raise ValueError("jacobi pairs need jacobi_params")
-        alpha, beta = map(float, jacobi_params)
-        if alpha != beta:
-            raise ValueError(
-                "jacobi pairs require alpha == beta so elements have definite parity"
-            )
     weighted = family in _WEIGHTED_FAMILIES
     sig_i = basis_signal(family, i, interval=interval, weighted=weighted, jacobi_params=jacobi_params)
     sig_j = basis_signal(family, j, interval=interval, weighted=weighted, jacobi_params=jacobi_params)
     par_i = element_parity(sig_i.terms[0].element)
     par_j = element_parity(sig_j.terms[0].element)
+    if par_i is None:
+        raise ValueError("jacobi pairs require alpha == beta so elements have definite parity")
     if par_i == par_j:
         raise ValueError(f"pair {pair} has equal parity and zero coupling by symmetry")
     odd, even = (sig_i, sig_j) if par_i == -1 else (sig_j, sig_i)

@@ -416,3 +416,109 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "sub" / "plan.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi exponent cap and hostile arguments
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plan", "nhi", "--from", "0,0,0", "--to", "0,0,1", "--family", "jacobi", "--jacobi", "300,300"),
+        ("fuel", "--target", "1", "--family", "jacobi", "--jacobi", "300,300"),
+    ],
+)
+def test_jacobi_exponents_above_the_cap_exit_one(capsys, argv):
+    # the coupling's Gauss-Jacobi rule overflowed 2.0 ** (a + b + 1) with a traceback
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: jacobi parameters above 100 are not supported, got (300.0, 300.0)\n"
+
+
+def test_jacobi_plan_at_the_exponent_cap_verifies(tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    argv = ("plan", "nhi", "--from", "0,0,0", "--to", "0,0,1", "--family", "jacobi", "--jacobi", "100,100")
+    assert run(capsys, *argv, "--out", str(plan_file))[0] == 0
+    code, out, _ = run(capsys, "verify", "--plan", str(plan_file))
+    assert code == 0
+    assert "within tolerance" in out
+
+
+def test_non_finite_jacobi_exponents_get_the_finiteness_message(capsys):
+    # nan != nan, so the parity rule used to answer first with "alpha == beta"
+    code, _, err = run(capsys, "plan", "nhi", "--from", "0,0,0", "--to", "0,0,1", "--family", "jacobi", "--jacobi", "nan,nan")
+    assert code == 1
+    assert err == "error: jacobi parameters must be finite with alpha, beta > -1, got (nan, nan)\n"
+
+
+_TO = ("--from", "0,0,0", "--to", "0,0,1")
+_GNHI = ("plan", "gnhi", "--m", "3", "--from", "0,0,0,0,0,0", "--to", "1,-2,0.5,1.5,-0.75,2")
+_SO3 = ("plan", "so3", "--from", "identity", "--to")
+_ROT = "0.36,0.48,-0.8,-0.8,0.6,0,0.48,0.64,0.6"
+_HALF_TURN = "-1,0,0,0,-1,0,0,0,1"
+
+HOSTILE = [
+    # Jacobi exponents: above the cap, non-finite, at the bound, missing
+    (1, ("plan", "nhi", *_TO, "--family", "jacobi", "--jacobi", "300,300")),
+    (1, ("fuel", "--target", "1", "--family", "jacobi", "--jacobi", "300,300")),
+    (1, ("fuel", "--target", "1", "--compare", "legendre,jacobi", "--jacobi", "300,300")),
+    (1, (*_GNHI, "--family", "jacobi", "--jacobi", "2000,2000")),
+    (1, ("plan", "nhi", *_TO, "--family", "jacobi", "--jacobi", "1e308,1e308")),
+    (1, ("plan", "nhi", *_TO, "--family", "jacobi", "--jacobi", "nan,nan")),
+    (1, ("plan", "nhi", *_TO, "--family", "jacobi", "--jacobi", "inf,inf")),
+    (1, ("plan", "nhi", *_TO, "--family", "jacobi", "--jacobi", "-1,-1")),
+    (1, ("plan", "nhi", *_TO, "--family", "jacobi")),
+    # targets
+    (1, ("plan", "nhi", "--from", "0,0,0", "--to", "0,0,nan")),
+    (1, ("plan", "nhi", "--from", "0,0,0", "--to", "0,0,inf")),
+    (1, ("fuel", "--target", "nan")),
+    (1, ("fuel", "--target", "inf")),
+    (1, ("fuel", "--target", "-1e308")),
+    (0, ("fuel", "--target", "1e8", "--compare", "trig,legendre,chebyshev_first")),
+    # splits
+    (1, ("plan", "nhi", *_TO, "--optimal", "--split", "nan")),
+    (1, ("plan", "nhi", *_TO, "--optimal", "--split", "inf")),
+    (0, ("plan", "nhi", *_TO, "--optimal", "--split", "1e300")),
+    # durations
+    (0, (*_SO3, _ROT, "--duration", "1e300")),
+    (1, (*_SO3, _ROT, "--duration", "0")),
+    (1, (*_SO3, _ROT, "--duration", "-1", "--mode", "underactuated")),
+    (1, (*_SO3, _ROT, "--duration", "nan", "--mode", "underactuated")),
+    # intervals
+    (1, ("plan", "nhi", *_TO, "--interval", "0,nan")),
+    (1, ("plan", "nhi", *_TO, "--interval", "0,inf")),
+    (1, ("plan", "nhi", *_TO, "--interval", "1,1")),
+    (1, ("plan", "nhi", *_TO, "--interval", "0,2")),
+    # pair indices and channel counts
+    (1, ("plan", "nhi", *_TO, "--pair", "0,1")),
+    (1, ("plan", "nhi", *_TO, "--pair", "1,65")),
+    (1, ("fuel", "--target", "1", "--pair", "65,2")),
+    (2, ("plan", "nhi", *_TO, "--pair", "1,x")),
+    (1, ("plan", "gnhi", "--m", "1", "--from", "0", "--to", "1")),
+    (1, ("plan", "gnhi", "--m", "9", "--from", ",".join(["0"] * 45), "--to", ",".join(["1"] * 45))),
+    # rotations
+    (1, (*_SO3, "1,1,0,0,1,0,0,0,1", "--duration", "1")),
+    (1, (*_SO3, "-1,0,0,0,1,0,0,0,1", "--duration", "1")),
+    (1, (*_SO3, "nan,0,0,0,1,0,0,0,1", "--duration", "1")),
+    (1, (*_SO3, "1,2,x", "--duration", "1")),
+    (1, (*_SO3, _HALF_TURN, "--duration", "1")),
+    (0, (*_SO3, _HALF_TURN, "--duration", "1", "--accept-pi-tiebreak")),
+    (0, (*_SO3, _HALF_TURN, "--duration", "1", "--mode", "underactuated")),
+    # plan files
+    (1, ("verify", "--plan", "{tmp}/absent.json")),
+    (1, ("simulate", "--plan", "{tmp}/malformed.json")),
+]
+
+
+@pytest.mark.parametrize("expected, argv", HOSTILE, ids=[" ".join(argv) for _, argv in HOSTILE])
+def test_hostile_arguments_exit_cleanly(tmp_path, capsys, expected, argv):
+    (tmp_path / "malformed.json").write_text("not json")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, *argv)
+    assert code == expected, err
+    assert "Traceback" not in err and not caught
+    if expected:
+        assert "error: " in err

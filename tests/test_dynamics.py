@@ -297,12 +297,36 @@ def test_hat_vee_round_trip():
         vee(np.eye(3))
 
 
+def _spread_vectors(rng, n, lo, hi):
+    """n random directions with lengths log-uniform over [10^lo, 10^hi]."""
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    return d * 10.0 ** rng.uniform(lo, hi, size=(n, 1))
+
+
 def test_exp_rotation_matches_scipy():
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        v = rng.normal(size=3) * rng.uniform(0.01, 3.0)
-        assert_allclose(exp_rotation(v), ScipyRotation.from_rotvec(v).as_matrix(), atol=1e-12)
+    spread = np.random.default_rng(2024)
+    cut = 1e-8  # the series branch of the Rodrigues coefficients
+    rows = [
+        rng.normal(size=(10, 3)) * rng.uniform(0.01, 3.0, size=(10, 1)),
+        _spread_vectors(spread, 3000, -10.0, 1.0),
+        np.zeros((3, 3)),
+        np.array([[0.0, 0.0, -0.0], [cut, 0.0, 0.0], [0.0, -cut, 0.0]]),
+        _spread_vectors(spread, 200, np.log10(cut) - 1e-6, np.log10(cut)),
+        _spread_vectors(spread, 200, np.log10(cut), np.log10(cut) + 1e-6),
+        np.array([[np.nextafter(cut, 0.0), 0.0, 0.0], [0.0, 0.0, np.nextafter(cut, 1.0)]]),
+    ]
+    v = np.concatenate(rows)
+    want = ScipyRotation.from_rotvec(v).as_matrix()
+    batched = _exp_rotations(v)
+    assert batched.shape == (len(v), 3, 3)
+    assert_allclose(batched, want, atol=1e-12)
+    for row, mat in zip(v, want):
+        assert_allclose(exp_rotation(row), mat, atol=1e-12)
     assert_allclose(exp_rotation(np.zeros(3)), np.eye(3))
+    with pytest.raises(ValueError, match="3-vector"):
+        exp_rotation(np.zeros(4))
 
 
 def test_log_rotation_round_trip():
@@ -371,19 +395,18 @@ def test_every_attitude_sample_stays_orthogonal():
     assert drift < 1e-9
 
 
-def test_magnus_scheme_beats_midpoint():
+def test_magnus_step_is_fourth_order():
     omega = (Harmonic("cos", 3.0), Harmonic("sin", 2.0), ConstantRate(1.0))
-    ref = integrate_so3(omega, interval=(0.0, 2.0), steps=16000, scheme="magnus4")
+    ref = integrate_so3(omega, interval=(0.0, 2.0), steps=16000)
     ref_end = np.array([[ref.columns[f"g{i}{j}"][-1] for j in (1, 2, 3)] for i in (1, 2, 3)])
 
-    def end_error(scheme, steps):
-        traj = integrate_so3(omega, interval=(0.0, 2.0), steps=steps, scheme=scheme)
+    def end_error(steps):
+        traj = integrate_so3(omega, interval=(0.0, 2.0), steps=steps)
         end = np.array([[traj.columns[f"g{i}{j}"][-1] for j in (1, 2, 3)] for i in (1, 2, 3)])
         return np.max(np.abs(end - ref_end))
 
-    assert end_error("magnus4", 500) < end_error("lie_midpoint", 500) / 100.0
-    # magnus4 is order four: halving the step shrinks the error ~16x
-    assert end_error("magnus4", 250) / end_error("magnus4", 500) >= 8.0
+    # order four: halving the step shrinks the error ~16x
+    assert end_error(250) / end_error(500) >= 8.0
 
 
 def test_so3_csv_header():
@@ -405,47 +428,18 @@ def test_rotation_refuses_non_finite_entries(bad):
 
 
 # ---------------------------------------------------------------------------
-# batched exponentials: the same bits as the per-step scalar formula
+# batched exponentials: the samples of one exponential and one product per step
 
 
-def _spread_vectors(rng, n, lo, hi):
-    """n random directions with lengths log-uniform over [10^lo, 10^hi]."""
-    d = rng.normal(size=(n, 3))
-    d /= np.linalg.norm(d, axis=1)[:, None]
-    return d * 10.0 ** rng.uniform(lo, hi, size=(n, 1))
-
-
-def test_batched_exponentials_equal_the_scalar_formula_exactly():
-    rng = np.random.default_rng(2024)
-    cut = 1e-8  # the series branch of exp_rotation
-    rows = [
-        _spread_vectors(rng, 3000, -10.0, 1.0),
-        np.zeros((3, 3)),
-        np.array([[0.0, 0.0, -0.0], [cut, 0.0, 0.0], [0.0, -cut, 0.0]]),
-        _spread_vectors(rng, 200, np.log10(cut) - 1e-6, np.log10(cut)),
-        _spread_vectors(rng, 200, np.log10(cut), np.log10(cut) + 1e-6),
-        np.array([[np.nextafter(cut, 0.0), 0.0, 0.0], [0.0, 0.0, np.nextafter(cut, 1.0)]]),
-    ]
-    v = np.concatenate(rows)
-    got = _exp_rotations(v)
-    assert got.shape == (len(v), 3, 3)
-    want = np.stack([exp_rotation(row) for row in v])
-    differ = np.argwhere(got != want)
-    assert differ.size == 0, f"{len(np.unique(differ[:, 0]))} of {len(v)} rows differ, first {v[differ[0, 0]]!r}"
-
-
-def _reference_so3(omega, g0, interval, steps, scheme):
-    """The per-step integrator: one scalar exponential and one product per step."""
+def _reference_so3(omega, g0, interval, steps):
+    """The per-step integrator: one exponential and one product per step."""
     lo, hi = interval
     h = (hi - lo) / steps
     t = np.linspace(lo, hi, steps + 1)
     sq3 = np.sqrt(3.0)
-    if scheme == "magnus4":
-        wa = np.stack([f(t[:-1] + (0.5 - sq3 / 6.0) * h) for f in omega])
-        wb = np.stack([f(t[:-1] + (0.5 + sq3 / 6.0) * h) for f in omega])
-        vecs = 0.5 * h * (wa + wb).T - (sq3 / 12.0) * h * h * np.cross(wa.T, wb.T)
-    else:
-        vecs = h * np.stack([f(t[:-1] + 0.5 * h) for f in omega]).T
+    wa = np.stack([f(t[:-1] + (0.5 - sq3 / 6.0) * h) for f in omega])
+    wb = np.stack([f(t[:-1] + (0.5 + sq3 / 6.0) * h) for f in omega])
+    vecs = 0.5 * h * (wa + wb).T - (sq3 / 12.0) * h * h * np.cross(wa.T, wb.T)
     g = np.array(g0, dtype=float)
     out = [g]
     eye = np.eye(3)
@@ -463,7 +457,7 @@ def _samples(traj):
     return np.stack([traj.columns[f"g{i}{j}"] for i in (1, 2, 3) for j in (1, 2, 3)], axis=1).reshape(-1, 3, 3)
 
 
-@pytest.mark.parametrize("scheme", ["magnus4", "lie_midpoint"])
+@pytest.mark.parametrize("scheme", ["magnus4"])
 @pytest.mark.parametrize("case", range(7))
 def test_integrate_so3_samples_equal_the_per_step_loop(scheme, case):
     rng = np.random.default_rng(100 + case)
@@ -480,8 +474,9 @@ def test_integrate_so3_samples_equal_the_per_step_loop(scheme, case):
     if case in (4, 6):
         # a start 2e-10 off the group: re-projected at step 256 (case 4) or at the end (case 6)
         g0 = g0 * (1.0 + 1e-10)
-    traj = integrate_so3(omega, Rotation(g0), (0.0, 2.5), steps=steps, scheme=scheme)
-    want = _reference_so3(omega, g0, (0.0, 2.5), steps, scheme)
+    traj = integrate_so3(omega, Rotation(g0), (0.0, 2.5), steps=steps)
+    want = _reference_so3(omega, g0, (0.0, 2.5), steps)
+    assert traj.scheme == scheme
     assert np.array_equal(_samples(traj), want)
 
 
@@ -491,8 +486,7 @@ def test_integrate_so3_never_calls_the_scalar_exponential(monkeypatch):
 
     monkeypatch.setattr(dynamics, "exp_rotation", spy)
     omega = (Harmonic("cos", 2.0), Harmonic("sin", 3.0), ConstantRate(0.5))
-    for scheme in ("magnus4", "lie_midpoint"):
-        integrate_so3(omega, interval=(0.0, 1.0), steps=300, scheme=scheme)
+    integrate_so3(omega, interval=(0.0, 1.0), steps=300)
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +501,13 @@ def _zero(t):
     return 0.0 * np.asarray(t, dtype=float)
 
 
-@pytest.mark.parametrize("scheme", ["magnus4", "lie_midpoint"])
+@pytest.mark.parametrize("scheme", ["magnus4"])
 def test_integrate_so3_refuses_non_finite_rates(scheme):
     with pytest.raises(DomainError, match="finite"):
-        integrate_so3((_nan_after_half, _zero, _zero), steps=200, scheme=scheme)
+        integrate_so3((_nan_after_half, _zero, _zero), steps=200)
     with pytest.raises(DomainError, match="finite"):
-        integrate_so3((_zero, _zero, lambda t: np.full(np.shape(t), np.inf)), steps=200, scheme=scheme)
+        integrate_so3((_zero, _zero, lambda t: np.full(np.shape(t), np.inf)), steps=200)
+    assert integrate_so3((_zero, _zero, _zero), steps=200).scheme == scheme
 
 
 @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)])
@@ -534,15 +529,15 @@ def _const(value):
     return lambda t: np.full(np.shape(t), value)
 
 
-@pytest.mark.parametrize("scheme", ["magnus4", "lie_midpoint"])
+@pytest.mark.parametrize("scheme", ["magnus4"])
 def test_integrate_so3_refuses_finite_rates_that_overflow(scheme):
-    # the step vectors (magnus4) or their angles (lie_midpoint) overflow to inf, and the
-    # samples came out NaN with numpy overflow warnings
+    # the step vectors overflow to inf, and the samples came out NaN with numpy overflow warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflow"):
-            integrate_so3((_const(1e200), _const(-1e200), _zero), steps=200, scheme=scheme)
-        trajectory = integrate_so3((_const(1e100), _const(-1e100), _zero), steps=200, scheme=scheme)
+            integrate_so3((_const(1e200), _const(-1e200), _zero), steps=200)
+        trajectory = integrate_so3((_const(1e100), _const(-1e100), _zero), steps=200)
+    assert trajectory.scheme == scheme
     assert np.isfinite([trajectory.columns[name] for name in trajectory.state_names]).all()
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,6 +252,28 @@ def test_compare_families_refuses_a_nan_simulation(monkeypatch):
     monkeypatch.setattr(fuel_l1, "integrate_nhi", nan_endpoint)
     with pytest.raises(PlannerError):
         compare_families([(LEGENDRE, (1, 2))], 1.0)
+
+
+@pytest.mark.parametrize("a", [1e8, 1e10, -1e12, 1e15])
+def test_compare_families_tolerances_scale_with_the_target(a):
+    # an absolute 1e-6 on x3 refused a trig transfer to 1e8 that missed by 1.1e-14 relative
+    specs = [("trig", (1, 1)), (LEGENDRE, (1, 2)), (CHEBYSHEV_FIRST, (1, 2))]
+    reports = compare_families(specs, a)
+    assert len(reports) == 3
+    assert all(r.sim_error <= 1e-12 * abs(a) for r in reports)
+
+
+def test_compare_families_still_refuses_a_tampered_coefficient(monkeypatch):
+    import nhsteer.fuel_l1 as fuel_l1
+
+    def tampered(*args, **kwargs):
+        report = fuel_min(*args, **kwargs)
+        return replace(report, b1=report.b1 * (1.0 + 1e-5))
+
+    monkeypatch.setattr(fuel_l1, "fuel_min", tampered)
+    for a in (1.0, 1e8):
+        with pytest.raises(PlannerError, match="missed its target"):
+            compare_families([(LEGENDRE, (1, 2))], a)
 
 
 # ---------------------------------------------------------------------------

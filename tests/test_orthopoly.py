@@ -16,6 +16,7 @@ from nhsteer.orthopoly import (
     CHEBYSHEV_SECOND,
     INDEX_CAP,
     JACOBI,
+    JACOBI_EXPONENT_CAP,
     LEGENDRE,
     SHIFTED_INTERVAL,
     TRIG_COS,
@@ -69,6 +70,22 @@ def test_shifted_elements_are_composed_with_affine_map():
     t = np.linspace(0.0, 1.0, 17)
     assert_allclose(evaluate(el, t), 6.0 * t * t - 6.0 * t + 1.0, atol=1e-13)
     assert shift(BasisElement(LEGENDRE, 2)) == el
+
+
+def test_jacobi_exponents_above_the_cap_are_refused():
+    cap = float(JACOBI_EXPONENT_CAP)
+    assert BasisElement(JACOBI, 3, jacobi_params=(cap, -0.5)).jacobi_params == (cap, -0.5)
+    for params in [(cap + 0.5, 0.0), (0.0, 300.0), (1e308, 1e308)]:
+        with pytest.raises(CapabilityError, match=f"above {JACOBI_EXPONENT_CAP}"):
+            BasisElement(JACOBI, 3, jacobi_params=params)
+    # weighted terms at such exponents used to evaluate to nan with overflow warnings
+    with pytest.raises(CapabilityError):
+        basis_signal(JACOBI, 3, weighted=True, jacobi_params=(2000.0, 2000.0))
+    # a pure weight goes one higher: the self-adjoint coefficient of the family at the cap
+    assert WeightFn(JACOBI, jacobi_params=(cap + 1.0, cap + 1.0))(0.5) > 0.0
+    assert BasisElement(JACOBI, 0, jacobi_params=(cap + 1.0, cap + 1.0)).index == 0
+    with pytest.raises(CapabilityError, match=f"above {JACOBI_EXPONENT_CAP + 1}"):
+        WeightFn(JACOBI, jacobi_params=(cap + 1.5, 0.0))
 
 
 def test_trig_family_values():

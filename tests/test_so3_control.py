@@ -140,7 +140,7 @@ def test_closed_flow_matches_integrator():
         Harmonic("sin", c - 1.0, phi, -r),
         ConstantRate(1.0),
     )
-    traj = integrate_so3(omega, Rotation(g0), (0.0, 2.0), steps=4000, scheme="magnus4")
+    traj = integrate_so3(omega, Rotation(g0), (0.0, 2.0), steps=4000)
     g_end = np.array(
         [[traj.columns[f"g{i}{j}"][-1] for j in (1, 2, 3)] for i in (1, 2, 3)]
     )
@@ -331,9 +331,10 @@ def test_underactuated_plan_refuses_a_nan_residual(monkeypatch):
 
 
 def test_simulate_attitude_reports_the_frobenius_error():
+    # the underactuated rates turn their axis, so 100 Magnus steps end well above roundoff
     g1 = Rotation(exp_rotation(np.array([0.4, 0.1, -0.3])))
-    plan = weighted_rate_plan(np.eye(3), g1, 1.0, lambda t: 1.0 + t * t)
-    traj, err = simulate_attitude(plan, steps=100, scheme="lie_midpoint")
+    plan = underactuated_plan(np.eye(3), g1, 1.0)
+    traj, err = simulate_attitude(plan, steps=100)
     g_end = np.array([[traj.columns[f"g{i}{j}"][-1] for j in (1, 2, 3)] for i in (1, 2, 3)])
     assert 1e-9 < err == pytest.approx(np.linalg.norm(g_end - g1.matrix), rel=1e-14)
     assert err > np.max(np.abs(g_end - g1.matrix))

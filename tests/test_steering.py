@@ -64,6 +64,23 @@ def test_pair_signals_validation():
         pair_signals(CHEBYSHEV_FIRST, (1, 2), interval=SHIFTED_INTERVAL)
 
 
+@pytest.mark.parametrize(
+    "params, error, message",
+    [
+        ((math.nan, math.nan), ValueError, "must be finite"),
+        ((math.inf, math.inf), ValueError, "must be finite"),
+        ((-1.0, -1.0), ValueError, "must be finite"),
+        (None, ValueError, "requires jacobi_params"),
+        ((300.0, 300.0), CapabilityError, "above 100"),
+        ((0.5, 0.3), ValueError, "alpha == beta"),
+    ],
+)
+def test_pair_signals_checks_jacobi_exponents_where_the_elements_do(params, error, message):
+    # nan != nan, so the parity rule used to answer non-finite exponents first
+    with pytest.raises(error, match=message):
+        pair_signals(JACOBI, (1, 2), jacobi_params=params)
+
+
 # ---------------------------------------------------------------------------
 # planar planning
 

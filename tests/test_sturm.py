@@ -10,6 +10,7 @@ from nhsteer.orthopoly import (
     CHEBYSHEV_FIRST,
     CHEBYSHEV_SECOND,
     JACOBI,
+    JACOBI_EXPONENT_CAP,
     LEGENDRE,
     TRIG_COS,
     TRIG_SIN,
@@ -17,6 +18,7 @@ from nhsteer.orthopoly import (
     Harmonic,
     InputSignal,
     Term,
+    evaluate,
 )
 from nhsteer.sturm import (
     certify_pair,
@@ -137,6 +139,21 @@ def test_chebyshev_point_pairing_certified():
     assert report.nodes == 50
 
 
+CAP = float(JACOBI_EXPONENT_CAP)
+
+
+@pytest.mark.parametrize("params", [(CAP, CAP), (CAP, -0.5), (-0.5, CAP)])
+def test_jacobi_residuals_vanish_at_the_exponent_cap(params):
+    # the coefficient P has exponents one above the cap; 20 nodes keep w = (1-t)^a (1+t)^b above underflow
+    pts = chebyshev_nodes(20)
+    for n in range(9):
+        problem = family_sl_problem(JACOBI, n, params)
+        el = BasisElement(JACOBI, n, jacobi_params=params)
+        scale = max(1.0, max(abs(problem.lam * evaluate(el, t)) for t in pts))
+        worst = max(abs(sl_residual(problem, el, t)) for t in pts)
+        assert worst < 1e-12 * scale, (params, n, worst / scale)
+
+
 def test_legendre_point_pairing_certified():
     pairing = jacobi_pairing(0.0, 0.0, 5)
     # eta = zeta = -1 is not an admissible weight: no second channel shape
@@ -163,7 +180,8 @@ def test_first_kind_weight_operator_matches_chebyshev_ode():
     )
     for t in chebyshev_nodes(30):
         val, d1, d2 = value_and_derivatives(y, t)
-        product_form = float(a1(t)) * float(a2(t)) * (float(a2.log_derivative(t)) * d1 + d2)
+        a2_val, a2_d1, _ = value_and_derivatives(a2, t)
+        product_form = float(a1(t)) * a2_val * (a2_d1 / a2_val * d1 + d2)
         ode_form = (1.0 - t * t) * d2 - t * d1
         assert_allclose(product_form, ode_form, atol=1e-8)
         assert_allclose(product_form, -(2.0 * k) ** 2 * val, atol=1e-8)
