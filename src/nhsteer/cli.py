@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import GnhiState, Rotation, coupling_displacement
 from .errors import NhsteerError
-from .fuel_l1 import compare_families, fuel_constants, fuel_min
+from .fuel_l1 import _pair_constants, compare_families, fuel_constants, fuel_min
 from .optimal_energy import (
     cheb_cost,
     cheb_optimal_inputs,
@@ -261,16 +261,9 @@ def _cmd_fuel(args) -> int:
             lines.append(",".join(cells))
         _emit(args, "\n".join(lines) + "\n")
         return 0
-    interval = args.interval if args.interval is not None else (-1.0, 1.0)
-    odd, even = pair_signals(
-        args.family, args.pair, interval=interval, jacobi_params=args.jacobi
-    )
-    constants = fuel_constants(odd, even, args.target)
-    report = fuel_min(
-        constants,
-        family=args.family,
-        pair=args.pair if args.pair else default_pair(args.family),
-    )
+    pair = args.pair if args.pair else default_pair(args.family)
+    _, _, constants = _pair_constants(args.family, pair, args.target, args.interval, args.jacobi)
+    report = fuel_min(constants, family=args.family, pair=pair)
     _emit(args, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 0
 

@@ -61,15 +61,18 @@ class FuelConstants:
     interval: tuple[float, float]
 
 
-def _shape_constants(u1, u2, a: float, interval, norm) -> FuelConstants:
-    """Checked target, interval, coupling and ``norm`` of each shape, as ``FuelConstants``."""
+def _shape_constants(u1, u2, a: float, interval, norm, what: str = "the pair") -> FuelConstants:
+    """Checked target, interval, coupling and ``norm`` of each shape, as ``FuelConstants``.
+
+    A zero coupling raises ``PlannerError`` naming the shapes as ``what``.
+    """
     a = float(a)
     if not 0.0 < abs(a) < math.inf:
         raise ValueError(f"the displacement target must be nonzero and finite, got {a!r}")
     if not isinstance(u1, InputSignal) or not isinstance(u2, InputSignal):
         raise ValueError("fuel analysis expects InputSignal shapes")
     interval = _infer_interval((u1, u2), interval)
-    coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval))
+    coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval), what)
     c = a / coupling
     if not math.isfinite(c):
         raise DomainError(f"the target {a!r} over the coupling {coupling!r} overflows")
@@ -86,6 +89,12 @@ def _shape_constants(u1, u2, a: float, interval, norm) -> FuelConstants:
 def fuel_constants(u1, u2, a: float, interval=None) -> FuelConstants:
     """Compute (c1, c2, c) for the shape pair and target displacement ``a``."""
     return _shape_constants(u1, u2, a, interval, l1_norm)
+
+
+def _pair_constants(family: str, pair, a: float, interval, jacobi_params) -> tuple:
+    """The shapes of ``pair`` in ``family`` and their ``fuel_constants``; a zero coupling names them as ``plan`` does."""
+    odd, even = pair_signals(family, pair, interval or (-1.0, 1.0), jacobi_params)
+    return odd, even, _shape_constants(odd, even, a, interval, l1_norm, f"pair {pair} of family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -170,10 +179,7 @@ def compare_families(specs, a: float, interval=None, jacobi_params=None) -> list
     a = float(a)
     reports = []
     for family, pair in specs:
-        box = interval
-        params = jacobi_params if family == JACOBI else None
-        odd, even = pair_signals(family, pair, box if box is not None else (-1.0, 1.0), params)
-        consts = fuel_constants(odd, even, a, interval=box)
+        odd, even, consts = _pair_constants(family, pair, a, interval, jacobi_params if family == JACOBI else None)
         report = fuel_min(consts, family=family, pair=pair)
         tr = integrate_nhi(
             (scale_signal(odd, report.b1), scale_signal(even, report.b2)),

@@ -142,18 +142,19 @@ def weighted_cost(u1, u2, cost: WeightedCost) -> float:
     """Evaluate 1/2 * integral (a1 u1^2 + a2 u2^2) over the cost interval.
 
     Each channel is the product integral of (u, u, a) on the one path of
-    ``orthopoly``: signal inputs expand term by term, so endpoint weights
-    combine with a ``WeightFn`` channel weight analytically (it contributes
-    its exponents only) and a number weight is a constant factor; products of
-    family terms are then summed by exact Gauss rules.  A callable weight or
-    a plain callable input enters the product as it is and goes through
-    adaptive quadrature (such an input must be bounded).
+    ``orthopoly``: signal inputs and weights expand term by term, so endpoint
+    weights combine analytically (a ``weight_fn`` channel weight is a
+    weighted index-0 term, whose exponents add to the inputs') and a number
+    weight is a constant factor; products of family terms are then summed by
+    exact Gauss rules.  Any other callable weight or a plain callable input
+    enters the product as it is and goes through adaptive quadrature (such
+    an input must be bounded).
     """
     box = cost.interval
     total = 0.0
     for u, aw in ((u1, cost.a1), (u2, cost.a2)):
         if not (isinstance(aw, (int, float)) or callable(aw)):
-            raise ValueError("channel weights must be WeightFn, numbers, or callables")
+            raise ValueError("channel weights must be weight signals, numbers, or callables")
         _infer_interval((u,), box)  # the input must live on the cost interval
         for part in _product_integrals(map(_factors, (u, u, aw)), box):
             total += part

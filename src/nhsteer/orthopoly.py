@@ -68,7 +68,6 @@ __all__ = [
     "CANONICAL_INTERVAL",
     "SHIFTED_INTERVAL",
     "BasisElement",
-    "WeightFn",
     "Term",
     "InputSignal",
     "Harmonic",
@@ -115,27 +114,6 @@ def _check_interval(interval) -> tuple[float, float]:
     return interval
 
 
-def _check_family_fields(obj) -> None:
-    """Validate and normalize family, interval and jacobi_params of an element or weight."""
-    if obj.family not in FAMILIES:
-        raise ValueError(f"unknown family {obj.family!r}")
-    object.__setattr__(obj, "interval", _check_interval(obj.interval))
-    if obj.family == JACOBI:
-        if obj.jacobi_params is None:
-            raise ValueError("the jacobi family requires jacobi_params=(alpha, beta)")
-        alpha, beta = map(float, obj.jacobi_params)
-        if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
-            raise ValueError(f"jacobi parameters must be finite with alpha, beta > -1, got {(alpha, beta)}")
-        # a pure weight (a WeightFn or index 0) may go one higher: the self-adjoint
-        # coefficient of an admitted family has exponents (alpha + 1, beta + 1)
-        cap = JACOBI_EXPONENT_CAP + (getattr(obj, "index", 0) == 0)
-        if max(alpha, beta) > cap:
-            raise CapabilityError(f"jacobi parameters above {cap} are not supported, got {(alpha, beta)}")
-        object.__setattr__(obj, "jacobi_params", (alpha, beta))
-    elif obj.jacobi_params is not None:
-        raise ValueError("jacobi_params is only valid for the jacobi family")
-
-
 @dataclass(frozen=True)
 class BasisElement:
     """One member of an orthogonal family on a fixed interval."""
@@ -146,7 +124,23 @@ class BasisElement:
     jacobi_params: tuple[float, float] | None = None
 
     def __post_init__(self):
-        _check_family_fields(self)
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        object.__setattr__(self, "interval", _check_interval(self.interval))
+        if self.family == JACOBI:
+            if self.jacobi_params is None:
+                raise ValueError("the jacobi family requires jacobi_params=(alpha, beta)")
+            alpha, beta = map(float, self.jacobi_params)
+            if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+                raise ValueError(f"jacobi parameters must be finite with alpha, beta > -1, got {(alpha, beta)}")
+            # index 0, a pure weight, may go one higher: the self-adjoint
+            # coefficient of an admitted family has exponents (alpha + 1, beta + 1)
+            cap = JACOBI_EXPONENT_CAP + (self.index == 0)
+            if max(alpha, beta) > cap:
+                raise CapabilityError(f"jacobi parameters above {cap} are not supported, got {(alpha, beta)}")
+            object.__setattr__(self, "jacobi_params", (alpha, beta))
+        elif self.jacobi_params is not None:
+            raise ValueError("jacobi_params is only valid for the jacobi family")
         if not isinstance(self.index, (int, np.integer)):
             raise ValueError("index must be an integer")
         if self.index < 0:
@@ -330,35 +324,6 @@ def _weigh(factor, tau, a: float, b: float):
 def _arc_weigh(factor, s, a: float, b: float):
     """factor * cos(s/2)^(2a+1) * sin(s/2)^(2b+1): the weight times dt/ds under tau = -cos(s), up to a constant."""
     return factor * np.cos(0.5 * s) ** (2.0 * a + 1.0) * np.sin(0.5 * s) ** (2.0 * b + 1.0)
-
-
-@dataclass(frozen=True)
-class WeightFn:
-    """A family weight, optionally transported to the shifted interval.
-
-    On [0, 1] the transported weight is w(2t - 1); the exponents stay
-    expressed in the canonical variable.
-    """
-
-    family: str
-    interval: tuple[float, float] = CANONICAL_INTERVAL
-    jacobi_params: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        _check_family_fields(self)
-
-    @property
-    def exponents(self) -> tuple[float, float]:
-        return weight_exponents(self.family, self.jacobi_params)
-
-    def __call__(self, t):
-        tau = _to_canonical(self.interval, t)
-        arr = np.atleast_1d(tau)
-        return _unwrap(_weigh(np.ones_like(arr), arr, *self.exponents).reshape(np.shape(tau)), t)
-
-
-def weight_fn(family: str, interval=CANONICAL_INTERVAL, jacobi_params=None) -> WeightFn:
-    return WeightFn(family=family, interval=_check_interval(interval), jacobi_params=jacobi_params)
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +778,16 @@ def constant_signal(family: str, value: float, interval=CANONICAL_INTERVAL, jaco
     return basis_signal(fam, 0, interval=interval, scale=value, jacobi_params=jacobi_params)
 
 
+def weight_fn(family: str, interval=CANONICAL_INTERVAL, jacobi_params=None) -> InputSignal:
+    """The family weight (1 - tau)^a (1 + tau)^b: the weighted index-0 term of the family.
+
+    ``trig_sin`` has no index 0 and takes the cosine's, as in ``constant_signal``.
+    On [0, 1] the weight is w(2t - 1), its exponents still in the canonical variable.
+    """
+    fam = TRIG_COS if family == TRIG_SIN else family
+    return basis_signal(fam, 0, interval=interval, weighted=True, jacobi_params=jacobi_params)
+
+
 def scale_signal(signal: InputSignal, factor: float) -> InputSignal:
     terms = tuple(replace(term, scale=term.scale * float(factor)) for term in signal.terms)
     return InputSignal(terms=terms, interval=signal.interval)
@@ -832,7 +807,10 @@ def combine_signals(*signals: InputSignal) -> InputSignal:
 
 @dataclass(frozen=True)
 class Harmonic:
-    """scale * cos(freq*t + phase) or the sine version; analytic derivatives."""
+    """scale * cos(freq*t + phase) or the sine version; analytic derivatives.
+
+    ``Harmonic("cos", 0.0, 0.0, v)`` is the constant v exactly (0 t + 0 = 0 and cos 0 = 1).
+    """
 
     kind: str
     freq: float
@@ -865,31 +843,31 @@ class Harmonic:
 # ---------------------------------------------------------------------------
 
 
-def _terms(obj):
-    """The terms of an element, term or signal operand, or None for anything else."""
+def _as_signal(obj):
+    """An element, term or signal operand as an ``InputSignal``, or None for anything else."""
     if isinstance(obj, BasisElement):
         obj = Term(element=obj)
     if isinstance(obj, Term):
-        return (obj,)
-    return obj.terms if isinstance(obj, InputSignal) else None
+        return InputSignal((obj,), obj.element.interval)
+    return obj if isinstance(obj, InputSignal) else None
 
 
 def _factors(obj) -> tuple:
     """(smooth part, endpoint exponents, degree) of each term of one operand.
 
-    A term's degree is (polynomial degree, trig index).  A weight brings only
-    its exponents and a number is a constant factor; any other callable
-    enters as it is, with degree None.
+    A term's degree is (polynomial degree, trig index).  A term of index 0
+    (a constant, or a weight from ``weight_fn``) has degree (0, 0) and its
+    scale as a constant smooth part, and so does a number; any other
+    callable enters as it is, with degree None.
     """
-    terms = _terms(obj)
-    if terms is not None:
-        trig = (TRIG_SIN, TRIG_COS)
-        return tuple(
-            (t.smooth, t.exponents, (0, t.element.index) if t.element.family in trig else (t.element.index, 0))
-            for t in terms
-        )
-    if isinstance(obj, WeightFn):
-        return ((None, obj.exponents, (0, 0)),)
+    sig = _as_signal(obj)
+    if sig is not None:
+        factors = []
+        for t in sig.terms:
+            n = t.element.index
+            degree = (0, n) if t.element.family in (TRIG_SIN, TRIG_COS) else (n, 0)
+            factors.append((t.smooth if n else t.scale, t.exponents, degree))
+        return tuple(factors)
     if isinstance(obj, (int, float)):
         return ((float(obj), (0.0, 0.0), (0, 0)),)
     return ((obj, (0.0, 0.0), None),)
@@ -901,11 +879,11 @@ def _running_factors(obj, box) -> tuple:
     Every term gives the parts of its exact antiderivative; a bare callable
     is integrated adaptively per point.
     """
-    terms = _terms(obj)
-    if terms is None:
+    sig = _as_signal(obj)
+    if sig is None:
         return ((np.vectorize(lambda t: integrate_smooth(obj, box[0], t), otypes=[float]), (0.0, 0.0), None),)
     factors = []
-    for term in terms:
+    for term in sig.terms:
         p, exponents, d, degree = _term_running_integral_canonical(term)
         scale = term.scale * 0.5 * (box[1] - box[0]) / d
         factors.append((lambda t, p=p, c=scale: c * p(_to_canonical(box, t)), exponents, degree))
@@ -913,7 +891,9 @@ def _running_factors(obj, box) -> tuple:
 
 
 def _product(fns, t):
-    return functools.reduce(operator.mul, (_eval_array(fn, t) if callable(fn) else fn for fn in fns))
+    """The product of the factors at t, with the shape of t (a product of constants too)."""
+    product = functools.reduce(operator.mul, (_eval_array(f, t) if callable(f) else f for f in fns))
+    return product if np.ndim(product) else np.full(np.shape(t), product)
 
 
 def _product_integrals(factor_lists, box):
@@ -929,23 +909,17 @@ def _product_integrals(factor_lists, box):
     """
     half, mid = 0.5 * (box[1] - box[0]), 0.5 * (box[1] + box[0])
     for combo in itertools.product(*factor_lists):
-        a = b = 0.0
-        fns = []
-        for fn, (ea, eb), _ in combo:
-            a += ea
-            b += eb
-            if fn is not None:
-                fns.append(fn)
+        fns, exponents, degrees = zip(*combo)
+        a, b = (sum(e[k] for e in exponents) for k in (0, 1))
         if a <= -1.0 or b <= -1.0:
             raise IntegrabilityError(f"endpoint exponents {(a, b)} are not integrable")
-        degrees = [degree for _, _, degree in combo]
         poly, trig = map(sum, zip(*degrees)) if None not in degrees else (None, None)
         if poly is not None and not trig:
             tau, w = _gauss_jacobi(a, b, poly // 2 + 1)
         elif trig and not poly and a == b == 0.0:
             tau, w = np.linspace(-1.0, 1.0, trig + 1, endpoint=False), np.full(trig + 1, 2.0 / (trig + 1))
         else:
-            yield integrate(functools.partial(_product, tuple(fns)), box, (a, b), box=box)
+            yield integrate(functools.partial(_product, fns), box, (a, b), box=box)
             continue
         yield half * float(w @ _product(fns, mid + half * tau))
 
@@ -954,10 +928,9 @@ def _infer_interval(operands, *given) -> tuple[float, float]:
     """The one interval shared by the operands' elements, terms and signals and the non-None ``given``."""
     found = {(float(i[0]), float(i[1])) for i in given if i is not None}
     for obj in operands:
-        if isinstance(obj, Term):
-            obj = obj.element
-        if isinstance(obj, (BasisElement, InputSignal)):
-            found.add(obj.interval)
+        sig = _as_signal(obj)
+        if sig is not None:
+            found.add(sig.interval)
         elif not callable(obj):
             raise ValueError(f"cannot interpret {type(obj).__name__} as an integrand")
     if len(found) > 1:
@@ -967,19 +940,19 @@ def _infer_interval(operands, *given) -> tuple[float, float]:
     return found.pop()
 
 
-def inner_product(f, g, w: WeightFn | None = None, interval=None) -> float:
+def inner_product(f, g, w: InputSignal | None = None, interval=None) -> float:
     """<f, g>_w = integral of f*g*w over the interval.
 
     ``f`` and ``g`` may be basis elements, terms, input signals, or plain
-    callables; the weight's endpoint singularities (and those of weighted
-    terms) become the weight of an exact Gauss-Jacobi rule, or of the
-    substitution inside ``integrate`` for a plain callable.
+    callables, and the weight ``w`` (a ``weight_fn`` signal) any of these.
+    The endpoint singularities of weighted terms, the weight's included,
+    become the weight of an exact Gauss-Jacobi rule, or of the substitution
+    inside ``integrate`` for a plain callable.
     """
-    box = _infer_interval(
-        (f, g), None if w is None else w.interval, None if interval is None else _check_interval(interval)
-    )
+    operands = (f, g) if w is None else (w, f, g)
+    box = _infer_interval(operands, None if interval is None else _check_interval(interval))
     total = 0.0
-    for part in _product_integrals(map(_factors, (f, g) if w is None else (w, f, g)), box):
+    for part in _product_integrals(map(_factors, operands), box):
         total += part
     return total
 

@@ -37,7 +37,6 @@ from .sturm import value_and_derivatives
 
 __all__ = [
     "AttitudePlan",
-    "ConstantRate",
     "constant_omega_plan",
     "weighted_rate_plan",
     "underactuated_plan",
@@ -49,26 +48,6 @@ __all__ = [
 
 _SHOOT_TOL = 1e-12  # residual at which a shooting start stops iterating
 _SHOOT_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class ConstantRate:
-    """A constant rate as a vectorized callable with analytic derivatives."""
-
-    value: float
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.full(np.shape(t), self.value)
-        return float(out) if out.ndim == 0 else out
-
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(np.shape(t))
-        return float(out) if out.ndim == 0 else out
-
-    def second_derivative(self, t):
-        return self.derivative(t)
 
 
 @dataclass(frozen=True)
@@ -102,7 +81,7 @@ class AttitudePlan:
         """Rebuild a constant or underactuated plan (a weighted plan's q is not in its JSON)."""
         params = {k: float(v) for k, v in data["params"].items()}
         if data["mode"] == "constant":
-            omega = tuple(ConstantRate(params[k]) for k in ("w1", "w2", "w3"))
+            omega = tuple(Harmonic("cos", 0.0, 0.0, params[k]) for k in ("w1", "w2", "w3"))
         elif data["mode"] == "underactuated":
             omega = _underactuated_rates(params["r"], params["phi"], params["c"])
         else:
@@ -136,7 +115,7 @@ def constant_omega_plan(g0, g1, duration: float, accept_pi_tiebreak: bool = Fals
     g0, g1, duration = _boundary(g0, g1, duration)
     rel = g1.matrix @ g0.matrix.T
     v = log_rotation(rel, accept_pi_tiebreak=accept_pi_tiebreak) / duration
-    omega = tuple(ConstantRate(float(v[i])) for i in range(3))
+    omega = tuple(Harmonic("cos", 0.0, 0.0, float(v[i])) for i in range(3))
     return AttitudePlan(
         mode="constant",
         g0=g0,
@@ -194,7 +173,7 @@ def _underactuated_rates(r: float, phi: float, c: float) -> tuple:
     return (
         Harmonic("cos", c - 1.0, phi, r),
         Harmonic("sin", c - 1.0, phi, -r),
-        ConstantRate(1.0),
+        Harmonic("cos", 0.0, 0.0, 1.0),
     )
 
 
@@ -386,41 +365,26 @@ def simulate_attitude(plan: AttitudePlan, steps: int = 4000):
 
 
 def costate_residual(plan: AttitudePlan, t) -> float:
-    """Max norm of p' - omega x p at time(s) t for the plan's costate law.
+    """Max norm of p' - omega x p over the time(s) t, from the plan's own rate laws.
 
-    Constant and weighted plans carry constant costates parallel to the
-    rate axis; underactuated plans carry p = (2 omega1, 2 omega2, 2c).
+    The rates omega are evaluated at all t at once.  Constant and
+    underactuated plans carry p = 2 omega, with the third entry 2c for an
+    underactuated plan (omega3 = 1), and p' = 2 omega' from the rates'
+    ``Harmonic.derivative``; weighted plans carry the constant costate
+    c = (c1, c2, c3), parallel to the rates c / q(t).
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    worst = 0.0
-    if plan.mode == "underactuated":
-        r = plan.params["r"]
-        phi = plan.params["phi"]
-        c = plan.params["c"]
-        for tv in ts:
-            arg = (c - 1.0) * tv + phi
-            w = np.array([r * math.cos(arg), -r * math.sin(arg), 1.0])
-            p = np.array([2.0 * w[0], 2.0 * w[1], 2.0 * c])
-            dp = np.array(
-                [
-                    -2.0 * r * (c - 1.0) * math.sin(arg),
-                    -2.0 * r * (c - 1.0) * math.cos(arg),
-                    0.0,
-                ]
-            )
-            worst = max(worst, float(np.max(np.abs(dp - np.cross(w, p)))))
-        return worst
-    if plan.mode == "constant":
-        v = np.array([plan.params["w1"], plan.params["w2"], plan.params["w3"]])
-        p = 2.0 * v
-        return float(np.max(np.abs(np.cross(v, p))))
+    w = np.array([_eval_array(f, ts) for f in plan.omega])
     if plan.mode == "weighted":
-        cvec = np.array([plan.params["c1"], plan.params["c2"], plan.params["c3"]])
-        for tv in ts:
-            w = np.array([float(f(tv)) for f in plan.omega])
-            worst = max(worst, float(np.max(np.abs(np.cross(w, cvec)))))
-        return worst
-    raise ValueError(f"unknown plan mode {plan.mode!r}")
+        p, dp = np.array([[plan.params[k]] for k in ("c1", "c2", "c3")]), 0.0
+    elif plan.mode in ("constant", "underactuated"):
+        p = 2.0 * w
+        if plan.mode == "underactuated":
+            p[2] = 2.0 * plan.params["c"]
+        dp = 2.0 * np.array([f.derivative(ts) for f in plan.omega])
+    else:
+        raise ValueError(f"unknown plan mode {plan.mode!r}")
+    return float(np.max(np.abs(dp - np.cross(w, p, axis=0)), initial=0.0))
 
 
 def so3_sl_residual(q, c: float, omega1, omega2, t: float) -> tuple[float, float]:

@@ -32,8 +32,8 @@ from .orthopoly import (
     TRIG_SIN,
     BasisElement,
     InputSignal,
-    Term,
-    WeightFn,
+    _as_signal,
+    weight_exponents,
     weight_fn,
 )
 
@@ -65,21 +65,16 @@ def chebyshev_nodes(count: int, interval=CANONICAL_INTERVAL) -> np.ndarray:
 def value_and_derivatives(y, t: float) -> tuple[float, float, float]:
     """(y, y', y'') at a scalar t; the one derivative dispatcher of the package.
 
-    A number is a constant.  A weight (1 - tau)^a (1 + tau)^b is the weighted
-    zeroth Jacobi term of its exponents, and basis elements and terms become
-    one-term signals: all of these use the Jacobi derivative rule of
-    ``orthopoly``.  Anything with ``derivative`` and ``second_derivative``
-    methods uses them; any other callable falls back to central differences
-    with step 1e-5 (good to ~1e-6 for smooth functions).
+    A number is a constant.  Basis elements and terms become one-term
+    signals, and a signal (a weight from ``weight_fn`` among them) uses the
+    Jacobi derivative rule of ``orthopoly``.  Anything else with
+    ``derivative`` and ``second_derivative`` methods uses them; any other
+    callable falls back to central differences with step 1e-5 (good to
+    ~1e-6 for smooth functions).
     """
     if isinstance(y, (int, float)):
         return float(y), 0.0, 0.0
-    if isinstance(y, WeightFn):
-        y = Term(BasisElement(JACOBI, 0, y.interval, y.exponents), weighted=True)
-    if isinstance(y, BasisElement):
-        y = Term(y)
-    if isinstance(y, Term):
-        y = InputSignal((y,), y.element.interval)
+    y = _as_signal(y) or y
     if hasattr(y, "derivative") and hasattr(y, "second_derivative"):
         return float(y(t)), float(y.derivative(t)), float(y.second_derivative(t))
     h = _FD_STEP
@@ -115,7 +110,7 @@ def family_sl_problem(family: str, index: int, jacobi_params=None) -> SLProblem:
     w = weight_fn(family, jacobi_params=jacobi_params)
     if family in (TRIG_SIN, TRIG_COS):
         return SLProblem(p=w, w=w, lam=float(n * n) * math.pi**2)
-    a, b = w.exponents
+    a, b = weight_exponents(family, jacobi_params)
     p = weight_fn(JACOBI, jacobi_params=(a + 1.0, b + 1.0))
     return SLProblem(p=p, w=w, lam=float(n * (n + a + b + 1.0)))
 
@@ -124,15 +119,19 @@ def sl_residual(problem: SLProblem, y, t: float) -> float:
     """Residual of the self-adjoint equation at an interior point t.
 
     Computes (P'(t) y' + P(t) y'') / w(t) + lambda y; an eigenfunction
-    makes this vanish identically.
+    makes this vanish identically.  A weight that is not positive at t (one
+    that underflows near an endpoint, say) raises ``DomainError``.
     """
     lo, hi = problem.interval
     t = float(t)
     if not (lo < t < hi):
         raise DomainError("sl_residual is defined at interior points only")
+    w = float(problem.w(t))
+    if not w > 0.0:
+        raise DomainError(f"sl_residual needs w(t) > 0, but w(t) = {w!r} at t = {t!r}")
     val, d1, d2 = value_and_derivatives(y, t)
     p_val, dp_val, _ = value_and_derivatives(problem.p, t)
-    return (dp_val * d1 + p_val * d2) / float(problem.w(t)) + problem.lam * val
+    return (dp_val * d1 + p_val * d2) / w + problem.lam * val
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,8 @@ class JacobiPairing:
     eta: float
     zeta: float
     order2: float
-    a1: WeightFn
-    a2: WeightFn
+    a1: InputSignal
+    a2: InputSignal
     k1: BasisElement
     k2: BasisElement | None
 

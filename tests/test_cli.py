@@ -234,6 +234,22 @@ def test_overflowing_plans_and_fuel_reports_exit_one(capsys, argv):
     assert not caught
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fuel", "--target", "1", "--compare", "trig,legendre", "--pair", "2,3"),
+        ("fuel", "--target", "1", "--family", "trig", "--pair", "2,3"),
+        ("plan", "nhi", "--from", "0,0,0", "--to", "0,0,1", "--family", "trig", "--pair", "2,3"),
+    ],
+)
+def test_a_zero_coupling_pair_is_named_by_fuel_as_by_plan(capsys, argv):
+    # sin(2 pi t) and cos(3 pi t) have opposite parity but zero coupling
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: pair (2, 3) of family 'trig' has zero coupling displacement; it cannot steer\n"
+
+
 def test_fuel_rejects_zero_target(capsys):
     code, _, err = run(capsys, "fuel", "--target", "0")
     assert code == 1

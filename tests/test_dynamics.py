@@ -40,7 +40,6 @@ from nhsteer.orthopoly import (
     constant_signal,
     scale_signal,
 )
-from nhsteer.so3_control import ConstantRate
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +373,7 @@ def test_rotation_type_validation():
 
 def test_constant_rate_flow_matches_exponential():
     w = np.array([0.4, -0.7, 1.1])
-    omega = tuple(ConstantRate(float(c)) for c in w)
+    omega = tuple(Harmonic("cos", 0.0, 0.0, float(c)) for c in w)
     g0 = exp_rotation(np.array([0.2, 0.5, -0.3]))
     T = 1.7
     traj = integrate_so3(omega, Rotation(g0), (0.0, T), steps=400)
@@ -383,7 +382,7 @@ def test_constant_rate_flow_matches_exponential():
 
 
 def test_every_attitude_sample_stays_orthogonal():
-    omega = (Harmonic("cos", 2.0), Harmonic("sin", 3.0), ConstantRate(0.5))
+    omega = (Harmonic("cos", 2.0), Harmonic("sin", 3.0), Harmonic("cos", 0.0, 0.0, 0.5))
     traj = integrate_so3(omega, interval=(0.0, 3.0), steps=1000)
     n = len(traj.t)
     mats = np.stack(
@@ -396,7 +395,7 @@ def test_every_attitude_sample_stays_orthogonal():
 
 
 def test_magnus_step_is_fourth_order():
-    omega = (Harmonic("cos", 3.0), Harmonic("sin", 2.0), ConstantRate(1.0))
+    omega = (Harmonic("cos", 3.0), Harmonic("sin", 2.0), Harmonic("cos", 0.0, 0.0, 1.0))
     ref = integrate_so3(omega, interval=(0.0, 2.0), steps=16000)
     ref_end = np.array([[ref.columns[f"g{i}{j}"][-1] for j in (1, 2, 3)] for i in (1, 2, 3)])
 
@@ -410,7 +409,7 @@ def test_magnus_step_is_fourth_order():
 
 
 def test_so3_csv_header():
-    omega = tuple(ConstantRate(c) for c in (0.1, 0.2, 0.3))
+    omega = tuple(Harmonic("cos", 0.0, 0.0, c) for c in (0.1, 0.2, 0.3))
     traj = integrate_so3(omega, steps=100)
     buf = io.StringIO()
     traj.to_csv(buf)
@@ -485,7 +484,7 @@ def test_integrate_so3_never_calls_the_scalar_exponential(monkeypatch):
         raise AssertionError("integrate_so3 called exp_rotation")
 
     monkeypatch.setattr(dynamics, "exp_rotation", spy)
-    omega = (Harmonic("cos", 2.0), Harmonic("sin", 3.0), ConstantRate(0.5))
+    omega = (Harmonic("cos", 2.0), Harmonic("sin", 3.0), Harmonic("cos", 0.0, 0.0, 0.5))
     integrate_so3(omega, interval=(0.0, 1.0), steps=300)
 
 

@@ -25,7 +25,6 @@ from nhsteer.orthopoly import (
     Harmonic,
     InputSignal,
     Term,
-    WeightFn,
     _gauss_jacobi,
     _sign_cuts,
     basis_signal,
@@ -40,8 +39,10 @@ from nhsteer.orthopoly import (
     lp_norm,
     scale_signal,
     shift,
+    weight_exponents,
     weight_fn,
 )
+from nhsteer.sturm import value_and_derivatives
 
 POLY_FAMILIES = [LEGENDRE, CHEBYSHEV_FIRST, CHEBYSHEV_SECOND]
 
@@ -82,10 +83,10 @@ def test_jacobi_exponents_above_the_cap_are_refused():
     with pytest.raises(CapabilityError):
         basis_signal(JACOBI, 3, weighted=True, jacobi_params=(2000.0, 2000.0))
     # a pure weight goes one higher: the self-adjoint coefficient of the family at the cap
-    assert WeightFn(JACOBI, jacobi_params=(cap + 1.0, cap + 1.0))(0.5) > 0.0
+    assert weight_fn(JACOBI, jacobi_params=(cap + 1.0, cap + 1.0))(0.5) > 0.0
     assert BasisElement(JACOBI, 0, jacobi_params=(cap + 1.0, cap + 1.0)).index == 0
     with pytest.raises(CapabilityError, match=f"above {JACOBI_EXPONENT_CAP + 1}"):
-        WeightFn(JACOBI, jacobi_params=(cap + 1.5, 0.0))
+        weight_fn(JACOBI, jacobi_params=(cap + 1.5, 0.0))
 
 
 def test_trig_family_values():
@@ -112,14 +113,38 @@ def test_weight_validation_matches_element_validation():
     with pytest.raises(ValueError):
         weight_fn(LEGENDRE, jacobi_params=(1, 2))
     with pytest.raises(ValueError):
-        WeightFn(CHEBYSHEV_FIRST, jacobi_params=[0.5, 0.5])
+        weight_fn(CHEBYSHEV_FIRST, jacobi_params=[0.5, 0.5])
     with pytest.raises(ValueError):
-        WeightFn(JACOBI, jacobi_params=(-1.0, 0.5))
+        weight_fn(JACOBI, jacobi_params=(-1.0, 0.5))
     with pytest.raises(ValueError):
-        WeightFn(JACOBI)
-    w = WeightFn(JACOBI, jacobi_params=[1, 0.5])
-    assert w.jacobi_params == (1.0, 0.5) and hash(w) == hash(weight_fn(JACOBI, jacobi_params=(1.0, 0.5)))
+        weight_fn(JACOBI)
+    w = weight_fn(JACOBI, jacobi_params=[1, 0.5])
+    assert w.terms[0].element.jacobi_params == (1.0, 0.5)
+    assert hash(w) == hash(weight_fn(JACOBI, jacobi_params=(1.0, 0.5)))
     assert BasisElement(JACOBI, 2, jacobi_params=[1, 0.5]).jacobi_params == (1.0, 0.5)
+
+
+WEIGHT_CASES = [(f, None) for f in (LEGENDRE, CHEBYSHEV_FIRST, CHEBYSHEV_SECOND, TRIG_SIN, TRIG_COS)]
+WEIGHT_CASES += [(JACOBI, (0.5, 0.5)), (JACOBI, (-0.45, 0.3))]
+
+
+@pytest.mark.parametrize("interval", [CANONICAL_INTERVAL, SHIFTED_INTERVAL])
+@pytest.mark.parametrize("family, params", WEIGHT_CASES)
+def test_a_weight_is_the_weighted_index_0_term_of_its_family(family, params, interval):
+    lo, hi = interval
+    t = np.linspace(lo, hi, 259)[1:-1]  # 257 interior points: the first-kind weight is singular at the ends
+    tau = t if interval == CANONICAL_INTERVAL else 2.0 * t - 1.0
+    a, b = weight_exponents(family, params)
+    w = weight_fn(family, interval, params)
+    index0 = Term(BasisElement(TRIG_COS if family == TRIG_SIN else family, 0, interval, params), weighted=True)
+    np.testing.assert_array_equal(w(t), index0.value(t))
+    # the same bits as a separate weight evaluator: ones times (1 - tau)^a (1 + tau)^b, left to right
+    ones = np.ones_like(tau)
+    np.testing.assert_array_equal(w(t), ones if a == b == 0.0 else ones * (1.0 - tau) ** a * (1.0 + tau) ** b)
+    # value and slopes are those of the weighted zeroth Jacobi term of the weight's exponents
+    jacobi0 = Term(BasisElement(JACOBI, 0, interval, (a, b)), weighted=True)
+    for x in t[::16]:
+        assert value_and_derivatives(w, x) == value_and_derivatives(jacobi0, x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from nhsteer.errors import ConvergenceError, SingularityError
 from nhsteer.orthopoly import Harmonic
 from nhsteer.so3_control import (
     AttitudePlan,
-    ConstantRate,
     constant_omega_plan,
     costate_residual,
     simulate_attitude,
@@ -138,7 +138,7 @@ def test_closed_flow_matches_integrator():
     omega = (
         Harmonic("cos", c - 1.0, phi, r),
         Harmonic("sin", c - 1.0, phi, -r),
-        ConstantRate(1.0),
+        Harmonic("cos", 0.0, 0.0, 1.0),
     )
     traj = integrate_so3(omega, Rotation(g0), (0.0, 2.0), steps=4000)
     g_end = np.array(
@@ -146,6 +146,39 @@ def test_closed_flow_matches_integrator():
     )
     closed = underactuated_flow(r, phi, c, 2.0, g0)
     assert np.max(np.abs(g_end - closed)) < 5e-13
+
+
+def test_costate_residual_reads_the_plan_rate_laws():
+    # rates of c = 1.7 against a costate p3 = 2 c' of c' = 1.8: p' - omega x p = 2 (c - c') (omega2, -omega1, 0)
+    r, phi, c = 0.6, 0.4, 1.7
+    plan = underactuated_plan(Rotation.identity(), Rotation.identity(), 1.0)
+    wrong = dataclasses.replace(
+        plan, omega=so3_control._underactuated_rates(r, phi, c), params={"r": r, "phi": phi, "c": c + 0.1}
+    )
+    ts = np.linspace(0.0, 2.0, 41)
+    arg = (c - 1.0) * ts + phi
+    want = float(np.max(np.maximum(np.abs(0.2 * r * np.sin(arg)), np.abs(0.2 * r * np.cos(arg)))))
+    assert_allclose(costate_residual(wrong, ts), want, rtol=1e-12)
+    assert costate_residual(dataclasses.replace(wrong, params={**wrong.params, "c": c}), ts) < 1e-15
+
+
+def test_a_constant_rate_is_a_harmonic_of_frequency_zero():
+    # record the node grid and both Magnus stage grids of a 4000-step attitude integration
+    seen = []
+
+    def recorder(t):
+        seen.append(np.array(t, dtype=float))
+        return np.ones_like(seen[-1])
+
+    integrate_so3((recorder,) * 3, interval=(0.0, 2.0), steps=4000)
+    grids = seen[::3]
+    assert [len(g) for g in grids] == [4001, 4000, 4000]
+    for v in (1.0, -0.37, 1e-300, 1e300):
+        rate = Harmonic("cos", 0.0, 0.0, v)
+        assert rate(0.7) == v
+        for grid in grids:
+            assert np.all(rate(grid) == v)
+            assert np.all(rate.derivative(grid) == 0.0)
 
 
 def test_underactuated_shooting_random_targets():

@@ -93,6 +93,14 @@ def test_sl_residual_rejects_endpoints():
         sl_residual(problem, BasisElement(LEGENDRE, 2), 1.0)
 
 
+def test_sl_residual_refuses_a_weight_that_underflows():
+    # at the outermost of 50 Chebyshev nodes (1 - t ~ 4.9e-4) the weight (1-t)^100 (1+t)^100 is 0.0
+    params = (100.0, 100.0)
+    t = float(chebyshev_nodes(50)[0])
+    with pytest.raises(DomainError, match=f"w\\(t\\) = 0.0 at t = {t!r}"):
+        sl_residual(family_sl_problem(JACOBI, 3, params), BasisElement(JACOBI, 3, jacobi_params=params), t)
+
+
 def test_value_and_derivatives_dispatch():
     el = BasisElement(LEGENDRE, 3)
     v, d1, d2 = value_and_derivatives(el, 0.4)
