@@ -13,13 +13,13 @@ pairs (i, j), i < j, always come in the lexicographic order of ``_pairs``.
 The core implements classical RK4, but since the inputs depend on time only,
 the stage combinations collapse to closed-form per-step updates that
 vectorize over the whole grid.  Inputs carrying endpoint weight factors are
-integrated in the arc variable t = mid - half*cos(s), where the weight
-(1-tau)^a (1+tau)^b times dt/ds is cos(s/2)^(2a+1) sin(s/2)^(2b+1) up to a
-constant.  That is smooth, keeping the full fourth order, when 2a + 1 and
-2b + 1 are nonnegative integers; otherwise the order drops to about
-min(4, 2a + 2) (2b + 2 at the other end): weighted Jacobi plans at
-a = b = -0.45 end 7.6e-5 off at 4000 steps.  The trajectory samples t
-non-uniformly and the input columns record the effective integrand
+integrated in the arc variable s of ``orthopoly``'s map t = mid - half*cos(s),
+where the weight (1-tau)^a (1+tau)^b times dt/ds is
+cos(s/2)^(2a+1) sin(s/2)^(2b+1) up to a constant.  That is smooth,
+keeping the full fourth order, when 2a + 1 and 2b + 1 are nonnegative
+integers; otherwise the order drops to about min(4, 2a + 2) (2b + 2 at the
+other end): weighted Jacobi plans at a = b = -0.45 end 7.6e-5 off at 4000
+steps.  The trajectory samples t non-uniformly and the input columns record
 u * dt/ds on the s-grid.  Weight exponents below -1/2 make that integrand
 infinite at an endpoint and are refused with ``CapabilityError``.
 
@@ -27,9 +27,11 @@ infinite at an endpoint and are refused with ``CapabilityError``.
 step, and computes every step's Magnus vector and every step's Rodrigues
 exponential as array operations over the whole grid (``_exp_rotations``, of
 which ``exp_rotation`` is the one-row case); only the 3x3 running product
-stays in a Python loop.  All three integrators refuse
-non-finite interval bounds and non-finite input or rate values with
-``DomainError`` before integrating.
+stays in a Python loop.  The quaternion helpers live here too, with the
+one rotation logarithm ``_quaternion_log`` (w >= 0, the half-turn tie-break)
+behind ``log_rotation`` and the shooting residual of ``so3_control``.  All
+three integrators refuse non-finite interval bounds and non-finite input or
+rate values with ``DomainError`` before integrating.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ from .errors import AmbiguityError, CapabilityError, DomainError
 from .orthopoly import (
     CANONICAL_INTERVAL,
     InputSignal,
+    _arc_integrand,
+    _arc_time,
+    _as_signal,
     _eval_array,
     _factors,
     _infer_interval,
@@ -227,31 +232,19 @@ def _grids(inputs, interval, steps, reparam):
     """Node times, the step, and per-channel values at the nodes and midpoints.
 
     The grid is uniform in a variable v: v = t on the plain map, and on the
-    arc map (``reparam``) v = s with t = mid - half*cos(s), where a channel's
-    value is its effective integrand u(t) dt/ds.
+    arc map of ``orthopoly`` (``reparam``) v = s, where a channel's value is
+    its effective integrand u(t) dt/ds.
     """
-    lo, hi = interval
-    if reparam:
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        lo, hi = 0.0, np.pi
-
-        def time(s):
-            return mid - half * np.cos(s)
-
-        def value(u, s):
-            if isinstance(u, InputSignal):
-                return np.asarray(u.theta_factor(s), dtype=float)
-            return _eval_array(u, time(s)) * half * np.sin(s)
-
-    else:
-        time = np.asarray
-        value = _eval_array
+    lo, hi = (0.0, np.pi) if reparam else interval
     nodes = np.linspace(lo, hi, steps + 1)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
+
+    def value(u, v):
+        return _arc_integrand(u, interval, v) if reparam else _eval_array(u, v)
+
     u_nodes = np.stack([value(u, nodes) for u in inputs])
     u_mid = np.stack([value(u, mids) for u in inputs])
-    return time(nodes), (hi - lo) / steps, u_nodes, u_mid
+    return _arc_time(interval, nodes) if reparam else nodes, (hi - lo) / steps, u_nodes, u_mid
 
 
 def _check_simulable(u, interval) -> None:
@@ -441,41 +434,60 @@ def _rotation_quaternion(mat: np.ndarray) -> tuple[float, float, float, float]:
     return ((m[k][j] - m[j][k]) / (2.0 * s), q[0], q[1], q[2])
 
 
+def _quaternion_product(p: tuple, q: tuple) -> tuple:
+    """Hamilton product p q of quaternions (w, x, y, z); the matrix of p q is R(p) R(q)."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy - px * qz + py * qw + pz * qx,
+        pw * qz + px * qy - py * qx + pz * qw,
+    )
+
+
+def _quaternion_log(q: tuple) -> tuple[float, float, float]:
+    """Rotation vector of the unit quaternion q = (w, x, y, z), in plain floats.
+
+    The sign with w >= 0 is taken; a vector part below 1e-12 gives 2 (x, y, z),
+    and at a half-turn (w below 1e-12) the axis is the representative whose
+    first nonzero component is positive.
+    """
+    w, x, y, z = q
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < 1e-12:
+        return (2.0 * x, 2.0 * y, 2.0 * z)
+    if w < 1e-12:
+        first = x if x != 0.0 else y if y != 0.0 else z
+        if first < 0.0:
+            x, y, z = -x, -y, -z
+    scale = 2.0 * math.atan2(s, w) / s
+    return (scale * x, scale * y, scale * z)
+
+
 def log_rotation(mat, accept_pi_tiebreak: bool = False) -> np.ndarray:
     """Rotation vector v with exp_rotation(v) equal to the given matrix.
 
-    Uses quaternion extraction from the largest diagonal combination, which
-    stays well-conditioned for angles near pi.  At an angle of exactly pi
-    the sign of the axis is not determined by the matrix; that raises
-    ``AmbiguityError`` unless ``accept_pi_tiebreak`` picks the representative
-    whose first nonzero axis component is positive.
+    The matrix's quaternion (``_rotation_quaternion``) goes through
+    ``_quaternion_log``.  At an angle of exactly pi the sign of the axis is
+    not determined by the matrix; that raises ``AmbiguityError`` unless
+    ``accept_pi_tiebreak`` picks the representative whose first nonzero
+    axis component is positive.
     """
     if isinstance(mat, Rotation):
         mat = mat.matrix
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 3):
         raise ValueError("log_rotation expects a 3x3 matrix")
-    w, *vec = _rotation_quaternion(mat)
-    q = np.array(vec)
-    if w < 0.0:
-        w = -w
-        q = -q
-    s_norm = float(np.linalg.norm(q))
-    if s_norm < 1e-12:
-        return 2.0 * q
-    if w < 1e-12:
-        if not accept_pi_tiebreak:
-            raise AmbiguityError(
-                "rotation angle is pi; the axis sign is ambiguous "
-                "(pass accept_pi_tiebreak=True to pick a representative)"
-            )
-        for comp in q:
-            if comp != 0.0:
-                if comp < 0.0:
-                    q = -q
-                break
-    theta = 2.0 * float(np.arctan2(s_norm, w))
-    return (theta / s_norm) * q
+    w, x, y, z = q = _rotation_quaternion(mat)
+    if not accept_pi_tiebreak and abs(w) < 1e-12 <= math.sqrt(x * x + y * y + z * z):
+        raise AmbiguityError(
+            "rotation angle is pi; the axis sign is ambiguous "
+            "(pass accept_pi_tiebreak=True to pick a representative)"
+        )
+    return np.array(_quaternion_log(q))
 
 
 def project_rotation(mat) -> np.ndarray:
@@ -577,6 +589,7 @@ def coupling_displacement(u1, u2, interval=None) -> float:
     leaves only exact rules.  Bare callables and mixed trig and polynomial
     products go through adaptive quadrature.
     """
+    u1, u2 = _as_signal(u1), _as_signal(u2)
     interval = _infer_interval((u1, u2), interval)
     ops1 = tuple(zip(_running_factors(u1, interval), _factors(u1)))
     ops2 = tuple(zip(_running_factors(u2, interval), _factors(u2)))

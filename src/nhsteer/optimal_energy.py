@@ -32,6 +32,7 @@ from .orthopoly import (
     BasisElement,
     InputSignal,
     Term,
+    _as_signal,
     _factors,
     _infer_interval,
     _product_integrals,
@@ -155,6 +156,7 @@ def weighted_cost(u1, u2, cost: WeightedCost) -> float:
     for u, aw in ((u1, cost.a1), (u2, cost.a2)):
         if not (isinstance(aw, (int, float)) or callable(aw)):
             raise ValueError("channel weights must be weight signals, numbers, or callables")
+        u, aw = _as_signal(u), _as_signal(aw)
         _infer_interval((u,), box)  # the input must live on the cost interval
         for part in _product_integrals(map(_factors, (u, u, aw)), box):
             total += part

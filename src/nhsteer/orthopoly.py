@@ -30,6 +30,9 @@ Which rule serves which integrand:
   index 0 the incomplete beta function by its continued fraction.
 * ``integrate``, adaptive Gauss-Legendre in s with t = -cos(s) for endpoint
   weights, serves only bare callables and mixed trig and polynomial products.
+  Its arc map t = mid - half*cos(s), the inverse and u(t(s)) dt/ds are
+  ``_arc_time``, ``_arc_angle`` and ``_arc_integrand``, which also serve
+  ``lp_norm``, ``_sign_cuts`` and the weighted integrator of ``dynamics``.
 * L1/Lp norms go panel by panel between the sign changes: a single term's
   known zeros (Gauss-Jacobi nodes, or k/n and (2k+1)/(2n) for trig), and for
   a combined signal a degree-sized scan in s with batched bisection.  Panels
@@ -326,6 +329,23 @@ def _arc_weigh(factor, s, a: float, b: float):
     return factor * np.cos(0.5 * s) ** (2.0 * a + 1.0) * np.sin(0.5 * s) ** (2.0 * b + 1.0)
 
 
+def _arc_time(box, s):
+    """t(s) = mid - half*cos(s), the arc map of ``box`` from s in [0, pi]."""
+    return 0.5 * (box[1] + box[0]) - 0.5 * (box[1] - box[0]) * np.cos(s)
+
+
+def _arc_angle(box, t):
+    """s(t) in [0, pi], the inverse of ``_arc_time``, with t clipped to ``box``."""
+    return np.arccos(np.clip((0.5 * (box[1] + box[0]) - t) / (0.5 * (box[1] - box[0])), -1.0, 1.0))
+
+
+def _arc_integrand(u, box, s):
+    """u(t(s)) dt/ds on the arc map of ``box``: a signal's ``theta_factor``, a callable's value times half*sin(s)."""
+    if isinstance(u, InputSignal):
+        return np.asarray(u.theta_factor(s), dtype=float)
+    return _eval_array(u, _arc_time(box, s)) * (0.5 * (box[1] - box[0])) * np.sin(s)
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Jacobi rules and adaptive Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
@@ -489,10 +509,8 @@ def integrate(
     """
     a, b = exponents
     lo, hi = float(interval[0]), float(interval[1])
-    if box is None:
-        box = (lo, hi)
-    blo, bhi = float(box[0]), float(box[1])
-    if lo < blo - _EDGE_TOL or hi > bhi + _EDGE_TOL:
+    box = (lo, hi) if box is None else (float(box[0]), float(box[1]))
+    if lo < box[0] - _EDGE_TOL or hi > box[1] + _EDGE_TOL:
         raise ValueError("integration interval must lie inside the box")
     if hi <= lo:
         return 0.0
@@ -502,20 +520,12 @@ def integrate(
         raise IntegrabilityError(
             f"endpoint exponents {exponents} are not integrable"
         )
-    half = 0.5 * (bhi - blo)
-    mid = 0.5 * (bhi + blo)
-    factor = half * 2.0 ** (a + b + 1.0)
-
-    def tau_of(t):
-        return np.clip((np.asarray(t, dtype=float) - mid) / half, -1.0, 1.0)
-
-    s_lo = float(np.arccos(-tau_of(lo)))
-    s_hi = float(np.arccos(-tau_of(hi)))
 
     def g(s):
-        return _arc_weigh(np.asarray(f_smooth(mid - half * np.cos(s)), dtype=float), s, a, b)
+        return _arc_weigh(np.asarray(f_smooth(_arc_time(box, s)), dtype=float), s, a, b)
 
-    return factor * integrate_smooth(g, s_lo, s_hi)
+    s_lo, s_hi = (float(_arc_angle(box, t)) for t in (lo, hi))
+    return 0.5 * (box[1] - box[0]) * 2.0 ** (a + b + 1.0) * integrate_smooth(g, s_lo, s_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -766,9 +776,7 @@ def basis_signal(
     weighted: bool = False,
     jacobi_params=None,
 ) -> InputSignal:
-    element = BasisElement(
-        family=family, index=index, interval=_check_interval(interval), jacobi_params=jacobi_params
-    )
+    element = BasisElement(family=family, index=index, interval=interval, jacobi_params=jacobi_params)
     return InputSignal(terms=(Term(element=element, scale=scale, weighted=weighted),), interval=element.interval)
 
 
@@ -844,26 +852,23 @@ class Harmonic:
 
 
 def _as_signal(obj):
-    """An element, term or signal operand as an ``InputSignal``, or None for anything else."""
+    """An element or term operand as a one-term ``InputSignal``; anything else as it is."""
     if isinstance(obj, BasisElement):
         obj = Term(element=obj)
-    if isinstance(obj, Term):
-        return InputSignal((obj,), obj.element.interval)
-    return obj if isinstance(obj, InputSignal) else None
+    return InputSignal((obj,), obj.element.interval) if isinstance(obj, Term) else obj
 
 
 def _factors(obj) -> tuple:
-    """(smooth part, endpoint exponents, degree) of each term of one operand.
+    """(smooth part, endpoint exponents, degree) of each term of one ``_as_signal`` operand.
 
     A term's degree is (polynomial degree, trig index).  A term of index 0
     (a constant, or a weight from ``weight_fn``) has degree (0, 0) and its
     scale as a constant smooth part, and so does a number; any other
     callable enters as it is, with degree None.
     """
-    sig = _as_signal(obj)
-    if sig is not None:
+    if isinstance(obj, InputSignal):
         factors = []
-        for t in sig.terms:
+        for t in obj.terms:
             n = t.element.index
             degree = (0, n) if t.element.family in (TRIG_SIN, TRIG_COS) else (n, 0)
             factors.append((t.smooth if n else t.scale, t.exponents, degree))
@@ -874,16 +879,15 @@ def _factors(obj) -> tuple:
 
 
 def _running_factors(obj, box) -> tuple:
-    """The ``_factors`` of the running integral of one operand from the left end of ``box``.
+    """The ``_factors`` of the running integral of one ``_as_signal`` operand from the left end of ``box``.
 
     Every term gives the parts of its exact antiderivative; a bare callable
     is integrated adaptively per point.
     """
-    sig = _as_signal(obj)
-    if sig is None:
+    if not isinstance(obj, InputSignal):
         return ((np.vectorize(lambda t: integrate_smooth(obj, box[0], t), otypes=[float]), (0.0, 0.0), None),)
     factors = []
-    for term in sig.terms:
+    for term in obj.terms:
         p, exponents, d, degree = _term_running_integral_canonical(term)
         scale = term.scale * 0.5 * (box[1] - box[0]) / d
         factors.append((lambda t, p=p, c=scale: c * p(_to_canonical(box, t)), exponents, degree))
@@ -929,7 +933,7 @@ def _infer_interval(operands, *given) -> tuple[float, float]:
     found = {(float(i[0]), float(i[1])) for i in given if i is not None}
     for obj in operands:
         sig = _as_signal(obj)
-        if sig is not None:
+        if isinstance(sig, InputSignal):
             found.add(sig.interval)
         elif not callable(obj):
             raise ValueError(f"cannot interpret {type(obj).__name__} as an integrand")
@@ -949,7 +953,7 @@ def inner_product(f, g, w: InputSignal | None = None, interval=None) -> float:
     become the weight of an exact Gauss-Jacobi rule, or of the substitution
     inside ``integrate`` for a plain callable.
     """
-    operands = (f, g) if w is None else (w, f, g)
+    operands = tuple(map(_as_signal, (f, g) if w is None else (w, f, g)))
     box = _infer_interval(operands, None if interval is None else _check_interval(interval))
     total = 0.0
     for part in _product_integrals(map(_factors, operands), box):
@@ -987,7 +991,7 @@ def _sign_cuts(signal: InputSignal) -> np.ndarray:
     inset = (hi - lo) * 1e-9
     zeros = max((2 if t.element.family in (TRIG_SIN, TRIG_COS) else 1) * t.element.index for t in signal.terms)
     s = np.linspace(0.0, np.pi, max(512, 16 * zeros))
-    grid = np.clip(0.5 * (hi + lo) - 0.5 * (hi - lo) * np.cos(s), lo + inset, hi - inset)
+    grid = np.clip(_arc_time(signal.interval, s), lo + inset, hi - inset)
     vals = np.asarray(signal(grid), dtype=float)
     k = np.flatnonzero((vals[:-1] != 0.0) & ((vals[:-1] < 0) != (vals[1:] < 0)))
     a, b, negative = grid[k], grid[k + 1], vals[k] < 0
@@ -1021,14 +1025,13 @@ def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
     if p == 1.0:
         signs = np.where(np.asarray(signal(0.5 * (cuts[:-1] + cuts[1:]))) >= 0, 1.0, -1.0)
         return float(np.sum((signs * np.diff(signal.running_integral(cuts)))[keep]))
-    lo, hi = signal.interval
-    half = 0.5 * (hi - lo)
-    s_cuts = np.arccos(np.clip((0.5 * (hi + lo) - cuts) / half, -1.0, 1.0))
+    box = signal.interval
+    s_cuts = _arc_angle(box, cuts)
     s_lo, s_hi = s_cuts[:-1][keep], s_cuts[1:][keep]
 
     def g(s):
         # |u|^p dt/ds = |u dt/ds|^p (dt/ds)^(1 - p), with dt/ds = half sin(s) > 0 inside
-        return np.abs(signal.theta_factor(s)) ** p * (half * np.sin(s)) ** (1.0 - p)
+        return np.abs(_arc_integrand(signal, box, s)) ** p * (0.5 * (box[1] - box[0]) * np.sin(s)) ** (1.0 - p)
 
     def panels(rule):
         pts = 0.5 * (s_hi + s_lo)[:, None] + 0.5 * (s_hi - s_lo)[:, None] * rule[0]

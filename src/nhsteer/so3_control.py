@@ -10,9 +10,10 @@ Three planners, all exact in the boundary conditions:
       g(t) = exp(-t (c-1) E3) exp(t hat(r cos phi, -r sin phi, c)) g0,
   so the boundary condition reduces to a three-parameter shooting problem
   solved with a damped (Levenberg) Newton iteration on (r, phi, c).  The
-  residual is the rotation vector of the endpoint miss, measured on unit
-  quaternions in plain floats (``underactuated_flow`` is the matrix form),
-  and each damped step is a closed-form 3x3 Cholesky solve.
+  residual is the rotation vector of the endpoint miss, composed on unit
+  quaternions in plain floats with the quaternion helpers and logarithm of
+  ``dynamics`` (``underactuated_flow`` is the matrix form), and each damped
+  step is a closed-form 3x3 Cholesky solve.
 
 The underactuated extremals satisfy the costate system p' = omega x p with
 p = (2 omega1, 2 omega2, 2c); ``costate_residual`` checks that along any
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SingularityError
-from .dynamics import Rotation, _rotation_quaternion, exp_rotation, integrate_so3, log_rotation
+from .dynamics import Rotation, exp_rotation, integrate_so3, log_rotation
+from .dynamics import _quaternion_log, _quaternion_product, _rotation_quaternion
 from .orthopoly import Harmonic, _eval_array, integrate_smooth
 from .sturm import value_and_derivatives
 
@@ -183,25 +185,13 @@ def underactuated_flow(r: float, phi: float, c: float, t: float, g0: np.ndarray)
     return exp_rotation(-t * (c - 1.0) * _E3) @ exp_rotation(body) @ g0
 
 
-def _quaternion_product(p: tuple, q: tuple) -> tuple:
-    """Hamilton product p q of quaternions (w, x, y, z); the matrix of p q is R(p) R(q)."""
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return (
-        pw * qw - px * qx - py * qy - pz * qz,
-        pw * qx + px * qw + py * qz - pz * qy,
-        pw * qy - px * qz + py * qw + pz * qx,
-        pw * qz + px * qy - py * qx + pz * qw,
-    )
-
-
 def _shooting_residual(params, duration: float, rel: tuple) -> tuple:
     """Rotation vector of exp(-T (c-1) E3) exp(T hat(r cos phi, -r sin phi, c)) g0 g1^T.
 
-    ``rel`` is the unit quaternion (w, x, y, z) of g0 g1^T.  The flow and the
-    logarithm are taken on quaternions in plain floats with the rules of
-    ``log_rotation(..., accept_pi_tiebreak=True)``, which the result matches
-    to roundoff (``underactuated_flow`` is the matrix form).
+    ``rel`` is the unit quaternion (w, x, y, z) of g0 g1^T.  The flow is taken
+    on quaternions in plain floats and its logarithm is ``dynamics._quaternion_log``,
+    the one of ``log_rotation(..., accept_pi_tiebreak=True)``
+    (``underactuated_flow`` is the matrix form).
     """
     r, phi, c = params
     v1, v2, v3 = duration * (r * math.cos(phi)), duration * (-r * math.sin(phi)), duration * c
@@ -210,19 +200,8 @@ def _shooting_residual(params, duration: float, rel: tuple) -> tuple:
     k = 0.5 - theta * theta / 48.0 if theta < 1e-8 else math.sin(0.5 * theta) / theta
     half_turn = -0.5 * duration * (c - 1.0)
     turn = (math.cos(half_turn), 0.0, 0.0, math.sin(half_turn))
-    w, x, y, z = _quaternion_product(_quaternion_product(turn, (math.cos(0.5 * theta), k * v1, k * v2, k * v3)), rel)
-    if w < 0.0:
-        w, x, y, z = -w, -x, -y, -z
-    s = math.sqrt(x * x + y * y + z * z)
-    if s < 1e-12:
-        return (2.0 * x, 2.0 * y, 2.0 * z)
-    if w < 1e-12:
-        # half-turn: the representative whose first nonzero component is positive
-        first = x if x != 0.0 else y if y != 0.0 else z
-        if first < 0.0:
-            x, y, z = -x, -y, -z
-    scale = 2.0 * math.atan2(s, w) / s
-    return (scale * x, scale * y, scale * z)
+    body = (math.cos(0.5 * theta), k * v1, k * v2, k * v3)
+    return _quaternion_log(_quaternion_product(_quaternion_product(turn, body), rel))
 
 
 def _dot(u, v) -> float:
@@ -260,20 +239,18 @@ def _damped_solve(gram: list, rhs: list, mu: float):
 def underactuated_plan(g0, g1, duration: float) -> AttitudePlan:
     """Steer with omega3 pinned to one and extremal sinusoids in the plane.
 
-    Shooting unknowns are (r, phi, c).  The initial rate amplitude comes
-    from the log of what remains after the pure third-axis turn, the phase
-    starts at zero, and c starts one whole oscillation above the drift
-    (c = 1 + 2 pi / T); a few damped-Newton iterations on the closed-form
-    flow polish the boundary residual to roundoff.  The residual is the
-    rotation vector of the endpoint miss, measured on unit quaternions, and
-    each damped step is a closed-form 3x3 Cholesky solve.  Cost is r^2 T / 2.
+    Shooting unknowns are (r, phi, c).  The residual is the rotation vector
+    of the endpoint miss, measured on unit quaternions.  The initial rate
+    amplitude is its angle at (0, 0, 1), the pure third-axis turn, over T;
+    the phase starts at zero, and c starts one whole oscillation above the
+    drift (c = 1 + 2 pi / T); a few damped-Newton iterations on the
+    closed-form flow, each step a closed-form 3x3 Cholesky solve, polish the
+    boundary residual to roundoff.  Cost is r^2 T / 2.
     """
     g0, g1, duration = _boundary(g0, g1, duration)
-    g0m, g1m = g0.matrix, g1.matrix
-    residual_gap = log_rotation(
-        g1m @ (exp_rotation(duration * _E3) @ g0m).T, accept_pi_tiebreak=True
-    )
-    r0 = float(np.linalg.norm(residual_gap)) / duration
+    rel = _rotation_quaternion(g0.matrix @ g1.matrix.T)
+    gap = _shooting_residual((0.0, 0.0, 1.0), duration, rel)
+    r0 = math.sqrt(_dot(gap, gap)) / duration
     if r0 < 1e-14:
         return AttitudePlan(
             mode="underactuated",
@@ -284,7 +261,6 @@ def underactuated_plan(g0, g1, duration: float) -> AttitudePlan:
             params={"r": 0.0, "phi": 0.0, "c": 1.0, "residual": 0.0, "iterations": 0},
             cost=0.0,
         )
-    rel = _rotation_quaternion(g0m @ g1m.T)
     best = None
     inits = [
         (r0, 0.0, 1.0 + 2.0 * math.pi / duration),

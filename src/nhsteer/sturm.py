@@ -74,7 +74,7 @@ def value_and_derivatives(y, t: float) -> tuple[float, float, float]:
     """
     if isinstance(y, (int, float)):
         return float(y), 0.0, 0.0
-    y = _as_signal(y) or y
+    y = _as_signal(y)
     if hasattr(y, "derivative") and hasattr(y, "second_derivative"):
         return float(y(t)), float(y.derivative(t)), float(y.second_derivative(t))
     h = _FD_STEP

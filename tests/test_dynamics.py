@@ -115,6 +115,14 @@ def test_a_callable_beside_a_weighted_signal_is_integrated_in_the_arc_variable()
         assert_allclose(as_callable.columns[name], as_signal.columns[name], rtol=0.0, atol=1e-15)
 
 
+def test_trajectory_csv_to_a_path_matches_a_file_object(tmp_path):
+    traj = integrate_nhi((basis_signal(LEGENDRE, 1), basis_signal(LEGENDRE, 2)), steps=100)
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    traj.to_csv(tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_bytes() == buf.getvalue().encode()
+
+
 def test_trajectory_csv_schema():
     u = (constant_signal(LEGENDRE, 1.0), constant_signal(LEGENDRE, -1.0))
     traj = integrate_nhi(u, NhiState(1.0, 2.0, 3.0), steps=100)
@@ -358,6 +366,12 @@ def test_project_rotation():
     proj = project_rotation(noisy)
     assert_allclose(proj.T @ proj, np.eye(3), atol=1e-12)
     assert np.max(np.abs(proj - g)) < 1e-5
+
+
+def test_project_rotation_turns_a_reflection_into_a_rotation():
+    proj = project_rotation(np.diag([1.0, 1.0, -1.0]))
+    assert_allclose(np.linalg.det(proj), 1.0, rtol=0.0, atol=1e-12)
+    assert_allclose(proj.T @ proj, np.eye(3), atol=1e-12)
 
 
 def test_rotation_type_validation():

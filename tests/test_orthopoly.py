@@ -25,6 +25,9 @@ from nhsteer.orthopoly import (
     Harmonic,
     InputSignal,
     Term,
+    _arc_angle,
+    _arc_integrand,
+    _arc_time,
     _gauss_jacobi,
     _sign_cuts,
     basis_signal,
@@ -332,6 +335,45 @@ def test_integrate_smooth_against_scipy():
     ours = integrate_smooth(f, -1.0, 2.0)
     ref, _ = sp_integrate.quad(lambda t: math.exp(t) * math.cos(3.0 * t), -1.0, 2.0)
     assert_allclose(ours, ref, atol=1e-11)
+
+
+def test_integrate_smooth_refuses_a_divergent_integrand():
+    with pytest.raises(IntegrabilityError):
+        integrate_smooth(lambda t: 1.0 / np.abs(t), -1.0, 1.0)
+
+
+def test_integrate_smooth_interval_order():
+    with pytest.raises(ValueError, match="reversed"):
+        integrate_smooth(np.cos, 1.0, -1.0)
+    assert integrate_smooth(np.cos, 0.25, 0.25) == 0.0
+
+
+def test_arc_map_helpers_invert_and_scale():
+    s = np.linspace(0.0, np.pi, 33)
+    for box in (CANONICAL_INTERVAL, SHIFTED_INTERVAL):
+        half = 0.5 * (box[1] - box[0])
+        t = _arc_time(box, s)
+        assert t[0] == box[0] and t[-1] == box[1]
+        assert_allclose(_arc_angle(box, t), s, rtol=0.0, atol=2e-8)  # arccos loses digits at its ends
+        assert np.array_equal(_arc_integrand(np.exp, box, s), np.exp(t) * half * np.sin(s))
+        sig = basis_signal(CHEBYSHEV_FIRST, 3, interval=box, weighted=True)
+        assert np.array_equal(_arc_integrand(sig, box, s), sig.theta_factor(s))
+
+
+def test_inner_product_coerces_each_operand_once(monkeypatch):
+    f, g, w = BasisElement(CHEBYSHEV_FIRST, 5), BasisElement(CHEBYSHEV_FIRST, 7), weight_fn(CHEBYSHEV_FIRST)
+    want = inner_product(basis_signal(CHEBYSHEV_FIRST, 5), basis_signal(CHEBYSHEV_FIRST, 7), w)
+    built = []
+    post_init = InputSignal.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(InputSignal, "__post_init__", counted)
+    got = inner_product(f, g, w)
+    assert len(built) == 2  # f and g once each; the weight is already a signal
+    assert got == want
 
 
 def test_integrate_with_endpoint_weights_matches_beta_function():

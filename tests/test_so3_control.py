@@ -238,8 +238,7 @@ def test_shooting_residual_matches_the_matrix_flow():
 
 
 def test_underactuated_shooting_calls_no_matrix_routine(monkeypatch):
-    # the README target: the loop runs on quaternions in plain floats, so the only
-    # matrix exponential and logarithm are the two that give the start amplitude r0
+    # the README target: the loop and the start amplitude r0 run on quaternions in plain floats
     calls = collections.Counter()
 
     def spy(name, fn):
@@ -255,7 +254,30 @@ def test_underactuated_shooting_calls_no_matrix_routine(monkeypatch):
     g1 = np.array([[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]])
     plan = underactuated_plan(np.eye(3), g1, 2.0)
     assert plan.params["iterations"] == 9
-    assert all(calls[name] <= 1 for name in ("exp_rotation", "log_rotation", "underactuated_flow", "solve")), calls
+    assert all(calls[name] == 0 for name in ("exp_rotation", "log_rotation", "underactuated_flow", "solve")), calls
+
+
+def test_start_amplitude_is_the_angle_left_by_the_pure_third_axis_turn():
+    # r0 T = |residual at (0, 0, 1)| is the angle of g1 (exp(T E3) g0)^T, the inverse rotation
+    rng = np.random.default_rng(3)
+    for duration in (0.3, 1.0, 2.0, 5.0):
+        g0, g1 = (_random_rotation(rng, scale=2.0).matrix for _ in range(2))
+        gap = so3_control._shooting_residual((0.0, 0.0, 1.0), duration, _rotation_quaternion(g0 @ g1.T))
+        angle = np.linalg.norm(log_rotation(g1 @ (exp_rotation(duration * np.array([0.0, 0.0, 1.0])) @ g0).T))
+        assert_allclose(math.sqrt(sum(v * v for v in gap)), angle, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],  # second pivot negative
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]],  # third pivot negative
+        [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # second pivot 1 - 4 after elimination
+    ],
+)
+def test_damped_solve_gives_up_on_a_pivot_that_is_not_positive(gram):
+    assert so3_control._damped_solve(gram, [1.0, 1.0, 1.0], 0.0) is None
+    assert so3_control._damped_solve(gram, [1.0, 1.0, 1.0], 10.0) is not None
 
 
 def _quaternion_rotation(q):

@@ -407,6 +407,13 @@ def test_plans_whose_numbers_overflow_are_refused(x0, xf, family, match):
         plan_gnhi(GnhiState.from_flat(2, x0), GnhiState.from_flat(2, xf), family=family)
 
 
+def test_an_overflowing_signal_energy_is_refused_where_it_is_computed():
+    # each input's energy overflows alone, before the sum of the energies is formed
+    with pytest.raises(DomainError, match="the input energy overflows") as info:
+        plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1.05e308), family=CHEBYSHEV_SECOND)
+    assert info.traceback[-1].name == "_signal_energy"
+
+
 def test_divergent_energy_of_a_huge_target_stays_infinite():
     # weighted T_n have infinite energy at every target, which is not an overflow
     assert plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1e308), family=CHEBYSHEV_FIRST).cost == math.inf
