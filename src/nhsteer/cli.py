@@ -88,18 +88,24 @@ def _floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _float_triple(text: str) -> tuple[float, float, float]:
+def _float_fields(text: str, names: str) -> tuple[float, ...]:
+    """As many comma-separated numbers as ``names`` has fields; the error names them."""
     vals = _floats(text)
-    if len(vals) != 3:
-        raise argparse.ArgumentTypeError("expected X1,X2,X3")
+    if len(vals) != names.count(",") + 1:
+        raise argparse.ArgumentTypeError(f"expected {names}")
     return vals
+
+
+def _float_triple(text: str) -> tuple[float, float, float]:
+    return _float_fields(text, "X1,X2,X3")
 
 
 def _float_pair(text: str) -> tuple[float, float]:
-    vals = _floats(text)
-    if len(vals) != 2:
-        raise argparse.ArgumentTypeError("expected LO,HI")
-    return vals
+    return _float_fields(text, "LO,HI")
+
+
+def _jacobi_pair(text: str) -> tuple[float, float]:
+    return _float_fields(text, "ALPHA,BETA")
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -372,7 +378,7 @@ def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jacobi",
-        type=_float_pair,
+        type=_jacobi_pair,
         default=None,
         metavar="ALPHA,BETA",
         help="Jacobi weight exponents (jacobi family only)",
@@ -481,8 +487,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (NhsteerError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NhsteerError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

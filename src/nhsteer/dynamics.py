@@ -36,7 +36,6 @@ rate values with ``DomainError`` before integrating.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,12 +47,9 @@ from .orthopoly import (
     InputSignal,
     _arc_integrand,
     _arc_time,
-    _as_signal,
     _eval_array,
-    _factors,
     _infer_interval,
-    _product_integrals,
-    _running_factors,
+    coupling_displacement,
 )
 
 __all__ = [
@@ -221,13 +217,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _finite_interval(interval) -> tuple[float, float]:
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise DomainError(f"interval bounds must be finite, got {(lo, hi)}")
-    return lo, hi
-
-
 def _grids(inputs, interval, steps, reparam):
     """Node times, the step, and per-channel values at the nodes and midpoints.
 
@@ -277,7 +266,7 @@ def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps) -> Trajectory:
     """
     if steps < _MIN_STEPS:
         raise ValueError(f"steps must be at least {_MIN_STEPS}")
-    interval = _finite_interval(_infer_interval(u, interval))
+    interval = _infer_interval(u, interval)
     _check_simulable(u, interval)
     reparam = any(isinstance(sig, InputSignal) and sig.is_weighted for sig in u)
     t_nodes, h, u_nodes, u_mid = _grids(u, interval, steps, reparam)
@@ -526,7 +515,7 @@ def integrate_so3(omega, g0=None, interval=(0.0, 1.0), steps: int = 2000) -> Tra
         g0 = Rotation.identity()
     if not isinstance(g0, Rotation):
         g0 = Rotation(np.asarray(g0, dtype=float))
-    lo, hi = _finite_interval(interval)
+    lo, hi = _infer_interval((), interval)
     if hi <= lo:
         raise ValueError("interval must have positive length")
     h = (hi - lo) / steps
@@ -569,41 +558,3 @@ def integrate_so3(omega, g0=None, interval=(0.0, 1.0), steps: int = 2000) -> Tra
         scheme="magnus4",
         interval=(lo, hi),
     )
-
-
-# ---------------------------------------------------------------------------
-# Coupling displacement
-# ---------------------------------------------------------------------------
-
-
-def coupling_displacement(u1, u2, interval=None) -> float:
-    """Net change of the cross coordinate from rest: integral of X1 u2 - X2 u1.
-
-    X_i is the running integral of u_i from the left endpoint.  Elements,
-    terms and signals expand term by term into exact antiderivatives, so a
-    product of family terms with a polynomial or trig X_i is summed exactly
-    on Gauss-Jacobi nodes or by the trapezoid rule.  The running integral of
-    a weighted index-0 term (an incomplete beta function) is not a
-    polynomial; against a term whose running integral is, its product is
-    integrated by parts, X1(hi) X2(hi) = integral of X1 u2 + X2 u1, which
-    leaves only exact rules.  Bare callables and mixed trig and polynomial
-    products go through adaptive quadrature.
-    """
-    u1, u2 = _as_signal(u1), _as_signal(u2)
-    interval = _infer_interval((u1, u2), interval)
-    ops1 = tuple(zip(_running_factors(u1, interval), _factors(u1)))
-    ops2 = tuple(zip(_running_factors(u2, interval), _factors(u2)))
-
-    def part(x, f, y, g):
-        """Integral of X times the other term: X's running factor x and factor f, the other's y and g."""
-        if x[2] is None and f[2] is not None and y[2] is not None:
-            ends = next(_product_integrals(((f,),), interval)) * next(_product_integrals(((g,),), interval))
-            return ends - next(_product_integrals(((y,), (f,)), interval))
-        return next(_product_integrals(((x,), (g,)), interval))
-
-    total = 0.0
-    for (x1, f1), (x2, f2) in itertools.product(ops1, ops2):
-        total += part(x1, f1, x2, f2)
-    for (x2, f2), (x1, f1) in itertools.product(ops2, ops1):
-        total -= part(x2, f2, x1, f1)
-    return total

@@ -13,7 +13,7 @@ ranks several shape pairs for the same target and refuses to return a report
 whose transfer does not survive simulation.  ``fuel_min_lp`` solves the Lp
 fuel in closed form by the same inequality, J* = 2 |c|^(p/2) sqrt(c1p c2p).
 
-The coupling D is summed exactly by ``dynamics.coupling_displacement`` (Gauss-
+The coupling D is summed exactly by ``orthopoly.coupling_displacement`` (Gauss-
 Jacobi nodes, or the trapezoid rule for trig shapes).  Shape norms come from
 ``orthopoly.l1_norm`` / ``lp_norm``: a shape is a single term, so its sign
 changes are its known zeros (Gauss-Jacobi nodes, or the trig closed forms);
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, PlannerError
 from .dynamics import coupling_displacement, integrate_nhi
-from .orthopoly import JACOBI, InputSignal, _infer_interval, l1_norm, lp_norm, scale_signal
+from .orthopoly import JACOBI, InputSignal, l1_norm, lp_norm, scale_signal
 from .steering import _nonzero_coupling, pair_signals
 
 __all__ = [
@@ -71,7 +71,6 @@ def _shape_constants(u1, u2, a: float, interval, norm, what: str = "the pair") -
         raise ValueError(f"the displacement target must be nonzero and finite, got {a!r}")
     if not isinstance(u1, InputSignal) or not isinstance(u2, InputSignal):
         raise ValueError("fuel analysis expects InputSignal shapes")
-    interval = _infer_interval((u1, u2), interval)
     coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval), what)
     c = a / coupling
     if not math.isfinite(c):
@@ -82,7 +81,7 @@ def _shape_constants(u1, u2, a: float, interval, norm, what: str = "the pair") -
         c=c,
         coupling=coupling,
         a=a,
-        interval=interval,
+        interval=u1.interval,  # the coupling has checked that it is the interval of both and of ``interval``
     )
 
 

@@ -32,10 +32,7 @@ from .orthopoly import (
     BasisElement,
     InputSignal,
     Term,
-    _as_signal,
-    _factors,
-    _infer_interval,
-    _product_integrals,
+    inner_product,
     weight_fn,
 )
 from .steering import SteeringPlan, _phase
@@ -142,25 +139,16 @@ def cheb_optimal_inputs(a: float, split: float = 0.0) -> ChebOptimalSolution:
 def weighted_cost(u1, u2, cost: WeightedCost) -> float:
     """Evaluate 1/2 * integral (a1 u1^2 + a2 u2^2) over the cost interval.
 
-    Each channel is the product integral of (u, u, a) on the one path of
-    ``orthopoly``: signal inputs and weights expand term by term, so endpoint
+    Each channel is ``orthopoly.inner_product(u, u, a)`` on the cost
+    interval, so signal inputs and weights expand term by term, endpoint
     weights combine analytically (a ``weight_fn`` channel weight is a
-    weighted index-0 term, whose exponents add to the inputs') and a number
-    weight is a constant factor; products of family terms are then summed by
+    weighted index-0 term, whose exponents add to the inputs'), a number
+    weight is a constant factor, and products of family terms are summed by
     exact Gauss rules.  Any other callable weight or a plain callable input
     enters the product as it is and goes through adaptive quadrature (such
     an input must be bounded).
     """
-    box = cost.interval
-    total = 0.0
-    for u, aw in ((u1, cost.a1), (u2, cost.a2)):
-        if not (isinstance(aw, (int, float)) or callable(aw)):
-            raise ValueError("channel weights must be weight signals, numbers, or callables")
-        u, aw = _as_signal(u), _as_signal(aw)
-        _infer_interval((u,), box)  # the input must live on the cost interval
-        for part in _product_integrals(map(_factors, (u, u, aw)), box):
-            total += part
-    return 0.5 * total
+    return 0.5 * (inner_product(u1, u1, cost.a1, cost.interval) + inner_product(u2, u2, cost.a2, cost.interval))
 
 
 def el_residual(u1, u2, cost: WeightedCost, lam: float, t: float) -> tuple[float, float]:

@@ -19,12 +19,16 @@ checks the recurrences.
 
 Which rule serves which integrand:
 
-* Products of family terms (``inner_product``, ``optimal_energy.weighted_cost``
-  and ``dynamics.coupling_displacement``) go through ``_product_integrals``.
-  A polynomial of degree D against (1 - t)^a (1 + t)^b is summed on
-  floor(D/2) + 1 Gauss-Jacobi nodes (``_gauss_jacobi``, built on first use
-  and cached), a trig polynomial of index sum K by the K + 1 point trapezoid
-  sum over its period; both exact.
+* Integrals of products of signals are taken here and nowhere else:
+  ``inner_product`` (of which ``optimal_energy.weighted_cost`` is half the
+  sum over two channels) and ``coupling_displacement`` (re-exported by
+  ``dynamics``) both go through ``_product_integrals``.  A polynomial of
+  degree D against (1 - t)^a (1 + t)^b is summed on floor(D/2) + 1
+  Gauss-Jacobi nodes (``_gauss_jacobi``, built on first use and cached), a
+  trig polynomial of index sum K by the K + 1 point trapezoid sum over its
+  period; both exact.  The coupling takes the product of a weighted index-0
+  running integral (not a polynomial) and a term by parts, so that it too
+  meets exact rules only.
 * Running integrals of terms are exact (``_term_running_integral_canonical``):
   a polynomial times a Jacobi weight, a trig polynomial, or for a weighted
   index 0 the incomplete beta function by its continued fraction.
@@ -84,6 +88,7 @@ __all__ = [
     "scale_signal",
     "combine_signals",
     "inner_product",
+    "coupling_displacement",
     "integrate",
     "integrate_smooth",
     "l1_norm",
@@ -929,7 +934,10 @@ def _product_integrals(factor_lists, box):
 
 
 def _infer_interval(operands, *given) -> tuple[float, float]:
-    """The one interval shared by the operands' elements, terms and signals and the non-None ``given``."""
+    """The one interval shared by the operands' elements, terms and signals and the non-None ``given``.
+
+    Its bounds must be finite (``DomainError``), so a bare callable's box is checked here too.
+    """
     found = {(float(i[0]), float(i[1])) for i in given if i is not None}
     for obj in operands:
         sig = _as_signal(obj)
@@ -941,23 +949,61 @@ def _infer_interval(operands, *given) -> tuple[float, float]:
         raise ValueError("operands live on different intervals")
     if not found:
         raise ValueError("interval cannot be inferred from bare callables; pass it")
-    return found.pop()
+    interval = found.pop()
+    if not (math.isfinite(interval[0]) and math.isfinite(interval[1])):
+        raise DomainError(f"interval bounds must be finite, got {interval}")
+    return interval
 
 
-def inner_product(f, g, w: InputSignal | None = None, interval=None) -> float:
+def inner_product(f, g, w: InputSignal | float | None = None, interval=None) -> float:
     """<f, g>_w = integral of f*g*w over the interval.
 
     ``f`` and ``g`` may be basis elements, terms, input signals, or plain
-    callables, and the weight ``w`` (a ``weight_fn`` signal) any of these.
+    callables, and the weight ``w`` (a ``weight_fn`` signal) any of these or
+    a number, a constant factor.  The interval is the operands' own, or
+    ``interval``, any finite box, when all of them are callables or numbers.
     The endpoint singularities of weighted terms, the weight's included,
     become the weight of an exact Gauss-Jacobi rule, or of the substitution
     inside ``integrate`` for a plain callable.
     """
-    operands = tuple(map(_as_signal, (f, g) if w is None else (w, f, g)))
-    box = _infer_interval(operands, None if interval is None else _check_interval(interval))
+    operands = tuple(map(_as_signal, (f, g) if w is None else (f, g, w)))
+    box = _infer_interval([op for op in operands if not isinstance(op, (int, float))], interval)
     total = 0.0
     for part in _product_integrals(map(_factors, operands), box):
         total += part
+    return total
+
+
+def coupling_displacement(u1, u2, interval=None) -> float:
+    """Net change of the cross coordinate from rest: integral of X1 u2 - X2 u1.
+
+    X_i is the running integral of u_i from the left endpoint.  Elements,
+    terms and signals expand term by term into exact antiderivatives, so a
+    product of family terms with a polynomial or trig X_i is summed exactly
+    on Gauss-Jacobi nodes or by the trapezoid rule.  The running integral of
+    a weighted index-0 term (an incomplete beta function) is not a
+    polynomial; against a term whose running integral is, its product is
+    integrated by parts, X1(hi) X2(hi) = integral of X1 u2 + X2 u1, which
+    leaves only exact rules.  Bare callables and mixed trig and polynomial
+    products go through adaptive quadrature.
+    """
+    u1, u2 = _as_signal(u1), _as_signal(u2)
+    interval = _infer_interval((u1, u2), interval)
+    ops1 = tuple(zip(_running_factors(u1, interval), _factors(u1)))
+    ops2 = tuple(zip(_running_factors(u2, interval), _factors(u2)))
+
+    def part(x, f, y, g):
+        """Integral of X times the other term: X's running factor x and factor f, the other's y and g."""
+        if x[2] is None and f[2] is not None and y[2] is not None:
+            ends = next(_product_integrals(((f,),), interval)) * next(_product_integrals(((g,),), interval))
+            return ends - next(_product_integrals(((y,), (f,)), interval))
+        return next(_product_integrals(((x,), (g,)), interval))
+
+    total = 0.0
+    for (x1, f1), (x2, f2) in itertools.product(ops1, ops2):
+        total += part(x1, f1, x2, f2)
+    for (x2, f2), (x1, f1) in itertools.product(ops2, ops1):
+        total -= part(x2, f2, x1, f1)
     return total
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularityError
+from .errors import ConvergenceError, DomainError, SingularityError
 from .dynamics import Rotation, exp_rotation, integrate_so3, log_rotation
 from .dynamics import _quaternion_log, _quaternion_product, _rotation_quaternion
 from .orthopoly import Harmonic, _eval_array, integrate_smooth
@@ -196,6 +196,8 @@ def _shooting_residual(params, duration: float, rel: tuple) -> tuple:
     r, phi, c = params
     v1, v2, v3 = duration * (r * math.cos(phi)), duration * (-r * math.sin(phi)), duration * c
     theta = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    if not theta < math.inf:
+        raise DomainError(f"the duration {duration!r} overflows the shooting residual")
     # sin(theta/2)/theta, by its series where the quotient loses accuracy
     k = 0.5 - theta * theta / 48.0 if theta < 1e-8 else math.sin(0.5 * theta) / theta
     half_turn = -0.5 * duration * (c - 1.0)
@@ -250,19 +252,11 @@ def underactuated_plan(g0, g1, duration: float) -> AttitudePlan:
     g0, g1, duration = _boundary(g0, g1, duration)
     rel = _rotation_quaternion(g0.matrix @ g1.matrix.T)
     gap = _shooting_residual((0.0, 0.0, 1.0), duration, rel)
-    r0 = math.sqrt(_dot(gap, gap)) / duration
-    if r0 < 1e-14:
-        return AttitudePlan(
-            mode="underactuated",
-            g0=g0,
-            g1=g1,
-            duration=duration,
-            omega=_underactuated_rates(0.0, 0.0, 1.0),
-            params={"r": 0.0, "phi": 0.0, "c": 1.0, "residual": 0.0, "iterations": 0},
-            cost=0.0,
-        )
-    best = None
-    inits = [
+    angle = math.sqrt(_dot(gap, gap))
+    r0 = angle / duration
+    # g1 is g0 turned by T about the third axis: the plan at rest in the plane needs no shooting
+    best = ((0.0, 0.0, 1.0), angle, 0) if angle < 1e-14 else None
+    inits = [] if best else [
         (r0, 0.0, 1.0 + 2.0 * math.pi / duration),
         (r0, 0.0, 1.0 - 2.0 * math.pi / duration),
         (r0, 0.0, 1.0 + 4.0 * math.pi / duration),
@@ -315,7 +309,9 @@ def underactuated_plan(g0, g1, duration: float) -> AttitudePlan:
     r, phi, c = (float(v) for v in params)
     if r < 0.0:
         r, phi = -r, phi + math.pi
-    phi = math.atan2(math.sin(phi), math.cos(phi))
+    # for a third-axis target every phase closes the loop (a turn of the plane
+    # about the third axis maps roots to roots), so the phase is reported as zero
+    phi = 0.0 if rel[1] == rel[2] == 0.0 else math.atan2(math.sin(phi), math.cos(phi))
     return AttitudePlan(
         mode="underactuated",
         g0=g0,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import nhsteer
+from nhsteer import cli
 from nhsteer.cli import _glue_negative_values, main
 
 
@@ -485,6 +486,7 @@ HOSTILE = [
     (1, ("plan", "nhi", *_TO, "--family", "jacobi", "--jacobi", "inf,inf")),
     (1, ("plan", "nhi", *_TO, "--family", "jacobi", "--jacobi", "-1,-1")),
     (1, ("plan", "nhi", *_TO, "--family", "jacobi")),
+    (2, ("plan", "nhi", *_TO, "--family", "jacobi", "--jacobi", "1,2,3")),
     # targets
     (1, ("plan", "nhi", "--from", "0,0,0", "--to", "0,0,nan")),
     (1, ("plan", "nhi", "--from", "0,0,0", "--to", "0,0,inf")),
@@ -501,6 +503,10 @@ HOSTILE = [
     (1, (*_SO3, _ROT, "--duration", "0")),
     (1, (*_SO3, _ROT, "--duration", "-1", "--mode", "underactuated")),
     (1, (*_SO3, _ROT, "--duration", "nan", "--mode", "underactuated")),
+    (1, (*_SO3, _ROT, "--duration", "1e15", "--mode", "underactuated")),
+    (1, (*_SO3, _ROT, "--duration", "1e20", "--mode", "underactuated")),
+    (1, (*_SO3, _ROT, "--duration", "1e160", "--mode", "underactuated")),
+    (1, (*_SO3, _ROT, "--duration", "1e300", "--mode", "underactuated")),
     # intervals
     (1, ("plan", "nhi", *_TO, "--interval", "0,nan")),
     (1, ("plan", "nhi", *_TO, "--interval", "0,inf")),
@@ -527,14 +533,42 @@ HOSTILE = [
 ]
 
 
+# rows whose message is checked too
+HOSTILE_MESSAGES = {
+    ("plan", "nhi", *_TO, "--family", "jacobi", "--jacobi", "1,2,3"): "argument --jacobi: expected ALPHA,BETA",
+}
+
+
 @pytest.mark.parametrize("expected, argv", HOSTILE, ids=[" ".join(argv) for _, argv in HOSTILE])
 def test_hostile_arguments_exit_cleanly(tmp_path, capsys, expected, argv):
     (tmp_path / "malformed.json").write_text("not json")
+    message = HOSTILE_MESSAGES.get(argv, "")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _, err = run(capsys, *argv)
     assert code == expected, err
-    assert "Traceback" not in err and not caught
+    assert "Traceback" not in err and "math domain error" not in err and not caught
     if expected:
-        assert "error: " in err
+        assert "error: " in err and message in err
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 1.49 GiB for an array")])
+def test_running_out_of_memory_is_an_error_line(capsys, monkeypatch, exc):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "simulate_plan", exhausted)
+    code, out, err = run(capsys, "verify", "--plan", str(Path(__file__).parent / "golden" / "plan_nhi_legendre.json"))
+    assert (code, out) == (1, "")
+    assert err == f"error: {str(exc) or 'MemoryError'}\n"
+
+
+@pytest.mark.parametrize("target", ["identity", "0,-1,0,1,0,0,0,0,1"])
+def test_third_axis_targets_plan_phase_zero_and_verify(tmp_path, capsys, target):
+    path = str(tmp_path / "plan.json")
+    code, _, err = run(capsys, *_SO3, target, "--duration", "1", "--mode", "underactuated", "--out", path)
+    assert code == 0, err
+    assert json.loads(Path(path).read_text())["params"]["phi"] == 0.0
+    code, out, err = run(capsys, "verify", "--plan", path)
+    assert code == 0, out + err

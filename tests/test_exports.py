@@ -1,5 +1,6 @@
-"""Every public name the package and its modules export resolves, and the
-package imports nothing at run time beyond the standard library and numpy."""
+"""Every public name the package and its modules export resolves, the
+package imports nothing at run time beyond the standard library and numpy,
+and only ``orthopoly`` integrates products of signals."""
 
 import ast
 import importlib
@@ -35,3 +36,45 @@ def test_modules_import_only_the_standard_library_and_numpy(name):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             roots.add(node.module.split(".")[0])
     assert roots - set(sys.stdlib_module_names) - {"numpy", "nhsteer"} == set()
+
+
+PRODUCT_RULES = {"_factors", "_running_factors", "_product_integrals"}
+
+
+def _tree(name):
+    return ast.parse(Path(importlib.import_module(name).__file__).read_text())
+
+
+def _identifiers(tree):
+    """Every name a module defines, reads, imports or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+@pytest.mark.parametrize("name", ["nhsteer", *MODULES])
+def test_only_orthopoly_names_the_product_rules(name):
+    named = PRODUCT_RULES & set(_identifiers(_tree(name)))
+    assert named == (PRODUCT_RULES if name == "nhsteer.orthopoly" else set())
+
+
+@pytest.mark.parametrize("name", ["nhsteer.optimal_energy", "nhsteer.fuel_l1"])
+def test_costs_and_fuel_import_no_private_orthopoly_name(name):
+    private = []
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("orthopoly", "nhsteer.orthopoly"):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "orthopoly":
+            private += [node.attr] if node.attr.startswith("_") else []
+    assert private == []
+
+
+def test_the_coupling_is_one_function_wherever_it_is_exported():
+    coupling = nhsteer.orthopoly.coupling_displacement
+    assert nhsteer.coupling_displacement is nhsteer.dynamics.coupling_displacement is coupling

@@ -28,8 +28,10 @@ from nhsteer.orthopoly import (
     Term,
     basis_signal,
     combine_signals,
+    inner_product,
     integrate,
     scale_signal,
+    weight_fn,
 )
 from nhsteer.steering import scale_pair, simulate_plan
 
@@ -241,6 +243,19 @@ def test_weighted_cost_of_bare_callable_inputs_matches_quad():
         lambda t: 0.5 * (math.sin(t) ** 2 + math.exp(t) ** 2), -1.0, 1.0, weight="alg", wvar=(0.5, 0.5)
     )
     assert_allclose(weighted_cost(np.sin, math.exp, cheb_cost()), want_cheb, rtol=1e-10)
+
+
+def test_weighted_cost_of_bare_callables_on_a_box_of_their_own():
+    # 1/2 * integral over [0, 2] of t^2 + 1
+    assert weighted_cost(lambda t: t, lambda t: 1 + 0 * t, unit_cost((0, 2))) == pytest.approx(7.0 / 3.0, rel=1e-14)
+
+
+def test_weighted_cost_is_half_the_channel_inner_products():
+    u1, u2 = _two_term_pair(SHIFTED_INTERVAL)
+    w = weight_fn(CHEBYSHEV_SECOND, SHIFTED_INTERVAL)
+    for cost in (cheb_cost(SHIFTED_INTERVAL), unit_cost(SHIFTED_INTERVAL), WeightedCost(w, 2.5, SHIFTED_INTERVAL)):
+        channels = inner_product(u1, u1, cost.a1) + inner_product(u2, u2, cost.a2)
+        assert weighted_cost(u1, u2, cost) == 0.5 * channels
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 0.0])

@@ -33,6 +33,7 @@ from nhsteer.orthopoly import (
     basis_signal,
     combine_signals,
     constant_signal,
+    coupling_displacement,
     element_parity,
     evaluate,
     inner_product,
@@ -577,6 +578,35 @@ def test_inner_product_interval_conflict():
     b = basis_signal(LEGENDRE, 1, interval=SHIFTED_INTERVAL)
     with pytest.raises(ValueError):
         inner_product(a, b)
+
+
+def test_inner_product_takes_a_number_weight_as_a_constant_factor():
+    p2 = basis_signal(LEGENDRE, 2, interval=SHIFTED_INTERVAL)
+    assert inner_product(p2, p2, 2.5) == 2.5 * inner_product(p2, p2) == pytest.approx(2.5 / 5.0, rel=1e-15)
+
+
+def test_inner_product_of_bare_callables_on_any_finite_box():
+    assert inner_product(lambda t: t, lambda t: t, 1.0, interval=(0.0, 2.0)) == pytest.approx(8.0 / 3.0, rel=1e-14)
+    def antiderivative(t):  # of e^t cos t
+        return 0.5 * math.exp(t) * (math.cos(t) + math.sin(t))
+
+    want = antiderivative(0.5) - antiderivative(-3.0)
+    assert inner_product(np.exp, np.cos, interval=(-3.0, 0.5)) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError, match="different intervals"):
+        inner_product(basis_signal(LEGENDRE, 1), np.exp, interval=(0.0, 2.0))
+    for box in ((0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            inner_product(np.exp, np.exp, interval=box)
+        with pytest.raises(DomainError, match="finite"):
+            coupling_displacement(np.sin, np.cos, box)
+
+
+@pytest.mark.parametrize("number", [1.0, 2])
+def test_coupling_refuses_a_number_operand(number):
+    with pytest.raises(ValueError, match="cannot interpret"):
+        coupling_displacement(number, basis_signal(LEGENDRE, 1))
+    with pytest.raises(ValueError, match="cannot interpret"):
+        coupling_displacement(basis_signal(LEGENDRE, 1), number)
 
 
 def test_l1_norms():

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from nhsteer.dynamics import Rotation, _rotation_quaternion, exp_rotation, integrate_so3, log_rotation
 from nhsteer import so3_control
-from nhsteer.errors import ConvergenceError, SingularityError
+from nhsteer.errors import ConvergenceError, DomainError, SingularityError
 from nhsteer.orthopoly import Harmonic
 from nhsteer.so3_control import (
     AttitudePlan,
@@ -211,6 +212,36 @@ def test_underactuated_trivial_target_needs_no_steering():
     assert plan.cost == 0.0
     _, err = simulate_attitude(plan, steps=2000)
     assert err < 1e-12
+
+
+_README_TARGET = np.array([[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]])
+
+
+@pytest.mark.parametrize("duration", [1e15, 1e20, 1e100, 1e150])
+def test_underactuated_plan_at_a_very_long_duration_is_not_a_plan_at_rest(duration):
+    # the rest test used to compare the angle over T, so every target passed it once T > pi 1e14
+    with pytest.raises(ConvergenceError):
+        underactuated_plan(np.eye(3), _README_TARGET, duration)
+
+
+@pytest.mark.parametrize("duration", [1.4e154, 1e160, 1e300])
+def test_underactuated_plan_names_a_duration_that_overflows_the_residual(duration):
+    with pytest.raises(DomainError, match=re.escape(f"duration {duration!r} overflows")):
+        underactuated_plan(np.eye(3), _README_TARGET, duration)
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.7, -2.0, math.pi])
+@pytest.mark.parametrize("duration", [0.3, 1.0, 2.0, 5.0])
+def test_third_axis_targets_report_phase_zero(angle, duration):
+    # any phase closes the loop, and the residual at phase zero is the reported one
+    g1 = exp_rotation(np.array([0.0, 0.0, angle]))
+    plan = underactuated_plan(np.eye(3), g1, duration)
+    r, phi, c = (plan.params[k] for k in ("r", "phi", "c"))
+    assert phi == 0.0
+    gap = so3_control._shooting_residual((r, 0.0, c), duration, _rotation_quaternion(g1.T))
+    assert math.sqrt(sum(v * v for v in gap)) == pytest.approx(plan.params["residual"], abs=1e-14)
+    _, err = simulate_attitude(plan, steps=4000)
+    assert err < 1e-9
 
 
 def test_shooting_residual_matches_the_matrix_flow():
