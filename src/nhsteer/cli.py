@@ -39,6 +39,7 @@ from .orthopoly import (
 from .so3_control import AttitudePlan, constant_omega_plan, simulate_attitude, underactuated_plan
 from .steering import (
     PLAN_FAMILIES,
+    SimulationResult,
     SteeringPlan,
     default_pair,
     pair_signals,
@@ -214,7 +215,10 @@ def _cmd_plan_so3(args) -> int:
 
 
 def _simulate_plan_file(args):
-    """The simulated trajectory of the plan in the file ``args.plan`` and its endpoint error."""
+    """The simulation of the plan file ``args.plan`` and its endpoint error.
+
+    The simulation is a ``SimulationResult``, or the ``Trajectory`` of an so3 plan.
+    """
     try:
         data = json.loads(Path(args.plan).read_text())
         plan_type = AttitudePlan if data.get("system") == "so3" else SteeringPlan
@@ -227,12 +231,15 @@ def _simulate_plan_file(args):
         raise NhsteerError(f"malformed plan file {args.plan}: {exc}") from exc
     if isinstance(plan, AttitudePlan):
         return simulate_attitude(plan, steps=args.steps)
-    traj = simulate_plan(plan, steps=args.steps).merged
-    return traj, max(abs(traj.terminal[name] - value) for name, value in plan.predicted_endpoint.items())
+    result = simulate_plan(plan, steps=args.steps)
+    return result, max(abs(result.terminal[name] - value) for name, value in plan.predicted_endpoint.items())
 
 
 def _cmd_simulate(args) -> int:
-    _emit(args, _traj_csv(_simulate_plan_file(args)[0]))
+    sim = _simulate_plan_file(args)[0]
+    if isinstance(sim, SimulationResult):
+        sim = sim.merged  # the phases are freed before the CSV text is built
+    _emit(args, _traj_csv(sim))
     return 0
 
 

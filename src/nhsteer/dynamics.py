@@ -12,26 +12,29 @@ which serves every m >= 2 and names the cross coordinates as asked; the
 pairs (i, j), i < j, always come in the lexicographic order of ``_pairs``.
 The core implements classical RK4, but since the inputs depend on time only,
 the stage combinations collapse to closed-form per-step updates that
-vectorize over the whole grid.  Inputs carrying endpoint weight factors are
-integrated in the arc variable s of ``orthopoly``'s map t = mid - half*cos(s),
-where the weight (1-tau)^a (1+tau)^b times dt/ds is
-cos(s/2)^(2a+1) sin(s/2)^(2b+1) up to a constant.  That is smooth,
-keeping the full fourth order, when 2a + 1 and 2b + 1 are nonnegative
-integers; otherwise the order drops to about min(4, 2a + 2) (2b + 2 at the
-other end): weighted Jacobi plans at a = b = -0.45 end 7.6e-5 off at 4000
-steps.  The trajectory samples t non-uniformly and the input columns record
-u * dt/ds on the s-grid.  Weight exponents below -1/2 make that integrand
-infinite at an endpoint and are refused with ``CapabilityError``.
+vectorize over the whole grid.  A phase evaluates its inputs once, on the
+nodes and midpoints together, and a cross coordinate of two zero channels
+skips its pass.  Inputs carrying endpoint weight factors are integrated in
+the arc variable s of ``orthopoly``'s map t = mid - half*cos(s), where the
+weight (1-tau)^a (1+tau)^b times dt/ds is cos(s/2)^(2a+1) sin(s/2)^(2b+1) up
+to a constant.  That is smooth, keeping the full fourth order, when 2a + 1
+and 2b + 1 are nonnegative integers; otherwise the order drops to about
+min(4, 2a + 2) (2b + 2 at the other end): weighted Jacobi plans at
+a = b = -0.45 end 7.6e-5 off at 4000 steps.  The trajectory samples t
+non-uniformly and the input columns record u * dt/ds on the s-grid.  Weight
+exponents below -1/2 make that integrand infinite at an endpoint and are
+refused with ``CapabilityError``.
 
 ``integrate_so3`` takes one step rule, the two-stage fourth-order Magnus
 step, and computes every step's Magnus vector and every step's Rodrigues
 exponential as array operations over the whole grid (``_exp_rotations``, of
 which ``exp_rotation`` is the one-row case); only the 3x3 running product
-stays in a Python loop.  The quaternion helpers live here too, with the
+stays in a Python loop, as ``np.dot`` (bit-equal to ``np.matmul``, without
+its gufunc overhead).  The quaternion helpers live here too, with the
 one rotation logarithm ``_quaternion_log`` (w >= 0, the half-turn tie-break)
 behind ``log_rotation`` and the shooting residual of ``so3_control``.  All
-three integrators refuse non-finite interval bounds and non-finite input or
-rate values with ``DomainError`` before integrating.
+three integrators refuse reversed or empty intervals (``ValueError``) and
+non-finite bounds, inputs or rates (``DomainError``) before integrating.
 """
 
 from __future__ import annotations
@@ -45,10 +48,9 @@ from .errors import AmbiguityError, CapabilityError, DomainError
 from .orthopoly import (
     CANONICAL_INTERVAL,
     InputSignal,
-    _arc_integrand,
     _arc_time,
-    _eval_array,
     _infer_interval,
+    _stacked_values,
     coupling_displacement,
 )
 
@@ -222,18 +224,15 @@ def _grids(inputs, interval, steps, reparam):
 
     The grid is uniform in a variable v: v = t on the plain map, and on the
     arc map of ``orthopoly`` (``reparam``) v = s, where a channel's value is
-    its effective integrand u(t) dt/ds.
+    its effective integrand u(t) dt/ds.  Every channel is evaluated once, on
+    the nodes followed by the midpoints, and the rows are sliced.
     """
     lo, hi = (0.0, np.pi) if reparam else interval
     nodes = np.linspace(lo, hi, steps + 1)
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-
-    def value(u, v):
-        return _arc_integrand(u, interval, v) if reparam else _eval_array(u, v)
-
-    u_nodes = np.stack([value(u, nodes) for u in inputs])
-    u_mid = np.stack([value(u, mids) for u in inputs])
-    return _arc_time(interval, nodes) if reparam else nodes, (hi - lo) / steps, u_nodes, u_mid
+    points = np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:])))
+    values = _stacked_values(inputs, points, interval if reparam else None)
+    t_nodes = _arc_time(interval, nodes) if reparam else nodes
+    return t_nodes, (hi - lo) / steps, values[:, : steps + 1], values[:, steps + 1 :]
 
 
 def _check_simulable(u, interval) -> None:
@@ -263,6 +262,9 @@ def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps) -> Trajectory:
     in the stage inputs; this reproduces RK4 to the last bit while running
     as pure array arithmetic.  Each cross coordinate gets its own 1-D pass:
     one stacked (pairs x steps) array costs more time and memory at m = 8.
+    The inputs come from one evaluation on nodes and midpoints (``_grids``).
+    A pass whose channels are both zero signals (no terms) is skipped: after
+    sample 0 its path is ``start + 0.0``, as the sum of its +0.0 increments is.
     """
     if steps < _MIN_STEPS:
         raise ValueError(f"steps must be at least {_MIN_STEPS}")
@@ -283,21 +285,24 @@ def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps) -> Trajectory:
         x[:, 1:] = x[:, :1] + (h / 6.0) * np.cumsum(s_sum, axis=1)
         x_start = x[:, :-1]
         columns = dict(zip(state_names, x))
+        zero = [isinstance(sig, InputSignal) and not sig.terms for sig in u]
         for name, (i, j), start in zip(cross_names, _pairs(m), xx0):
+            path = columns[name] = np.empty(steps + 1)
+            path[0] = start
+            if zero[i] and zero[j]:  # every increment would be +0.0
+                path[1:] = start + 0.0
+                continue
             incr = (h / 6.0) * (x_start[i] * s_sum[j] - x_start[j] * s_sum[i]) + (
                 h * h / 6.0
             ) * (
                 (u0[i] * u_mid[j] - u0[j] * u_mid[i])
                 + (u_mid[i] * u1[j] - u_mid[j] * u1[i])
             )
-            path = np.empty(steps + 1)
-            path[0] = start
             path[1:] = start + np.cumsum(incr)
-            columns[name] = path
     if not all(np.isfinite(col).all() for col in columns.values()):
         raise DomainError("inputs overflow the integrator: a state coordinate is not finite")
     input_names = tuple(f"u{i + 1}" for i in range(m))
-    columns.update(zip(input_names, u_nodes))
+    columns.update(zip(input_names, u_nodes.copy()))  # frees the midpoint values
     return Trajectory(
         t=t_nodes,
         columns=columns,
@@ -516,14 +521,13 @@ def integrate_so3(omega, g0=None, interval=(0.0, 1.0), steps: int = 2000) -> Tra
     if not isinstance(g0, Rotation):
         g0 = Rotation(np.asarray(g0, dtype=float))
     lo, hi = _infer_interval((), interval)
-    if hi <= lo:
-        raise ValueError("interval must have positive length")
     h = (hi - lo) / steps
     t_nodes = np.linspace(lo, hi, steps + 1)
     stage_times = (t_nodes[:-1] + (0.5 - _SQ3 / 6.0) * h, t_nodes[:-1] + (0.5 + _SQ3 / 6.0) * h)
-    w_nodes, wa, wb = [np.stack([_eval_array(f, t) for f in omega]) for t in (t_nodes, *stage_times)]
-    if not all(np.isfinite(w).all() for w in (w_nodes, wa, wb)):
+    rates = _stacked_values(omega, np.concatenate((t_nodes, *stage_times)))
+    if not np.isfinite(rates).all():
         raise DomainError("rates must be finite on the interval")
+    w_nodes, wa, wb = np.split(rates, [steps + 1, 2 * steps + 1], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         steps_vec = 0.5 * h * (wa + wb).T - (_SQ3 / 12.0) * h * h * np.cross(wa.T, wb.T)
         rots = _exp_rotations(steps_vec)
@@ -535,7 +539,7 @@ def integrate_so3(omega, g0=None, interval=(0.0, 1.0), steps: int = 2000) -> Tra
     eye = np.eye(3)
     # the running product is the only sequential part; each step writes its sample in place
     for k, (rot, out) in enumerate(zip(rots, samples[1:]), start=1):
-        g = np.matmul(rot, g, out=out)
+        g = np.dot(rot, g, out=out)
         if k % 256 == 0 and np.max(np.abs(g.T @ g - eye)) > 1e-12:
             out[...] = project_rotation(g)
     if np.max(np.abs(g.T @ g - eye)) > 1e-12:
@@ -549,7 +553,7 @@ def integrate_so3(omega, g0=None, interval=(0.0, 1.0), steps: int = 2000) -> Tra
             state_names.append(name)
     input_names = ("w1", "w2", "w3")
     for idx, name in enumerate(input_names):
-        columns[name] = w_nodes[idx]
+        columns[name] = w_nodes[idx].copy()
     return Trajectory(
         t=t_nodes,
         columns=columns,

@@ -187,63 +187,48 @@ def element_parity(element: BasisElement):
 # ---------------------------------------------------------------------------
 
 
-def _legendre_all(n: int, tau: np.ndarray) -> list[np.ndarray]:
-    vals = [np.ones_like(tau)]
-    if n >= 1:
-        vals.append(tau.copy())
-    for k in range(1, n):
-        vals.append(((2 * k + 1) * tau * vals[k] - k * vals[k - 1]) / (k + 1))
-    return vals
+def _family_rows(family: str, params, indices, tau: np.ndarray) -> dict:
+    """{n: E_n(tau)} for each index n in ``indices`` of one family (Jacobi with ``params``).
 
+    A polynomial family runs its three-term recurrence once, up to the
+    largest index, holding two rows at a time and keeping only those asked for.
+    """
+    if family in (TRIG_SIN, TRIG_COS):
+        wave = np.sin if family == TRIG_SIN else np.cos
+        return {n: wave(n * np.pi * tau) for n in indices}
+    if family == LEGENDRE:
+        first, step = tau.copy(), lambda k, cur, prev: ((2 * k + 1) * tau * cur - k * prev) / (k + 1)
+    elif family in (CHEBYSHEV_FIRST, CHEBYSHEV_SECOND):
+        first = tau.copy() if family == CHEBYSHEV_FIRST else 2.0 * tau
+        step = lambda k, cur, prev: 2.0 * tau * cur - prev
+    elif family == JACOBI:
+        alpha, beta = params
+        first = 0.5 * (alpha + beta + 2.0) * tau + 0.5 * (alpha - beta)
 
-def _chebyshev_t_all(n: int, tau: np.ndarray) -> list[np.ndarray]:
-    vals = [np.ones_like(tau)]
-    if n >= 1:
-        vals.append(tau.copy())
-    for k in range(1, n):
-        vals.append(2.0 * tau * vals[k] - vals[k - 1])
-    return vals
+        def step(k, cur, prev):
+            m = k + 1
+            c = 2.0 * m + alpha + beta
+            a1 = 2.0 * m * (m + alpha + beta) * (c - 2.0)
+            a2 = (c - 1.0) * (alpha * alpha - beta * beta)
+            a3 = (c - 2.0) * (c - 1.0) * c
+            a4 = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * c
+            return ((a2 + a3 * tau) * cur - a4 * prev) / a1
 
-
-def _chebyshev_u_all(n: int, tau: np.ndarray) -> list[np.ndarray]:
-    vals = [np.ones_like(tau)]
-    if n >= 1:
-        vals.append(2.0 * tau)
-    for k in range(1, n):
-        vals.append(2.0 * tau * vals[k] - vals[k - 1])
-    return vals
-
-
-def _jacobi_all(n: int, alpha: float, beta: float, tau: np.ndarray) -> list[np.ndarray]:
-    vals = [np.ones_like(tau)]
-    if n >= 1:
-        vals.append(0.5 * (alpha + beta + 2.0) * tau + 0.5 * (alpha - beta))
-    for k in range(1, n):
-        m = k + 1
-        c = 2.0 * m + alpha + beta
-        a1 = 2.0 * m * (m + alpha + beta) * (c - 2.0)
-        a2 = (c - 1.0) * (alpha * alpha - beta * beta)
-        a3 = (c - 2.0) * (c - 1.0) * c
-        a4 = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * c
-        vals.append(((a2 + a3 * tau) * vals[k] - a4 * vals[k - 1]) / a1)
-    return vals
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    top = max(indices)
+    prev, cur = np.ones_like(tau), first
+    rows = {0: prev} if 0 in indices else {}
+    for k in range(1, top + 1):
+        if k in indices:
+            rows[k] = cur
+        if k < top:
+            prev, cur = cur, step(k, cur, prev)
+    return rows
 
 
 def _eval_canonical(family: str, index: int, params, tau: np.ndarray) -> np.ndarray:
-    if family == LEGENDRE:
-        return _legendre_all(index, tau)[index]
-    if family == CHEBYSHEV_FIRST:
-        return _chebyshev_t_all(index, tau)[index]
-    if family == CHEBYSHEV_SECOND:
-        return _chebyshev_u_all(index, tau)[index]
-    if family == JACOBI:
-        alpha, beta = params
-        return _jacobi_all(index, alpha, beta, tau)[index]
-    if family == TRIG_SIN:
-        return np.sin(index * np.pi * tau)
-    if family == TRIG_COS:
-        return np.cos(index * np.pi * tau)
-    raise ValueError(f"unknown family {family!r}")
+    return _family_rows(family, params, {index}, tau)[index]
 
 
 def _deriv_canonical(family: str, index: int, params, tau: np.ndarray, order: int) -> np.ndarray:
@@ -271,20 +256,17 @@ def _deriv_canonical(family: str, index: int, params, tau: np.ndarray, order: in
         coef = end_value * math.prod(j / (j + a) for j in range(1, n + 1))
     for j in range(order):
         coef *= 0.5 * (n + a + b + (j + 1.0))
-    return coef * _jacobi_all(n - order, a + order, b + order, tau)[n - order]
+    return coef * _eval_canonical(JACOBI, n - order, (a + order, b + order), tau)
 
 
 def _to_canonical(element_interval: tuple[float, float], t):
     """Map points of the element's interval to the canonical variable tau."""
     t = np.asarray(t, dtype=float)
     lo, hi = element_interval
-    if np.any(t < lo - _EDGE_TOL) or np.any(t > hi + _EDGE_TOL):
+    if (t < lo - _EDGE_TOL).any() or (t > hi + _EDGE_TOL).any():  # array methods: no np.any dispatch
         raise DomainError(f"evaluation point outside [{lo}, {hi}]")
-    if element_interval == CANONICAL_INTERVAL:
-        tau = t
-    else:
-        tau = 2.0 * t - 1.0
-    return np.clip(tau, -1.0, 1.0)
+    tau = t if element_interval == CANONICAL_INTERVAL else 2.0 * t - 1.0
+    return tau.clip(-1.0, 1.0)
 
 
 def _unwrap(value: np.ndarray, t):
@@ -346,9 +328,7 @@ def _arc_angle(box, t):
 
 def _arc_integrand(u, box, s):
     """u(t(s)) dt/ds on the arc map of ``box``: a signal's ``theta_factor``, a callable's value times half*sin(s)."""
-    if isinstance(u, InputSignal):
-        return np.asarray(u.theta_factor(s), dtype=float)
-    return _eval_array(u, _arc_time(box, s)) * (0.5 * (box[1] - box[0])) * np.sin(s)
+    return _stacked_values([u], s, box)[0].reshape(np.shape(s))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +353,7 @@ def _gauss_jacobi(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     off = 4.0 * (k + a) * (k + b) / (s * s * (s + 1.0))
     off[1:] *= k[1:] * (k[1:] + a + b) / (s[1:] - 1.0)
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off), -1))
-    x = x - _jacobi_all(n, a, b, x)[n] / _deriv_canonical(JACOBI, n, (a, b), x, 1)
+    x = x - _eval_canonical(JACOBI, n, (a, b), x) / _deriv_canonical(JACOBI, n, (a, b), x, 1)
     slope = _deriv_canonical(JACOBI, n, (a, b), x, 1)
     # C = 2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n!), as a product from the n = 1 value
     j = np.arange(2.0, n + 1.0)
@@ -614,7 +594,7 @@ def _term_running_integral_canonical(term: Term):
     if fam == LEGENDRE:
 
         def legendre(tau):  # P_{n+1} - P_{n-1} vanishes at -1
-            vals = _legendre_all(n + 1, tau)
+            vals = _family_rows(LEGENDRE, None, {n - 1, n + 1}, tau)
             return vals[n + 1] - vals[n - 1]
 
         return legendre, unweighted, 2 * n + 1.0, (n + 1, 0)
@@ -627,32 +607,77 @@ def _term_running_integral_canonical(term: Term):
             return (lambda tau: 0.5 * (tau * tau - 1.0)), unweighted, 1.0, (2, 0)
 
         def first_kind(tau):
-            vals = _chebyshev_t_all(n + 1, tau)
+            vals = _family_rows(CHEBYSHEV_FIRST, None, {n - 1, n + 1}, tau)
             return 0.5 * (vals[n + 1] / (n + 1) - vals[n - 1] / (n - 1)) - (-1.0) ** n / (n * n - 1.0)
 
         return first_kind, unweighted, 1.0, (n + 1, 0)
     if fam == CHEBYSHEV_FIRST:
-        return (lambda tau: -_chebyshev_u_all(n - 1, tau)[n - 1]), (0.5, 0.5), float(n), (n - 1, 0)
+        return (lambda tau: -_eval_canonical(CHEBYSHEV_SECOND, n - 1, None, tau)), (0.5, 0.5), float(n), (n - 1, 0)
     if fam == CHEBYSHEV_SECOND and (a, b) == unweighted:
         end = (-1.0) ** (n + 1)
-        return (lambda tau: _chebyshev_t_all(n + 1, tau)[n + 1] - end), unweighted, n + 1.0, (n + 1, 0)
+        return (lambda tau: _eval_canonical(CHEBYSHEV_FIRST, n + 1, None, tau) - end), unweighted, n + 1.0, (n + 1, 0)
     if fam == CHEBYSHEV_SECOND:
 
         def second_kind(tau):
-            vals = _chebyshev_u_all(n + 1, tau)
+            vals = _family_rows(CHEBYSHEV_SECOND, None, {n - 1, n + 1}, tau)
             return vals[n + 1] / (n + 2) - vals[n - 1] / n
 
         return second_kind, (0.5, 0.5), 2.0, (n + 1, 0)
     if (a, b) != unweighted:  # Jacobi
         raised = (a + 1.0, b + 1.0)
-        return (lambda tau: _jacobi_all(n - 1, *raised, tau)[n - 1]), raised, -2.0 * n, (n - 1, 0)
+        return (lambda tau: _eval_canonical(JACOBI, n - 1, raised, tau)), raised, -2.0 * n, (n - 1, 0)
 
     def gauss_legendre(tau):
         x, w = _gauss_jacobi(0.0, 0.0, n // 2 + 1)
         half = 0.5 * (tau[..., None] + 1.0)
-        return half[..., 0] * (_jacobi_all(n, *term.element.jacobi_params, half * (x + 1.0) - 1.0)[n] @ w)
+        return half[..., 0] * (_eval_canonical(JACOBI, n, term.element.jacobi_params, half * (x + 1.0) - 1.0) @ w)
 
     return gauss_legendre, unweighted, 1.0, (n + 1, 0)
+
+
+def _stacked_values(channels, v, arc=None) -> np.ndarray:
+    """Each channel's values at the points ``v``, one row per channel.
+
+    With ``arc`` None a row is u(v).  With ``arc`` a box, v is the angle of its
+    arc map and a row is u(t(v)) dt/dv: a signal's ``theta_factor``, a
+    callable's value times half*sin(v).  ``InputSignal.__call__``,
+    ``theta_factor`` and ``_arc_integrand`` are its one-row cases.  The signals
+    share tau per interval, one ``_family_rows`` per (interval, family, params)
+    and the ``_arc_weigh`` powers per exponent pair; each term is formed and
+    summed in the per-signal order (a value from its first term, an arc row
+    from zero), so every row is bit-identical to the one-row case.
+    """
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    wanted, powers = {}, {}
+    for sig in channels:
+        for term in sig.terms if isinstance(sig, InputSignal) else ():
+            el = term.element
+            wanted.setdefault((sig.interval, el.family, el.jacobi_params), set()).add(el.index)
+    taus = {box: _to_canonical(box, arr) if arc is None else -np.cos(arr) for box, _, _ in wanted}
+    rows = {key: _family_rows(key[1], key[2], indices, taus[key[0]]) for key, indices in wanted.items()}
+    out = np.empty((len(channels), *arr.shape))
+    for row, u in zip(out, channels):
+        if not isinstance(u, InputSignal):
+            row[...] = _eval_array(u, arr) if arc is None else (
+                _eval_array(u, _arc_time(arc, arr)) * (0.5 * (arc[1] - arc[0])) * np.sin(arr)
+            )
+            continue
+        row[...] = 0.0
+        for k, term in enumerate(u.terms):
+            el, (a, b) = term.element, term.exponents
+            value = term.scale * rows[u.interval, el.family, el.jacobi_params][el.index]
+            if arc is None:
+                value = _weigh(value, taus[u.interval], a, b)
+            else:
+                if (a, b) not in powers:  # the _arc_weigh factors cos(v/2)^(2a+1) and sin(v/2)^(2b+1)
+                    powers[a, b] = (np.cos(0.5 * arr) ** (2.0 * a + 1.0), np.sin(0.5 * arr) ** (2.0 * b + 1.0))
+                for factor in (0.5 * (u.interval[1] - u.interval[0]), 2.0 ** (a + b + 1.0), *powers[a, b]):
+                    value *= factor
+            if k == 0 and arc is None:
+                row[...] = value
+            else:
+                row += value
+    return out
 
 
 @dataclass(frozen=True)
@@ -675,13 +700,7 @@ class InputSignal:
                 raise ValueError("all terms must live on the signal's interval")
 
     def __call__(self, t):
-        if not self.terms:
-            out = np.zeros(np.shape(t), dtype=float)
-            return _unwrap(np.atleast_1d(out), t)
-        acc = self.terms[0].value(t)
-        for term in self.terms[1:]:
-            acc = acc + term.value(t)
-        return acc
+        return _unwrap(_stacked_values([self], t)[0].reshape(np.shape(t)), t)
 
     @property
     def is_singular(self) -> bool:
@@ -748,17 +767,7 @@ class InputSignal:
         Each term's weight and the Jacobian combine into half * 2^(a+b+1)
         times the ``_arc_weigh`` factor; reparameterized integrators use this.
         """
-        s = np.asarray(s, dtype=float)
-        half = 0.5 * (self.interval[1] - self.interval[0])
-        arr = np.atleast_1d(s)
-        tau = -np.cos(arr)
-        acc = np.zeros_like(arr)
-        for term in self.terms:
-            el = term.element
-            e = term.scale * _eval_canonical(el.family, el.index, el.jacobi_params, tau)
-            a, b = term.exponents
-            acc = acc + _arc_weigh(e * half * 2.0 ** (a + b + 1.0), arr, a, b)
-        return _unwrap(acc.reshape(np.shape(s)), s)
+        return _unwrap(_arc_integrand(self, self.interval, s), s)
 
     def to_json_dict(self) -> dict:
         return {
@@ -936,7 +945,8 @@ def _product_integrals(factor_lists, box):
 def _infer_interval(operands, *given) -> tuple[float, float]:
     """The one interval shared by the operands' elements, terms and signals and the non-None ``given``.
 
-    Its bounds must be finite (``DomainError``), so a bare callable's box is checked here too.
+    Its bounds must be finite (``DomainError``) and increasing (``ValueError``), so a bare
+    callable's box is checked here too.
     """
     found = {(float(i[0]), float(i[1])) for i in given if i is not None}
     for obj in operands:
@@ -952,6 +962,8 @@ def _infer_interval(operands, *given) -> tuple[float, float]:
     interval = found.pop()
     if not (math.isfinite(interval[0]) and math.isfinite(interval[1])):
         raise DomainError(f"interval bounds must be finite, got {interval}")
+    if interval[0] >= interval[1]:
+        raise ValueError(f"interval must have positive length, got {interval}")
     return interval
 
 

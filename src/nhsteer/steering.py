@@ -409,33 +409,34 @@ def scale_pair(u1, u2, target: float, interval=None) -> tuple[float, float]:
 
 @dataclass
 class SimulationResult:
-    """Per-phase trajectories plus the merged time series and final state."""
+    """Per-phase trajectories and the final state; ``merged``, the phases end to end, is built on first access."""
 
     trajectories: list[Trajectory]
-    merged: Trajectory
     terminal: dict
 
-
-def _merge_trajectories(trajs: list[Trajectory], names, input_names) -> Trajectory:
-    offset = 0.0
-    t_parts = []
-    col_parts: dict[str, list[np.ndarray]] = {n: [] for n in (*names, *input_names)}
-    for idx, tr in enumerate(trajs):
-        lo = tr.interval[0]
-        sel = slice(1, None) if idx > 0 else slice(None)
-        t_parts.append(offset + (tr.t[sel] - lo))
-        for n in (*names, *input_names):
-            col_parts[n].append(tr.columns[n][sel])
-        offset += tr.interval[1] - tr.interval[0]
-    schemes = {tr.scheme for tr in trajs}
-    return Trajectory(
-        t=np.concatenate(t_parts),
-        columns={n: np.concatenate(parts) for n, parts in col_parts.items()},
-        state_names=tuple(names),
-        input_names=tuple(input_names),
-        scheme=schemes.pop() if len(schemes) == 1 else "mixed",
-        interval=(0.0, offset),
-    )
+    @functools.cached_property
+    def merged(self) -> Trajectory:
+        trajs = self.trajectories
+        names = (*trajs[0].state_names, *trajs[0].input_names)
+        offset = 0.0
+        t_parts = []
+        col_parts: dict[str, list[np.ndarray]] = {n: [] for n in names}
+        for idx, tr in enumerate(trajs):
+            lo = tr.interval[0]
+            sel = slice(1, None) if idx > 0 else slice(None)
+            t_parts.append(offset + (tr.t[sel] - lo))
+            for n in names:
+                col_parts[n].append(tr.columns[n][sel])
+            offset += tr.interval[1] - tr.interval[0]
+        schemes = {tr.scheme for tr in trajs}
+        return Trajectory(
+            t=np.concatenate(t_parts),
+            columns={n: np.concatenate(parts) for n, parts in col_parts.items()},
+            state_names=trajs[0].state_names,
+            input_names=trajs[0].input_names,
+            scheme=schemes.pop() if len(schemes) == 1 else "mixed",
+            interval=(0.0, offset),
+        )
 
 
 def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:
@@ -455,5 +456,4 @@ def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:
     if not trajs:
         zero = InputSignal(terms=(), interval=plan.interval)
         trajs = [integrate((zero,) * m, state, interval=plan.interval, steps=steps)]
-    merged = _merge_trajectories(trajs, names, trajs[0].input_names)
-    return SimulationResult(trajectories=trajs, merged=merged, terminal=trajs[-1].terminal)
+    return SimulationResult(trajectories=trajs, terminal=trajs[-1].terminal)

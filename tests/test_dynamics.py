@@ -567,6 +567,39 @@ def test_bilinear_integrators_refuse_finite_inputs_that_overflow():
     assert np.isfinite(list(end.values())).all()
 
 
+def test_zero_channels_beside_an_overflowing_direct_coordinate_still_raise():
+    # the cross coordinate of the two zero signals stays finite, x1 does not
+    zero = InputSignal(terms=())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="inputs overflow the integrator"):
+            integrate_gnhi((_const(1e308), zero, zero, _zero), GnhiState.zeros(4), steps=200)
+
+
+@pytest.mark.parametrize("box", [(2.0, 0.0), (1.0, 1.0)])
+def test_integrators_refuse_reversed_or_empty_intervals(box):
+    with pytest.raises(ValueError, match="positive length"):
+        integrate_nhi((np.cos, np.sin), interval=box, steps=200)
+    with pytest.raises(ValueError, match="positive length"):
+        integrate_so3((_zero, _zero, np.cos), interval=box, steps=200)
+
+
+def test_np_dot_running_product_is_bit_equal_to_matmul():
+    # integrate_so3 forms its running product with np.dot, which skips the
+    # gufunc overhead of np.matmul; the attitude samples are those of np.matmul
+    # only while both reach the same BLAS kernel.  A failure here after a numpy
+    # or BLAS upgrade explains a moved attitude golden.
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        rots = _exp_rotations(rng.normal(scale=0.05, size=(4000, 3)))
+        by_dot, by_matmul = np.empty((4001, 3, 3)), np.empty((4001, 3, 3))
+        by_dot[0] = by_matmul[0] = exp_rotation(rng.normal(size=3))
+        for k, rot in enumerate(rots):
+            np.dot(rot, by_dot[k], out=by_dot[k + 1])
+            np.matmul(rot, by_matmul[k], out=by_matmul[k + 1])
+        assert np.array_equal(by_dot, by_matmul)
+
+
 @pytest.mark.parametrize("params", [(-0.9, -0.9), (-0.6, 0.3), (0.3, -0.51)])
 def test_weighted_jacobi_exponent_below_minus_half_is_refused(params):
     sig = basis_signal(JACOBI, 1, weighted=True, jacobi_params=params)

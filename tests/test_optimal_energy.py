@@ -258,6 +258,11 @@ def test_weighted_cost_is_half_the_channel_inner_products():
         assert weighted_cost(u1, u2, cost) == 0.5 * channels
 
 
+def test_weighted_cost_refuses_a_reversed_box():
+    with pytest.raises(ValueError, match="positive length"):
+        weighted_cost(lambda t: t, lambda t: 1.0 + 0.0 * t, unit_cost((2.0, 0.0)))
+
+
 @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 0.0])
 def test_extremal_inputs_refuse_zero_and_non_finite_targets(a):
     with pytest.raises(ValueError, match="nonzero and finite"):

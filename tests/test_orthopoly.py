@@ -28,8 +28,15 @@ from nhsteer.orthopoly import (
     _arc_angle,
     _arc_integrand,
     _arc_time,
+    _arc_weigh,
+    _eval_array,
+    _eval_canonical,
+    _family_rows,
     _gauss_jacobi,
     _sign_cuts,
+    _stacked_values,
+    _to_canonical,
+    _weigh,
     basis_signal,
     combine_signals,
     constant_signal,
@@ -361,6 +368,78 @@ def test_arc_map_helpers_invert_and_scale():
         assert np.array_equal(_arc_integrand(sig, box, s), sig.theta_factor(s))
 
 
+def _per_term_rows(channels, v, arc=None):
+    """One channel at a time and one term at a time, each element by its own recurrence."""
+    rows = []
+    for u in channels:
+        if not isinstance(u, InputSignal):
+            if arc is None:
+                rows.append(_eval_array(u, v))
+            else:
+                rows.append(_eval_array(u, _arc_time(arc, v)) * (0.5 * (arc[1] - arc[0])) * np.sin(v))
+            continue
+        half = 0.5 * (u.interval[1] - u.interval[0])
+        acc = None if arc is None else np.zeros_like(v)
+        for term in u.terms:
+            el, (a, b) = term.element, term.exponents
+            tau = _to_canonical(u.interval, v) if arc is None else -np.cos(v)
+            e = term.scale * _eval_canonical(el.family, el.index, el.jacobi_params, tau)
+            value = _weigh(e, tau, a, b) if arc is None else _arc_weigh(e * half * 2.0 ** (a + b + 1.0), v, a, b)
+            acc = value if acc is None else acc + value
+        rows.append(np.zeros_like(v) if acc is None else acc)
+    return np.stack(rows)
+
+
+def _batch_channels(box, arc):
+    jac = (0.3, 0.3)
+    channels = [
+        combine_signals(basis_signal(LEGENDRE, 5, box), basis_signal(LEGENDRE, 0, box, -0.5), basis_signal(LEGENDRE, 2, box, 3.0)),
+        combine_signals(basis_signal(TRIG_SIN, 3, box), basis_signal(TRIG_COS, 2, box, 0.25)),
+        basis_signal(LEGENDRE, 2, box, -1.5),
+        InputSignal(terms=(), interval=box),
+        combine_signals(
+            basis_signal(JACOBI, 4, box, weighted=True, jacobi_params=jac),
+            basis_signal(CHEBYSHEV_SECOND, 3, box, 2.0, weighted=True),
+            basis_signal(JACOBI, 1, box, -0.75, jacobi_params=jac),
+        ),
+        basis_signal(CHEBYSHEV_SECOND, 6, box, weighted=True),
+        np.exp,
+        lambda t: math.cos(float(t)),  # scalar only: evaluated point by point
+    ]
+    if arc and box == CANONICAL_INTERVAL:  # singular weights only where the arc map takes them
+        channels.append(combine_signals(basis_signal(CHEBYSHEV_FIRST, 3, weighted=True), basis_signal(CHEBYSHEV_SECOND, 2, weighted=True)))
+    return channels
+
+
+@pytest.mark.parametrize("arc", [False, True])
+@pytest.mark.parametrize("box", [CANONICAL_INTERVAL, SHIFTED_INTERVAL])
+def test_stacked_values_equal_the_per_signal_and_per_term_values(box, arc):
+    channels = _batch_channels(box, arc)
+    v = np.linspace(0.0, np.pi, 257) if arc else np.linspace(box[0], box[1], 257)
+    got = _stacked_values(channels, v, box if arc else None)
+    def one(u):
+        if not arc:
+            return _eval_array(u, v)
+        return u.theta_factor(v) if isinstance(u, InputSignal) else _arc_integrand(u, box, v)
+
+    assert np.array_equal(got, np.stack([one(u) for u in channels]))
+    assert np.array_equal(got, _per_term_rows(channels, v, box if arc else None))
+
+
+def test_stacked_values_share_work_across_intervals_on_the_plain_map():
+    channels = _batch_channels(CANONICAL_INTERVAL, False) + _batch_channels(SHIFTED_INTERVAL, False)
+    v = np.linspace(0.0, 1.0, 129)
+    assert np.array_equal(_stacked_values(channels, v), _per_term_rows(channels, v))
+
+
+def test_family_rows_keep_only_the_rows_asked_for():
+    tau = np.linspace(-1.0, 1.0, 33)
+    rows = _family_rows(JACOBI, (1.7, 1.7), {0, 3, 9}, tau)
+    assert sorted(rows) == [0, 3, 9]
+    for n, row in rows.items():
+        assert np.array_equal(row, _eval_canonical(JACOBI, n, (1.7, 1.7), tau))
+
+
 def test_inner_product_coerces_each_operand_once(monkeypatch):
     f, g, w = BasisElement(CHEBYSHEV_FIRST, 5), BasisElement(CHEBYSHEV_FIRST, 7), weight_fn(CHEBYSHEV_FIRST)
     want = inner_product(basis_signal(CHEBYSHEV_FIRST, 5), basis_signal(CHEBYSHEV_FIRST, 7), w)
@@ -599,6 +678,18 @@ def test_inner_product_of_bare_callables_on_any_finite_box():
             inner_product(np.exp, np.exp, interval=box)
         with pytest.raises(DomainError, match="finite"):
             coupling_displacement(np.sin, np.cos, box)
+
+
+@pytest.mark.parametrize("box", [(2.0, 0.0), (1.0, 1.0)])
+def test_reversed_or_empty_boxes_are_refused(box):
+    # inner_product used to return the oriented Gauss sum (-2.0 on (2, 0)) while
+    # the callable form and the coupling returned 0.0
+    with pytest.raises(ValueError, match="positive length"):
+        inner_product(1.0, 1.0, interval=box)
+    with pytest.raises(ValueError, match="positive length"):
+        inner_product(lambda t: 1.0 + 0.0 * t, 1.0, interval=box)
+    with pytest.raises(ValueError, match="positive length"):
+        coupling_displacement(lambda t: t, lambda t: 1.0 + 0.0 * t, box)
 
 
 @pytest.mark.parametrize("number", [1.0, 2])

@@ -307,6 +307,7 @@ def test_scale_pair_rejects_degenerate_coupling():
 def test_merged_trajectory_is_continuous():
     plan = plan_nhi((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), family=LEGENDRE)
     result = simulate_plan(plan, steps=500)
+    assert "merged" not in vars(result)  # built on first access only
     t = result.merged.t
     assert np.all(np.diff(t) > 0)
     total = sum(ph.interval[1] - ph.interval[0] for ph in plan.phases)
@@ -326,6 +327,18 @@ def test_a_plan_with_no_phases_simulates_at_rest(m):
     assert result.terminal == plan.initial
     assert result.merged.interval == (0.0, 2.0) and result.merged.steps == 200
     assert not np.any([result.merged.columns[name] for name in result.merged.input_names])
+
+
+def test_a_cross_coordinate_of_two_zero_channels_keeps_its_start():
+    # only the x34 row runs, so channels 1 and 2 are zero signals and x12 keeps
+    # its -0.0 at sample 0; later samples are start + 0.0, as a sum of +0.0 steps gives
+    start = [0.5, -0.3, 0.2, 0.1, -0.0, 0.25, -0.75, 0.5, -0.25, 0.0]
+    target = start[:-1] + [1.5]
+    plan = plan_gnhi(GnhiState.from_flat(4, start), GnhiState.from_flat(4, target))
+    assert len(plan.phases) == 1 and plan.phases[0].inputs[0].terms == plan.phases[0].inputs[1].terms == ()
+    path = simulate_plan(plan, steps=400).trajectories[0].columns["x12"]
+    assert path[0] == 0.0 and np.signbit(path[0])
+    assert np.all(path[1:] == 0.0) and not np.signbit(path[1:]).any()
 
 
 # ---------------------------------------------------------------------------
