@@ -1,16 +1,16 @@
 """Command-line surface: plan, simulate, verify, fuel, and paper-repro.
 
 Outputs are deterministic: identical arguments produce byte-identical JSON
-and CSV.  Files go to ``--out`` (relative paths land under ``$NHSTEER_OUT_DIR``
-when that is set); without ``--out`` the data is written to stdout.
+and CSV.  One sink, ``_emit``, writes them to ``--out`` (relative paths land
+under ``$NHSTEER_OUT_DIR`` when that is set), opened once the result is
+computed, or else to stdout; a trajectory streams there from its columns.
 
-Exit codes: 0 success, 1 domain/planner error (message on stderr), 2 usage.
+Exit codes: 0 success, 1 domain/planner error or OSError (message on stderr), 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -134,24 +134,25 @@ def _resolve_out(path: str) -> Path:
     base = os.environ.get("NHSTEER_OUT_DIR")
     if base and not p.is_absolute():
         p = Path(base) / p
-    if p.parent and not p.parent.exists():
+    if not p.parent.exists():
         p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        path = _resolve_out(args.out)
-        path.write_text(text)
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+def _emit(args, write) -> None:
+    """Call ``write`` with the output handle: the ``--out`` file, opened once, or stdout."""
+    if not getattr(args, "out", None):
+        write(sys.stdout)
+        return
+    path = _resolve_out(args.out)
+    with open(path, "w", newline="") as fh:
+        write(fh)
+    print(f"wrote {path}", file=sys.stderr)
 
 
-def _traj_csv(traj) -> str:
-    buf = io.StringIO()
-    traj.to_csv(buf)
-    return buf.getvalue()
+def _text(text: str):
+    """A writer for ``_emit`` of ``text``, which is built before the output is opened."""
+    return lambda fh: fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +179,7 @@ def _cmd_plan_nhi(args) -> int:
             interval=args.interval,
             jacobi_params=args.jacobi,
         )
-    _emit(args, plan.to_json())
+    _emit(args, _text(plan.to_json()))
     return 0
 
 
@@ -193,7 +194,7 @@ def _cmd_plan_gnhi(args) -> int:
         pair=args.pair,
         jacobi_params=args.jacobi,
     )
-    _emit(args, plan.to_json())
+    _emit(args, _text(plan.to_json()))
     return 0
 
 
@@ -206,7 +207,7 @@ def _cmd_plan_so3(args) -> int:
         )
     else:
         plan = underactuated_plan(g0, g1, args.duration)
-    _emit(args, plan.to_json())
+    _emit(args, _text(plan.to_json()))
     return 0
 
 
@@ -223,8 +224,6 @@ def _simulate_plan_file(args):
         data = json.loads(Path(args.plan).read_text())
         plan_type = AttitudePlan if data.get("system") == "so3" else SteeringPlan
         plan = plan_type.from_json_dict(data)
-    except OSError as exc:
-        raise NhsteerError(f"cannot read plan file {args.plan}: {exc.strerror or exc}") from exc
     except KeyError as exc:
         raise NhsteerError(f"plan file {args.plan} lacks the field {exc}") from exc
     except (TypeError, AttributeError, json.JSONDecodeError) as exc:
@@ -238,8 +237,8 @@ def _simulate_plan_file(args):
 def _cmd_simulate(args) -> int:
     sim = _simulate_plan_file(args)[0]
     if isinstance(sim, SimulationResult):
-        sim = sim.merged  # the phases are freed before the CSV text is built
-    _emit(args, _traj_csv(sim))
+        sim = sim.merged
+    _emit(args, sim.to_csv)
     return 0
 
 
@@ -272,12 +271,12 @@ def _cmd_fuel(args) -> int:
                 for v in (r.c1, r.c2, r.c, r.b1, r.b2, r.min_fuel, r.grid_min_fuel, r.sim_error)
             ]
             lines.append(",".join(cells))
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _text("\n".join(lines) + "\n"))
         return 0
     pair = args.pair if args.pair else default_pair(args.family)
     _, _, constants = _pair_constants(args.family, pair, args.target, args.interval, args.jacobi)
     report = fuel_min(constants, family=args.family, pair=pair)
-    _emit(args, json.dumps(report.to_json_dict(), indent=2) + "\n")
+    _emit(args, _text(json.dumps(report.to_json_dict(), indent=2) + "\n"))
     return 0
 
 
@@ -494,7 +493,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (NhsteerError, ValueError, MemoryError) as exc:
+    except (NhsteerError, ValueError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -39,6 +39,7 @@ non-finite bounds, inputs or rates (``DomainError``) before integrating.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -72,6 +73,7 @@ __all__ = [
 ]
 
 _MIN_STEPS = 100
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -201,17 +203,15 @@ class Trajectory:
         return {name: float(self.columns[name][-1]) for name in self.state_names}
 
     def to_csv(self, path) -> None:
+        """A header line, then one line of ``repr`` floats per sample, written
+        ``_CSV_BLOCK_ROWS`` rows at a time to a text handle or to the file ``path``."""
         names = ["t", *self.state_names, *self.input_names]
-        cols = [self.t] + [self.columns[n] for n in names[1:]]
-        lines = [",".join(names)]
-        for row in zip(*cols):
-            lines.append(",".join(repr(float(v)) for v in row))
-        text = "\n".join(lines) + "\n"
-        if hasattr(path, "write"):
-            path.write(text)
-        else:
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
+        cols = [np.asarray(c, dtype=float) for c in (self.t, *(self.columns[n] for n in names[1:]))]
+        with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as fh:
+            fh.write(",".join(names) + "\n")
+            for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+                cells = [map(repr, col[lo : lo + _CSV_BLOCK_ROWS].tolist()) for col in cols]
+                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 # ---------------------------------------------------------------------------

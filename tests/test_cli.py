@@ -2,14 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nhsteer
 from nhsteer import cli
 from nhsteer.cli import _glue_negative_values, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -530,6 +534,16 @@ HOSTILE = [
     # plan files
     (1, ("verify", "--plan", "{tmp}/absent.json")),
     (1, ("simulate", "--plan", "{tmp}/malformed.json")),
+    (1, ("verify", "--plan", "{tmp}")),
+    # --out paths that cannot be written: a directory, or under a file
+    (1, ("plan", "nhi", *_TO, "--out", "{tmp}")),
+    (1, ("plan", "nhi", *_TO, "--out", "{tmp}/malformed.json/plan.json")),
+    (1, ("plan", "nhi", *_TO, "--out", "{tmp}/malformed.json/sub/plan.json")),
+    (1, ("simulate", "--plan", "{golden}/plan_nhi_legendre.json", "--steps", "200", "--out", "{tmp}")),
+    (1, ("simulate", "--plan", "{golden}/plan_nhi_legendre.json", "--steps", "200", "--out", "{tmp}/malformed.json/traj.csv")),
+    (1, ("fuel", "--target", "1", "--out", "{tmp}")),
+    (1, ("fuel", "--target", "1", "--out", "{tmp}/malformed.json/fuel.json")),
+    (1, ("fuel", "--target", "1", "--compare", "legendre,trig", "--out", "{tmp}")),
 ]
 
 
@@ -543,7 +557,7 @@ HOSTILE_MESSAGES = {
 def test_hostile_arguments_exit_cleanly(tmp_path, capsys, expected, argv):
     (tmp_path / "malformed.json").write_text("not json")
     message = HOSTILE_MESSAGES.get(argv, "")
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    argv = [arg.replace("{tmp}", str(tmp_path)).replace("{golden}", str(GOLDEN)) for arg in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _, err = run(capsys, *argv)
@@ -559,7 +573,7 @@ def test_running_out_of_memory_is_an_error_line(capsys, monkeypatch, exc):
         raise exc
 
     monkeypatch.setattr(cli, "simulate_plan", exhausted)
-    code, out, err = run(capsys, "verify", "--plan", str(Path(__file__).parent / "golden" / "plan_nhi_legendre.json"))
+    code, out, err = run(capsys, "verify", "--plan", str(GOLDEN / "plan_nhi_legendre.json"))
     assert (code, out) == (1, "")
     assert err == f"error: {str(exc) or 'MemoryError'}\n"
 
@@ -572,3 +586,66 @@ def test_third_axis_targets_plan_phase_zero_and_verify(tmp_path, capsys, target)
     assert json.loads(Path(path).read_text())["params"]["phi"] == 0.0
     code, out, err = run(capsys, "verify", "--plan", path)
     assert code == 0, out + err
+
+
+# ---------------------------------------------------------------------------
+# the output sink
+
+# steps per phase of the merged gnhi m = 8 export below: 8 phases, 8001 rows
+SINK_STEPS = 1000
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def gnhi8(tmp_path_factory):
+    """The gnhi m = 8 plan file and its merged trajectory at ``SINK_STEPS``."""
+    target = np.random.default_rng(4).uniform(-2.0, 2.0, 36)
+    plan = nhsteer.plan_gnhi(nhsteer.GnhiState.zeros(8), nhsteer.GnhiState.from_flat(8, target), family="legendre")
+    plan_file = tmp_path_factory.mktemp("gnhi8") / "plan.json"
+    plan_file.write_text(plan.to_json())
+    return plan_file, nhsteer.simulate_plan(plan, steps=SINK_STEPS).merged
+
+
+def test_trajectory_csv_peak_memory_is_one_block(tmp_path, gnhi8):
+    assert _traced_peak(lambda: gnhi8[1].to_csv(tmp_path / "traj.csv")) < 8e6
+
+
+def test_simulate_out_peak_memory_is_the_trajectories(tmp_path, capsys, gnhi8):
+    plan_file, merged = gnhi8
+    nbytes = merged.t.nbytes + sum(col.nbytes for col in merged.columns.values())
+    argv = ["simulate", "--plan", str(plan_file), "--steps", str(SINK_STEPS), "--out", str(tmp_path / "traj.csv")]
+    codes = []
+    peak = _traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [0], capsys.readouterr().err
+    assert peak <= 2 * nbytes + 8e6
+
+
+def test_a_failed_simulation_leaves_the_out_file_as_it_was(tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    code, _, err = run(capsys, "plan", "nhi", "--from", "0,0,0", "--to", "1e154,-1e154,0", "--out", str(plan_file))
+    assert code == 0, err
+    existing = tmp_path / "traj.csv"
+    existing.write_bytes(b"t,x1,x2,x3,u1,u2\n0.0,0.0,0.0,0.0,1.0,2.0\n")
+    code, out, err = run(capsys, "simulate", "--plan", str(plan_file), "--out", str(existing))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "wrote" not in err
+    assert existing.read_bytes() == b"t,x1,x2,x3,u1,u2\n0.0,0.0,0.0,0.0,1.0,2.0\n"
+
+
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+def test_simulate_writes_the_same_bytes_to_stdout_and_out(tmp_path, capsys, rows):
+    argv = ["simulate", "--plan", str(GOLDEN / "plan_nhi_legendre.json"), "--steps", str(rows - 1)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.count("\n") == 1 + rows
+    path = tmp_path / "traj.csv"
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert (code, err) == (0, f"wrote {path}\n")
+    assert path.read_bytes() == out.encode()

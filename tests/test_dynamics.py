@@ -115,11 +115,21 @@ def test_a_callable_beside_a_weighted_signal_is_integrated_in_the_arc_variable()
         assert_allclose(as_callable.columns[name], as_signal.columns[name], rtol=0.0, atol=1e-15)
 
 
-def test_trajectory_csv_to_a_path_matches_a_file_object(tmp_path):
-    traj = integrate_nhi((basis_signal(LEGENDRE, 1), basis_signal(LEGENDRE, 2)), steps=100)
+def _csv_one_row_at_a_time(traj) -> str:
+    names = ["t", *traj.state_names, *traj.input_names]
+    cols = [traj.t] + [traj.columns[n] for n in names[1:]]
+    rows = [",".join(names)] + [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
+    return "\n".join(rows) + "\n"
+
+
+# 1024-row blocks: within one, one row short, exactly one, one row over, two and a row
+@pytest.mark.parametrize("rows", [101, 1023, 1024, 1025, 2049])
+def test_trajectory_csv_to_a_path_matches_a_file_object(tmp_path, rows):
+    traj = integrate_nhi((basis_signal(LEGENDRE, 1), basis_signal(LEGENDRE, 2)), steps=rows - 1)
     buf = io.StringIO()
     traj.to_csv(buf)
     traj.to_csv(tmp_path / "traj.csv")
+    assert buf.getvalue() == _csv_one_row_at_a_time(traj)
     assert (tmp_path / "traj.csv").read_bytes() == buf.getvalue().encode()
 
 

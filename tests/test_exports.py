@@ -1,11 +1,13 @@
 """Every public name the package and its modules export resolves, the
 package imports nothing at run time beyond the standard library and numpy,
-and only ``orthopoly`` integrates products of signals."""
+only ``orthopoly`` integrates products of signals, and the CLI writes its
+output through one sink."""
 
 import ast
 import importlib
 import pkgutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,23 @@ def test_costs_and_fuel_import_no_private_orthopoly_name(name):
 def test_the_coupling_is_one_function_wherever_it_is_exported():
     coupling = nhsteer.orthopoly.coupling_displacement
     assert nhsteer.coupling_displacement is nhsteer.dynamics.coupling_displacement is coupling
+
+
+@pytest.mark.parametrize("name", ["nhsteer", *MODULES])
+def test_no_module_imports_io(name):
+    imported = set()
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert "io" not in imported
+
+
+def test_only_the_cli_sink_opens_or_writes_files():
+    file_calls = {"open", "write_text", "write_bytes"}
+    tree = _tree("nhsteer.cli")
+    emit = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_emit")
+    inside = Counter(n for n in _identifiers(emit) if n in file_calls)
+    outside = Counter(n for n in _identifiers(tree) if n in file_calls) - inside
+    assert "open" in inside and outside == Counter()
