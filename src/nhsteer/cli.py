@@ -39,7 +39,6 @@ from .orthopoly import (
 from .so3_control import AttitudePlan, constant_omega_plan, simulate_attitude, underactuated_plan
 from .steering import (
     PLAN_FAMILIES,
-    SimulationResult,
     SteeringPlan,
     default_pair,
     pair_signals,
@@ -235,10 +234,7 @@ def _simulate_plan_file(args):
 
 
 def _cmd_simulate(args) -> int:
-    sim = _simulate_plan_file(args)[0]
-    if isinstance(sim, SimulationResult):
-        sim = sim.merged
-    _emit(args, sim.to_csv)
+    _emit(args, _simulate_plan_file(args)[0].to_csv)
     return 0
 
 

@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 _MIN_STEPS = 100
-_CSV_BLOCK_ROWS = 1024
+_CSV_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -202,16 +202,26 @@ class Trajectory:
     def terminal(self) -> dict[str, float]:
         return {name: float(self.columns[name][-1]) for name in self.state_names}
 
-    def to_csv(self, path) -> None:
-        """A header line, then one line of ``repr`` floats per sample, written
-        ``_CSV_BLOCK_ROWS`` rows at a time to a text handle or to the file ``path``."""
+    def to_csv(self, path, *following: Trajectory) -> None:
+        """A header line, then one line of ``repr`` floats per sample of this
+        trajectory and then of each of ``following``, which have its columns.
+
+        Rows go out in blocks of about ``_CSV_BLOCK_CELLS`` cells, each turned
+        into text at once by ``_csvtext.csv_block``, to a text handle or to the
+        file ``path``.
+        """
+        from ._csvtext import csv_block  # at the first CSV write, off the start-up path
+
         names = ["t", *self.state_names, *self.input_names]
-        cols = [np.asarray(c, dtype=float) for c in (self.t, *(self.columns[n] for n in names[1:]))]
+        block = max(1, _CSV_BLOCK_CELLS // len(names))  # rows
+        last = np.arange(block * len(names)) % len(names) == len(names) - 1
         with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as fh:
             fh.write(",".join(names) + "\n")
-            for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-                cells = [map(repr, col[lo : lo + _CSV_BLOCK_ROWS].tolist()) for col in cols]
-                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            for traj in (self, *following):
+                cols = [np.asarray(c, dtype=float) for c in (traj.t, *(traj.columns[n] for n in names[1:]))]
+                for lo in range(0, len(cols[0]), block):
+                    cells = np.stack([col[lo : lo + block] for col in cols], axis=1).ravel()
+                    fh.write(csv_block(cells, last[: len(cells)]))
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,9 @@ PLAN_FAMILIES = (LEGENDRE, CHEBYSHEV_FIRST, CHEBYSHEV_SECOND, "trig", JACOBI)
 _WEIGHTED_FAMILIES = (CHEBYSHEV_FIRST, CHEBYSHEV_SECOND, JACOBI)
 
 _ZERO_COUPLING = 1e-14
+# The simulator's cross update forms x_i (u0 + 4 u_mid + u1)_j, six times
+# x_i u_j, and subtracts two such products.
+_CROSS_UPDATE_FACTOR = 12.0
 
 
 def default_pair(family: str) -> tuple[int, int]:
@@ -258,6 +261,24 @@ class SteeringPlan:
         return SteeringPlan.from_json_dict(json.loads(text))
 
 
+def _check_cross_updates(x_scale, u_scale, pairs, cross_name) -> None:
+    """``DomainError`` naming the first cross coordinate whose update overflows the simulator.
+
+    ``x_scale`` bounds each direct coordinate over a phase and ``u_scale``
+    is each channel's input scale; the update of x_ij needs twelve times
+    x_i u_j and x_j u_i to be finite.
+    """
+    if math.isfinite(_CROSS_UPDATE_FACTOR * max(x_scale) * max(u_scale)):
+        return
+    for i, j in pairs:
+        for a, b in ((i, j), (j, i)):
+            if not math.isfinite(_CROSS_UPDATE_FACTOR * x_scale[a] * u_scale[b]):
+                raise DomainError(
+                    f"the target is too far: x{a + 1} u{b + 1} in the update of "
+                    f"{cross_name[i, j]} overflows the simulator"
+                )
+
+
 def _plan_bilinear(system, start, target, cross_names, family, pair, interval, jacobi_params):
     """Shared planner for every m >= 2; ``plan_nhi`` and ``plan_gnhi`` are views.
 
@@ -298,6 +319,9 @@ def _plan_bilinear(system, start, target, cross_names, family, pair, interval, j
             cost += float(np.sum(np.square(v))) * duration
         if not math.isfinite(cost):
             raise DomainError("the translation is too far: its input energy overflows")
+        # constant inputs move each direct coordinate in a line
+        x_scale = [max(abs(x), abs(xf)) for x, xf in zip(start[:m], target[:m])]
+        _check_cross_updates(x_scale, [abs(vi) for vi in v], pairs, cross_name)
     coupling = None
     zero = InputSignal(terms=(), interval=interval)
     for i, row in itertools.groupby(pairs, key=lambda ij: ij[0]):
@@ -329,6 +353,9 @@ def _plan_bilinear(system, start, target, cross_names, family, pair, interval, j
         energies = [_signal_energy(sig) for sig in inputs]
         if math.inf not in energies and math.isinf(sum(energies)):
             raise DomainError("the target is too far: the input energy overflows")
+        # a direct coordinate leaves cur_x by at most its input scale times the duration
+        u_scale = [sum(abs(term.scale) for term in sig.terms) for sig in inputs]
+        _check_cross_updates([abs(x) + u * duration for x, u in zip(cur_x, u_scale)], u_scale, pairs, cross_name)
         cost += sum(energies)
     return SteeringPlan(
         system=system,
@@ -414,29 +441,39 @@ class SimulationResult:
     trajectories: list[Trajectory]
     terminal: dict
 
+    def _end_to_end(self):
+        """Each phase on the joint time axis, without the sample it shares with the phase before."""
+        offset = 0.0
+        for idx, tr in enumerate(self.trajectories):
+            lo, hi = tr.interval
+            sel = slice(1, None) if idx > 0 else slice(None)
+            yield Trajectory(
+                t=offset + (tr.t[sel] - lo),
+                columns={n: tr.columns[n][sel] for n in (*tr.state_names, *tr.input_names)},
+                state_names=tr.state_names,
+                input_names=tr.input_names,
+                scheme=tr.scheme,
+                interval=(offset, offset + (hi - lo)),
+            )
+            offset += hi - lo
+
     @functools.cached_property
     def merged(self) -> Trajectory:
-        trajs = self.trajectories
-        names = (*trajs[0].state_names, *trajs[0].input_names)
-        offset = 0.0
-        t_parts = []
-        col_parts: dict[str, list[np.ndarray]] = {n: [] for n in names}
-        for idx, tr in enumerate(trajs):
-            lo = tr.interval[0]
-            sel = slice(1, None) if idx > 0 else slice(None)
-            t_parts.append(offset + (tr.t[sel] - lo))
-            for n in names:
-                col_parts[n].append(tr.columns[n][sel])
-            offset += tr.interval[1] - tr.interval[0]
-        schemes = {tr.scheme for tr in trajs}
+        parts = list(self._end_to_end())
+        schemes = {tr.scheme for tr in parts}
         return Trajectory(
-            t=np.concatenate(t_parts),
-            columns={n: np.concatenate(parts) for n, parts in col_parts.items()},
-            state_names=trajs[0].state_names,
-            input_names=trajs[0].input_names,
+            t=np.concatenate([tr.t for tr in parts]),
+            columns={n: np.concatenate([tr.columns[n] for tr in parts]) for n in parts[0].columns},
+            state_names=parts[0].state_names,
+            input_names=parts[0].input_names,
             scheme=schemes.pop() if len(schemes) == 1 else "mixed",
-            interval=(0.0, offset),
+            interval=(0.0, parts[-1].interval[1]),
         )
+
+    def to_csv(self, path) -> None:
+        """The CSV of ``merged``, written phase after phase without building it."""
+        first, *rest = self._end_to_end()
+        first.to_csv(path, *rest)
 
 
 def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:

@@ -122,7 +122,7 @@ def _csv_one_row_at_a_time(traj) -> str:
     return "\n".join(rows) + "\n"
 
 
-# 1024-row blocks: within one, one row short, exactly one, one row over, two and a row
+# rows within one CSV block (682 rows of six cells) and across one to three block edges
 @pytest.mark.parametrize("rows", [101, 1023, 1024, 1025, 2049])
 def test_trajectory_csv_to_a_path_matches_a_file_object(tmp_path, rows):
     traj = integrate_nhi((basis_signal(LEGENDRE, 1), basis_signal(LEGENDRE, 2)), steps=rows - 1)

@@ -5,16 +5,18 @@ cover the simulation paths they miss (gnhi at m = 8, weighted gnhi, weighted
 Jacobi on both intervals, both attitude modes) at the 4000 steps of the
 steer-verify path, and any change of one bit in t, a state or an input
 column fails them.  A plan's digest hashes every phase trajectory and the
-merged one.
+merged one.  A second table hashes the CSV text ``nhsteer simulate`` writes
+for the same simulation, so any change of one output byte fails it too.
 
 The digests pin the numpy, libm and BLAS build they were made with:
 transcendental functions may round differently on another CPU or build.
 There, regenerate them from the commit before a change
-(``PYTHONPATH=src python tests/test_trajectory_digests.py`` prints the
-table) and compare the change against those.
+(``PYTHONPATH=src python tests/test_trajectory_digests.py`` prints both
+tables) and compare the change against those.
 """
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ import pytest
 from nhsteer.dynamics import GnhiState, Rotation, exp_rotation
 from nhsteer.optimal_energy import cheb_optimal_inputs, solution_to_plan
 from nhsteer.so3_control import constant_omega_plan, simulate_attitude, underactuated_plan
-from nhsteer.steering import plan_gnhi, plan_nhi, simulate_plan
+from nhsteer.steering import SimulationResult, plan_gnhi, plan_nhi, simulate_plan
 
 STEPS = 4000
 
@@ -37,31 +39,41 @@ def _digest(trajectories) -> str:
     return sha.hexdigest()
 
 
-def _plan_digest(plan) -> str:
-    result = simulate_plan(plan, steps=STEPS)
-    return _digest([*result.trajectories, result.merged])
+def _simulation_digest(sim) -> str:
+    if isinstance(sim, SimulationResult):
+        return _digest([*sim.trajectories, sim.merged])
+    return _digest([sim])
+
+
+def _csv_digest(sim) -> str:
+    """The digest of the CSV text ``nhsteer simulate`` writes for ``sim``."""
+    buf = io.StringIO()
+    sim.to_csv(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 def _nhi(family, interval=None, jacobi=None):
     x0, xf = (0.3, -0.7, 0.2), (-1.1, 0.4, 2.5)
-    return lambda: _plan_digest(plan_nhi(x0, xf, family=family, interval=interval, jacobi_params=jacobi))
+    return lambda: simulate_plan(plan_nhi(x0, xf, family=family, interval=interval, jacobi_params=jacobi), STEPS)
 
 
 def _gnhi(m, family):
     rng = np.random.default_rng(m)
     s0 = GnhiState.from_flat(m, rng.uniform(-1.0, 1.0, m + m * (m - 1) // 2))
     sf = GnhiState.from_flat(m, rng.uniform(-2.0, 2.0, m + m * (m - 1) // 2))
-    return lambda: _plan_digest(plan_gnhi(s0, sf, family=family))
+    return lambda: simulate_plan(plan_gnhi(s0, sf, family=family), STEPS)
 
 
 def _optimal(a, split):
-    return lambda: _plan_digest(solution_to_plan(cheb_optimal_inputs(a, split=split), x0=(0.5, -0.25, 1.0)))
+    return lambda: simulate_plan(
+        solution_to_plan(cheb_optimal_inputs(a, split=split), x0=(0.5, -0.25, 1.0)), STEPS
+    )
 
 
 def _so3(planner, duration):
     g0 = Rotation(exp_rotation(np.array([0.2, -0.5, 0.9])))
     g1 = Rotation(exp_rotation(np.array([-0.3, 0.4, 0.25])) @ g0.matrix)
-    return lambda: _digest([simulate_attitude(planner(g0, g1, duration), steps=STEPS)[0]])
+    return lambda: simulate_attitude(planner(g0, g1, duration), steps=STEPS)[0]
 
 
 CASES = {
@@ -114,12 +126,50 @@ DIGESTS = {
     "so3 underactuated": "3943e7e5218e43965481f8cffa0109d6a54952b24d54c0de3f77416ea5258cc9",
 }
 
+CSV_DIGESTS = {
+    "gnhi m3 chebyshev_second": "ec385c43a2696be7355120bcb1234aadcbe7050b1aad69a5dcd42eeaa7b7d017",
+    "gnhi m3 legendre": "142c3c8f7363f5599cdb17e65d453479e293f333b745772dbd1e5dc4e0195a8c",
+    "gnhi m3 trig": "975853af92ca66794cd5dc58515706f81ac81aec5cdf06da5dbb985821aa7108",
+    "gnhi m8 chebyshev_second": "d1cf5237523a45145e9ef147d4beee5f2d552c4fc531ab3eddbcd95708a7a25e",
+    "gnhi m8 legendre": "9a457b2ef326eeefbc5f9bce38a45579d66409658f957c0e237a932e4e410e15",
+    "gnhi m8 trig": "afb3053d5c7eabb8634fb4e06fea2760ff5845186fa45c92ab4400eae9faf2b6",
+    "nhi chebyshev_first": "9ab553a4abb435b0eb512ed2969542e8af9e6d9978516688405a1533509c5f23",
+    "nhi chebyshev_second": "1a020308f8b38cd8ba5ff501bae46acfdfcf2181fa99b0a6b39462f3ff3560ff",
+    "nhi chebyshev_second 0,1": "8c3c0c52f16364b0a25f3e88e0ccdbbff340f23ad6d4fd780b74cd44a303ded9",
+    "nhi jacobi -0.45": "5ccc7b410980c0792c37a9814e36b1c014bfef6538424930d2019605edc3e478",
+    "nhi jacobi 0.3": "69ae4a4096e6d10534ef5c9c2550a877c220c12d5b492aff59813692219ee15d",
+    "nhi jacobi 0.3 0,1": "3f2c01cc9d941bde555db6c7884aed70c061320c131bcaae979c148dd14a863b",
+    "nhi jacobi 1.7": "8115a91d5975c914b0b3ed0624837f46f30c8375fcba876e15b045c64cb0c9cd",
+    "nhi jacobi 1.7 0,1": "db8ea9d455cf6a8538cc9a2648cb9bcb4fe46576d1d9a32dcc2cf38ec9067c1a",
+    "nhi legendre": "98bd2cee646292a469f08f3adf4ac53844439615e49b45ceddacb3ceb1de2b27",
+    "nhi legendre 0,1": "68bd25a00a1c88b1e9da3b1b9a15a1cc8499d75f23ce019d5593fa8f2b95a5ce",
+    "nhi optimal": "1f61462f398f9539e4318a7b02d7b3e4449097953906e748ab03a5ce802cc920",
+    "nhi optimal split": "b0d4065aba3b64b86ae6d7bf03bdad7d977451a66379ec5d7296ffeb9426d438",
+    "nhi trig": "f2f088944731ac40b59e25c7d25b58dd4d4964d34889f6fc6baabb851045861e",
+    "nhi trig 0,1": "a4618ecca4abf7482b6c4963bfbfc0479ed28538e946c42011b61e4b04fc1e73",
+    "so3 constant": "595f25550e35c5367345d63bfe4d89f810b4ee526f5c54f7851dee0b4033853a",
+    "so3 underactuated": "63b424843d801ef266e753fc8be81f1a54b70b33f347e119ca70c2ccf830ea81",
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulated_trajectory_is_bit_identical(name):
-    assert CASES[name]() == DIGESTS[name]
+    assert _simulation_digest(CASES[name]()) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_simulated_csv_is_byte_identical(name):
+    assert _csv_digest(CASES[name]()) == CSV_DIGESTS[name]
 
 
 if __name__ == "__main__":
+    tables = {"DIGESTS": {}, "CSV_DIGESTS": {}}
     for case in sorted(CASES):
-        print(f'    "{case}": "{CASES[case]()}",')
+        sim = CASES[case]()
+        tables["DIGESTS"][case] = _simulation_digest(sim)
+        tables["CSV_DIGESTS"][case] = _csv_digest(sim)
+    for table, digests in tables.items():
+        print(f"{table} = {{")
+        for case, digest in digests.items():
+            print(f'    "{case}": "{digest}",')
+        print("}")
