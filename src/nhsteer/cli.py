@@ -387,19 +387,33 @@ def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nhsteer",
-        description="Steer nonholonomic integrators and attitude models "
-        "with orthogonal-shape inputs.",
-        epilog="Relative --out paths are placed under $NHSTEER_OUT_DIR when it is set.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _LazyParser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that runs ``fill(self)`` once, when it first parses.
 
-    plan = sub.add_parser("plan", help="emit a steering plan as JSON")
+    Subparsers are built with their parent's class, so ``add_parser(..., fill=...)``
+    defers a command's arguments until a command line names it: a call builds
+    the arguments of its own command chain only.
+    """
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _fill_plan(plan: argparse.ArgumentParser) -> None:
     plan_sub = plan.add_subparsers(dest="system", required=True)
+    plan_sub.add_parser("nhi", help="three-state two-input planar system", fill=_fill_nhi)
+    plan_sub.add_parser("gnhi", help="m-input generalization", fill=_fill_gnhi)
+    plan_sub.add_parser("so3", help="kinematic attitude steering", fill=_fill_so3)
 
-    nhi = plan_sub.add_parser("nhi", help="three-state two-input planar system")
+
+def _fill_nhi(nhi: argparse.ArgumentParser) -> None:
     nhi.add_argument("--from", dest="src", type=_float_triple, required=True, metavar="X1,X2,X3")
     nhi.add_argument("--to", dest="dst", type=_float_triple, required=True, metavar="X1,X2,X3")
     _add_shape_flags(nhi)
@@ -415,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     nhi.add_argument("--out", help="write JSON here instead of stdout")
     nhi.set_defaults(func=_cmd_plan_nhi)
 
-    gnhi = plan_sub.add_parser("gnhi", help="m-input generalization")
+
+def _fill_gnhi(gnhi: argparse.ArgumentParser) -> None:
     gnhi.add_argument("--m", type=int, required=True, help="number of direct coordinates")
     gnhi.add_argument(
         "--from",
@@ -430,7 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gnhi.add_argument("--out", help="write JSON here instead of stdout")
     gnhi.set_defaults(func=_cmd_plan_gnhi)
 
-    so3 = plan_sub.add_parser("so3", help="kinematic attitude steering")
+
+def _fill_so3(so3: argparse.ArgumentParser) -> None:
     so3.add_argument(
         "--from",
         dest="src",
@@ -449,18 +465,21 @@ def _build_parser() -> argparse.ArgumentParser:
     so3.add_argument("--out", help="write JSON here instead of stdout")
     so3.set_defaults(func=_cmd_plan_so3)
 
-    sim = sub.add_parser("simulate", help="integrate a plan file and emit a trajectory CSV")
+
+def _fill_simulate(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--plan", required=True, help="plan JSON produced by the plan command")
     sim.add_argument("--steps", type=int, default=4000)
     sim.add_argument("--out", help="write CSV here instead of stdout")
     sim.set_defaults(func=_cmd_simulate)
 
-    ver = sub.add_parser("verify", help="re-simulate a plan and check its endpoint")
+
+def _fill_verify(ver: argparse.ArgumentParser) -> None:
     ver.add_argument("--plan", required=True)
     ver.add_argument("--steps", type=int, default=4000)
     ver.set_defaults(func=_cmd_verify)
 
-    fuel = sub.add_parser("fuel", help="minimum-fuel coefficients for shape pairs")
+
+def _fill_fuel(fuel: argparse.ArgumentParser) -> None:
     fuel.add_argument("--target", type=float, required=True, help="cross-coordinate displacement")
     _add_shape_flags(fuel)
     fuel.add_argument(
@@ -471,12 +490,23 @@ def _build_parser() -> argparse.ArgumentParser:
     fuel.add_argument("--out", help="write output here instead of stdout")
     fuel.set_defaults(func=_cmd_fuel)
 
-    repro = sub.add_parser(
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _LazyParser(
+        prog="nhsteer",
+        description="Steer nonholonomic integrators and attitude models "
+        "with orthogonal-shape inputs.",
+        epilog="Relative --out paths are placed under $NHSTEER_OUT_DIR when it is set.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("plan", help="emit a steering plan as JSON", fill=_fill_plan)
+    sub.add_parser("simulate", help="integrate a plan file and emit a trajectory CSV", fill=_fill_simulate)
+    sub.add_parser("verify", help="re-simulate a plan and check its endpoint", fill=_fill_verify)
+    sub.add_parser("fuel", help="minimum-fuel coefficients for shape pairs", fill=_fill_fuel)
+    sub.add_parser(
         "paper-repro",
         help="check the published example values; deviations are flagged, not failed",
-    )
-    repro.set_defaults(func=_cmd_paper_repro)
-
+    ).set_defaults(func=_cmd_paper_repro)
     return parser
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -656,3 +657,83 @@ def test_simulate_writes_the_same_bytes_to_stdout_and_out(tmp_path, capsys, rows
     code, _, err = run(capsys, *argv, "--out", str(path))
     assert (code, err) == (0, f"wrote {path}\n")
     assert path.read_bytes() == out.encode()
+
+
+# ---------------------------------------------------------------------------
+# help and usage text
+
+USAGE_GOLDEN = GOLDEN / "cli_usage.json"
+
+USAGE_CASES = [
+    ("--help",),
+    ("plan", "--help"),
+    ("plan", "nhi", "--help"),
+    ("plan", "gnhi", "--help"),
+    ("plan", "so3", "--help"),
+    ("simulate", "--help"),
+    ("verify", "--help"),
+    ("fuel", "--help"),
+    ("paper-repro", "--help"),
+    # usage errors
+    (),
+    ("plan",),
+    ("frobnicate",),
+    ("plan", "frobnicate"),
+    ("plan", "nhi", "--to", "0,0,1"),
+    ("plan", "nhi", "--from", "0,0", "--to", "0,0,1"),
+    ("plan", "nhi", "--from", "0,0,0", "--to", "0,0,1", "--family", "fourier"),
+    ("verify",),
+    ("simulate", "--plan", "p.json", "--steps", "x"),
+]
+
+
+def _usage(capsys, argv) -> dict:
+    code, out, err = run(capsys, *argv)
+    return {"code": code, "stdout": out, "stderr": err}
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=[" ".join(argv) or "(none)" for argv in USAGE_CASES])
+def test_help_and_usage_text_is_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _usage(capsys, argv) == json.loads(USAGE_GOLDEN.read_text())[" ".join(argv)]
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("verify", "--plan", str(GOLDEN / "plan_nhi_legendre.json"), "--steps", "100"), ["--plan", "--steps"]),
+        (
+            ("plan", "nhi", *_TO),
+            ["--from", "--to", "--family", "--pair", "--interval", "--jacobi", "--optimal", "--split", "--out"],
+        ),
+    ],
+)
+def test_a_command_adds_only_the_arguments_of_its_own_parsers(capsys, monkeypatch, argv, flags):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.extend(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    # every parser is built with its own -h: the top level, its commands, and the systems of plan
+    parsers = 1 + 5 + 3 * (argv[0] == "plan")
+    assert sorted(added) == sorted(["-h", "--help"] * parsers + flags)
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    # prints the text of USAGE_GOLDEN for the current parser
+    os.environ["COLUMNS"] = "80"
+    table = {}
+    for argv in USAGE_CASES:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        table[" ".join(argv)] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    print(json.dumps(table, indent=1))

@@ -1,6 +1,7 @@
 """The CSV kernel against its definition: every cell is ``repr(float(v))``."""
 
 import io
+import math
 import sys
 
 import numpy as np
@@ -46,6 +47,8 @@ def _cases():
     bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64)
     yield "random bit patterns", bits.view(np.float64)
     yield "normals scaled by 10^U(-30, 30)", rng.standard_normal(100_000) * 10.0 ** rng.uniform(-30.0, 30.0, 100_000)
+    with np.errstate(over="ignore"):
+        yield "normals scaled by 10^U(-307, 308)", rng.standard_normal(100_000) * 10.0 ** rng.uniform(-307.0, 308.0, 100_000)
     yield "normals", rng.standard_normal(400_000)
     yield "short decimals", rng.integers(-(10**6), 10**6, 120_000) / 10.0 ** rng.integers(0, 7, 120_000)
     yield "integers times 10^k", rng.integers(-(10**7), 10**7, 100_000) * 10.0 ** rng.integers(-12, 12, 100_000)
@@ -55,6 +58,9 @@ def _cases():
     yield "powers of two", _with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
     yield "powers of ten", _with_neighbours(np.array([float(f"1e{k}") for k in range(-323, 309)]))
     yield "notation edges", _with_neighbours(np.array([1e-4, 1e-5, 1e-3, 1e16, 1e15, 9999999999999998.0, 2.0**-17, 2.0**56]))
+    yield "range bounds and 3-digit exponents", _with_neighbours(
+        np.array([_csvtext._LO, _csvtext._HI, -_csvtext._LO, -_csvtext._HI, 1e-100, 1e100, -1.2345e-300])
+    )
     yield "special values", np.array(
         [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
          sys.float_info.min, 9007199254740993.0, 1234567890123456.25, 0.1, 0.3, 0.5, 1.0, 2.0 / 3.0]
@@ -78,6 +84,33 @@ def test_ties_and_powers_of_two_are_left_to_repr():
     values = np.array([1234567890123456.25, 0.5])
     assert _csvtext._shortest(values)[3].all()
     _assert_cells_match(values)
+
+
+def _is_tie(x: float) -> bool:
+    """A decimal of at most 17 significant digits lies exactly half an ulp from x,
+    or x lies exactly halfway between two such decimals."""
+
+    def significant(a: int, b: int) -> str:  # the digits of a 2^b
+        return str(a << b if b >= 0 else a * 5**-b).rstrip("0")
+
+    mantissa, exponent = math.frexp(abs(x))
+    m, b = int(mantissa * 2**53), exponent - 53
+    digits = significant(m, b)
+    halfway = len(digits) <= 18 and digits.endswith("5")
+    return halfway or any(len(significant(2 * m + d, b - 1)) <= 17 for d in (-1, 1))
+
+
+def test_exponent_notation_is_written_without_repr(monkeypatch):
+    rng = np.random.default_rng(RNG_SEED + 1)
+    small = np.exp(rng.uniform(math.log(1e-40), math.log(1e-5), 50_000))
+    large = np.exp(rng.uniform(math.log(1e16), math.log(1e100), 50_000))
+    values = np.concatenate((small, large)) * rng.choice((-1.0, 1.0), 100_000)
+    values = np.array([v for v in values.tolist() if math.frexp(v)[0] not in (0.5, -0.5) and not _is_tie(v)])
+    assert len(values) > 99_000
+    calls = []
+    monkeypatch.setattr(_csvtext, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    _assert_cells_match(values)
+    assert calls == []
 
 
 @pytest.mark.parametrize("ncols", [1, 6, 46])

@@ -1,11 +1,13 @@
 """Every public name the package and its modules export resolves, the
 package imports nothing at run time beyond the standard library and numpy,
-only ``orthopoly`` integrates products of signals, and the CLI writes its
-output through one sink."""
+only ``orthopoly`` integrates products of signals, the CLI writes its
+output through one sink, and a plan does not load the CSV kernel."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -100,3 +102,17 @@ def test_only_the_cli_sink_opens_or_writes_files():
     inside = Counter(n for n in _identifiers(emit) if n in file_calls)
     outside = Counter(n for n in _identifiers(tree) if n in file_calls) - inside
     assert "open" in inside and outside == Counter()
+
+
+def test_a_cold_plan_does_not_import_the_csv_kernel(tmp_path):
+    # the kernel and its tables are built at the first CSV write, not at start-up
+    script = (
+        "import sys, nhsteer.cli\n"
+        "code = nhsteer.cli.main(['plan', 'nhi', '--from', '0,0,0', '--to', '0,0,1', '--out', 'plan.json'])\n"
+        "print(code, 'nhsteer._csvtext' in sys.modules)\n"
+    )
+    src = str(Path(nhsteer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("NHSTEER_OUT_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env, check=False)
+    assert proc.stdout == "0 False\n", proc.stderr
