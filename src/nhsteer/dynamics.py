@@ -29,11 +29,13 @@ refused with ``CapabilityError``.
 step, and computes every step's Magnus vector and every step's Rodrigues
 exponential as array operations over the whole grid (``_exp_rotations``, of
 which ``exp_rotation`` is the one-row case); only the 3x3 running product
-stays in a Python loop, as ``np.dot`` (bit-equal to ``np.matmul``, without
-its gufunc overhead).  The quaternion helpers live here too, with the
-one rotation logarithm ``_quaternion_log`` (w >= 0, the half-turn tie-break)
-behind ``log_rotation`` and the shooting residual of ``so3_control``.  All
-three integrators refuse reversed or empty intervals (``ValueError``) and
+stays in a Python loop, as ``ndarray.dot`` (the C routine of ``np.dot``,
+bit-equal to ``np.matmul``, without the gufunc overhead of ``np.matmul`` or
+the ``__array_function__`` dispatch of ``np.dot``), in chunks of 256 steps
+that each end in the drift check.  The quaternion helpers live here too,
+with the one rotation logarithm ``_quaternion_log`` (w >= 0, the half-turn
+tie-break) behind ``log_rotation`` and the shooting residual of
+``so3_control``.  All three integrators refuse reversed or empty intervals (``ValueError``) and
 non-finite bounds, inputs or rates (``DomainError``) before integrating.
 """
 
@@ -547,10 +549,12 @@ def integrate_so3(omega, g0=None, interval=(0.0, 1.0), steps: int = 2000) -> Tra
     samples[0] = g0.matrix
     g = samples[0]
     eye = np.eye(3)
-    # the running product is the only sequential part; each step writes its sample in place
-    for k, (rot, out) in enumerate(zip(rots, samples[1:]), start=1):
-        g = np.dot(rot, g, out=out)
-        if k % 256 == 0 and np.max(np.abs(g.T @ g - eye)) > 1e-12:
+    # the running product is the only sequential part; each step writes its sample in place,
+    # and each full chunk of 256 steps ends in the drift check
+    for first in range(0, steps, 256):
+        for rot, out in zip(rots[first : first + 256], samples[first + 1 : first + 257]):
+            g = rot.dot(g, out)
+        if first + 256 <= steps and np.max(np.abs(g.T @ g - eye)) > 1e-12:
             out[...] = project_rotation(g)
     if np.max(np.abs(g.T @ g - eye)) > 1e-12:
         samples[-1] = project_rotation(g)

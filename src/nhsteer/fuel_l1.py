@@ -8,7 +8,8 @@ b1 b2 = c = a / D, and the fuel  J = integral |u1| + |u2| = |b1| c1 + |b2| c2
     |b1| = sqrt(|c| c2 / c1),   |b2| = sqrt(|c| c1 / c2),   J* = 2 sqrt(|c| c1 c2)
 
 by the arithmetic-geometric inequality.  ``fuel_min`` reports the closed form
-and cross-checks it against a dense logarithmic grid; ``compare_families``
+and cross-checks it against a dense logarithmic grid (its four decades built
+once per point count, read-only, and scaled by sqrt(|c|)); ``compare_families``
 ranks several shape pairs for the same target and refuses to return a report
 whose transfer does not survive simulation.  ``fuel_min_lp`` solves the Lp
 fuel in closed form by the same inequality, J* = 2 |c|^(p/2) sqrt(c1p c2p).
@@ -17,7 +18,9 @@ The coupling D is summed exactly by ``orthopoly.coupling_displacement`` (Gauss-
 Jacobi nodes, or the trapezoid rule for trig shapes).  Shape norms come from
 ``orthopoly.l1_norm`` / ``lp_norm``: a shape is a single term, so its sign
 changes are its known zeros (Gauss-Jacobi nodes, or the trig closed forms);
-only a combined signal is scanned and bisected.  Each constant-sign panel is
+only a combined signal is scanned and bisected.  The signs of a shape's panels
+alternate across those zeros from the known sign of its last panel, so the
+L1 norm never evaluates the shape.  Each constant-sign panel is
 summed from closed-form running integrals (every planner family, weighted
 Jacobi included) or integrated in s by a doubled fixed Gauss rule, so |u|
 never meets a kink.
@@ -25,6 +28,7 @@ never meets a kink.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -130,12 +134,22 @@ class FuelReport:
         return out
 
 
+@functools.cache
+def _grid_base(points: int) -> np.ndarray:
+    """``points`` logarithmically spaced values from 1e-2 to 1e2, built once per count and read-only."""
+    base = np.logspace(-2.0, 2.0, points)
+    base.setflags(write=False)
+    return base
+
+
 def fuel_min(constants: FuelConstants, family=None, pair=None) -> FuelReport:
     """Closed-form fuel minimum plus an independent grid cross-check.
 
-    The grid sweeps 10000 logarithmically spaced |b1| values over four
-    decades around sqrt(|c|) and must land within 1e-6 of the closed form —
-    a deliberately redundant route kept as a live verification.
+    The grid sweeps ``GRID_POINTS`` (10000) logarithmically spaced |b1|
+    values over four decades around sqrt(|c|) and must land within 1e-6 of
+    the closed form — a deliberately redundant route kept as a live
+    verification.  The decades themselves are built at the first call for
+    each point count and shared read-only; each call scales them by sqrt(|c|).
     """
     c1, c2, c = constants.c1, constants.c2, constants.c
     if not (c1 > 0.0) or not (c2 > 0.0):
@@ -147,7 +161,7 @@ def fuel_min(constants: FuelConstants, family=None, pair=None) -> FuelReport:
     min_fuel = 2.0 * math.sqrt(abs(c) * c1 * c2)
     if not all(map(math.isfinite, (b1, b2, min_fuel))):
         raise DomainError(f"the fuel minimum for c = {c!r} overflows")
-    grid = math.sqrt(abs(c)) * np.logspace(-2.0, 2.0, GRID_POINTS)
+    grid = math.sqrt(abs(c)) * _grid_base(GRID_POINTS)
     fuel = grid * c1 + (abs(c) / grid) * c2
     grid_min = float(np.min(fuel))
     return FuelReport(

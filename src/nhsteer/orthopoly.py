@@ -40,7 +40,9 @@ Which rule serves which integrand:
 * L1/Lp norms go panel by panel between the sign changes: a single term's
   known zeros (Gauss-Jacobi nodes, or k/n and (2k+1)/(2n) for trig), and for
   a combined signal a degree-sized scan in s with batched bisection.  Panels
-  take closed-form running integrals at p = 1, otherwise a 40-node
+  take closed-form running integrals at p = 1, signed by ``_panel_signs``
+  (a single term's signs alternate across its zeros and are not evaluated; a
+  combined signal is evaluated at the panel midpoints), otherwise a 40-node
   Gauss-Legendre rule in s checked against 20 nodes, and ``integrate_smooth``
   for a panel where the two disagree.
 
@@ -199,8 +201,9 @@ def _family_rows(family: str, params, indices, tau: np.ndarray) -> dict:
     if family == LEGENDRE:
         first, step = tau.copy(), lambda k, cur, prev: ((2 * k + 1) * tau * cur - k * prev) / (k + 1)
     elif family in (CHEBYSHEV_FIRST, CHEBYSHEV_SECOND):
-        first = tau.copy() if family == CHEBYSHEV_FIRST else 2.0 * tau
-        step = lambda k, cur, prev: 2.0 * tau * cur - prev
+        two_tau = 2.0 * tau  # 2.0 * tau * cur is (2.0 * tau) * cur: hoisting it keeps every bit
+        first = tau.copy() if family == CHEBYSHEV_FIRST else two_tau
+        step = lambda k, cur, prev: two_tau * cur - prev
     elif family == JACOBI:
         alpha, beta = params
         first = 0.5 * (alpha + beta + 2.0) * tau + 0.5 * (alpha - beta)
@@ -1062,11 +1065,34 @@ def _sign_cuts(signal: InputSignal) -> np.ndarray:
     return np.unique(np.concatenate(([lo], grid[:-1][vals[:-1] == 0.0], 0.5 * (a + b), [hi])))
 
 
+def _panel_signs(signal: InputSignal, cuts: np.ndarray) -> np.ndarray:
+    """The sign, 1.0 or -1.0, of the signal on each panel between ``_sign_cuts``.
+
+    A single term is not evaluated: its signs alternate across its known
+    zeros, and its last panel has the sign of its scale times that of the
+    element near the right end, +1 for every polynomial family (E_n(1) > 0,
+    and the weight is positive inside), (-1)^n for ``trig_cos`` and
+    (-1)^(n+1) for ``trig_sin``.  A combined signal is evaluated at the
+    panel midpoints.
+    """
+    if len(signal.terms) != 1:
+        return np.where(np.asarray(signal(0.5 * (cuts[:-1] + cuts[1:]))) >= 0, 1.0, -1.0)
+    term = signal.terms[0]
+    n, family = term.element.index, term.element.family
+    last = -1.0 if (family == TRIG_COS and n % 2 == 1) or (family == TRIG_SIN and n % 2 == 0) else 1.0
+    if term.scale < 0:
+        last = -last
+    signs = np.full(len(cuts) - 1, last)
+    signs[-2::-2] = -last
+    return signs
+
+
 def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
     """integral of |u|^p over the signal's interval, panel by constant-sign panel.
 
-    p = 1 by exact running integrals: signed running-integral differences.
-    Otherwise a 40-node Gauss rule in s per panel (weights and
+    p = 1 by exact running integrals: running-integral differences signed by
+    ``_panel_signs``, which evaluates only a combined signal.  Otherwise a
+    40-node Gauss rule in s per panel (weights and
     Jacobian folded in as in ``InputSignal.theta_factor``); panels where the
     20-node rule differs by over 1e-13 relative go to ``integrate_smooth``.
     Non-integrable exponent*p <= -1 raises ``IntegrabilityError`` up front.
@@ -1081,8 +1107,7 @@ def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
     cuts = _sign_cuts(signal)
     keep = np.diff(cuts) >= 1e-14
     if p == 1.0:
-        signs = np.where(np.asarray(signal(0.5 * (cuts[:-1] + cuts[1:]))) >= 0, 1.0, -1.0)
-        return float(np.sum((signs * np.diff(signal.running_integral(cuts)))[keep]))
+        return float(np.sum((_panel_signs(signal, cuts) * np.diff(signal.running_integral(cuts)))[keep]))
     box = signal.interval
     s_cuts = _arc_angle(box, cuts)
     s_lo, s_hi = s_cuts[:-1][keep], s_cuts[1:][keep]
@@ -1106,6 +1131,8 @@ def l1_norm(signal: InputSignal) -> float:
 
     Sign changes: a single term's known zeros; a combined signal is scanned
     uniformly in s, then bisected.  Panels: signed differences of the
-    exact running integral.
+    exact running integral, the signs of a single term alternating across its
+    zeros without evaluating it, those of a combined signal evaluated at the
+    panel midpoints.
     """
     return lp_norm(signal, 1.0)

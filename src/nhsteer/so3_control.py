@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SingularityError
+from .errors import ConvergenceError, DomainError, IntegrabilityError, SingularityError
 from .dynamics import Rotation, exp_rotation, integrate_so3, log_rotation
 from .dynamics import _quaternion_log, _quaternion_product, _rotation_quaternion
 from .orthopoly import Harmonic, _eval_array, integrate_smooth
@@ -146,13 +146,21 @@ def weighted_rate_plan(g0, g1, duration: float, q, accept_pi_tiebreak: bool = Fa
 
     The extremal rates are omega_i = c_i / q(t) with a constant vector c;
     the boundary condition fixes c = log(g1 g0^T) / integral(1/q), and the
-    cost is ||c||^2 integral(1/q).  ``q`` must be positive on [0, T].
+    cost is ||c||^2 integral(1/q).  ``q`` must be positive on [0, T]: a q
+    that is not positive at 257 samples, or whose 1/q fails to integrate
+    (it vanishes or dips below zero between them), raises ``ValueError``.
     """
     g0, g1, duration = _boundary(g0, g1, duration)
     samples = np.linspace(0.0, duration, 257)
     if not np.min(_eval_array(q, samples)) > 0.0:
         raise ValueError("the rate weight q must be positive on [0, T]")
-    rate_integral = integrate_smooth(_ScaledReciprocal(1.0, q), 0.0, duration)
+    try:
+        rate_integral = integrate_smooth(_ScaledReciprocal(1.0, q), 0.0, duration)
+    except IntegrabilityError as err:  # q vanishes or dips below zero between the samples
+        raise ValueError(
+            "the rate weight q must be positive on [0, T]: it is positive at 257 samples, "
+            f"but the integral of 1/q does not converge ({err})"
+        ) from err
     v = log_rotation(g1.matrix @ g0.matrix.T, accept_pi_tiebreak=accept_pi_tiebreak)
     c = v / rate_integral
     omega = tuple(_ScaledReciprocal(float(c[i]), q) for i in range(3))

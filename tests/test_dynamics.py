@@ -481,7 +481,7 @@ def _samples(traj):
 
 
 @pytest.mark.parametrize("scheme", ["magnus4"])
-@pytest.mark.parametrize("case", range(7))
+@pytest.mark.parametrize("case", range(8))
 def test_integrate_so3_samples_equal_the_per_step_loop(scheme, case):
     rng = np.random.default_rng(100 + case)
     coef = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-6.0, 1.0)
@@ -493,9 +493,10 @@ def test_integrate_so3_samples_equal_the_per_step_loop(scheme, case):
         (lambda t, c=c: c[0] + c[1] * np.sin(2.0 * t) + c[2] * t * t) for c in coef
     )
     g0 = exp_rotation(rng.normal(size=3))
-    steps = {5: 4000, 6: 200}.get(case, 600)
-    if case in (4, 6):
-        # a start 2e-10 off the group: re-projected at step 256 (case 4) or at the end (case 6)
+    steps = {5: 4000, 6: 200, 7: 512}.get(case, 600)
+    if case in (4, 6, 7):
+        # a start 2e-10 off the group: re-projected at step 256 (cases 4 and 7, whose last chunk
+        # ends at the last step) or at the end (case 6)
         g0 = g0 * (1.0 + 1e-10)
     traj = integrate_so3(omega, Rotation(g0), (0.0, 2.5), steps=steps)
     want = _reference_so3(omega, g0, (0.0, 2.5), steps)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nhsteer import fuel_l1
 from nhsteer.dynamics import integrate_nhi
 from nhsteer.errors import DomainError, IntegrabilityError, PlannerError
 from nhsteer.fuel_l1 import (
@@ -87,6 +88,16 @@ def test_grid_cross_check_agrees(family, pair):
         report = fuel_min(consts)
         assert abs(report.grid_min_fuel - report.min_fuel) < 1e-6
         assert report.grid_min_fuel >= report.min_fuel - 1e-12
+
+
+def test_the_grid_follows_grid_points_and_its_shared_base_is_read_only(monkeypatch):
+    monkeypatch.setattr(fuel_l1, "GRID_POINTS", 7)
+    consts, _, _ = _constants(LEGENDRE, (1, 2), -2.5)
+    c1, c2, c = consts.c1, consts.c2, consts.c
+    grid = math.sqrt(abs(c)) * np.logspace(-2.0, 2.0, 7)
+    assert fuel_min(consts).grid_min_fuel == float(np.min(grid * c1 + (abs(c) / grid) * c2))
+    with pytest.raises(ValueError):
+        fuel_l1._grid_base(7)[0] = 1.0
 
 
 @pytest.mark.parametrize("family,pair", KNOWN_GOOD)

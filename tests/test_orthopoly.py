@@ -815,14 +815,47 @@ def test_single_term_cuts_are_the_known_zeros(family, interval, weighted, params
         assert np.max(np.abs(known - scanned)) <= 1e-15 * (hi - lo), n
 
 
-def test_l1_norm_of_a_single_term_evaluates_it_once(monkeypatch):
+def test_l1_norm_of_a_single_term_never_evaluates_it(monkeypatch):
+    # its cuts are its known zeros and its panel signs follow from them
     calls = []
     call = InputSignal.__call__
     monkeypatch.setattr(InputSignal, "__call__", lambda self, t: calls.append(t) or call(self, t))
-    for family in (LEGENDRE, CHEBYSHEV_FIRST, TRIG_SIN):
-        calls.clear()
-        l1_norm(basis_signal(family, 40))
-        assert len(calls) <= 1, family
+    for family, interval, weighted, params in _single_term_cases():
+        l1_norm(basis_signal(family, 40, interval=interval, scale=-0.7, weighted=weighted, jacobi_params=params))
+        assert not calls, family
+
+
+def _evaluated_sign_l1(signal):
+    """``l1_norm`` with every panel's sign read from the signal at the panel midpoint."""
+    cuts = _sign_cuts(signal)
+    keep = np.diff(cuts) >= 1e-14
+    signs = np.where(np.asarray(signal(0.5 * (cuts[:-1] + cuts[1:]))) >= 0, 1.0, -1.0)
+    return float(np.sum((signs * np.diff(signal.running_integral(cuts)))[keep]))
+
+
+def _sign_route_cases():
+    """(family, jacobi_params, weighted) of every family; trig weights are 1, so trig is unweighted only."""
+    for family in (LEGENDRE, CHEBYSHEV_FIRST, CHEBYSHEV_SECOND):
+        for weighted in (False, True):
+            yield family, None, weighted
+    for params in ((0.3, 0.3), (1.7, 2.2), (-0.45, 0.8), (5.0, 60.0)):
+        for weighted in (False, True):
+            yield JACOBI, params, weighted
+    yield TRIG_SIN, None, False
+    yield TRIG_COS, None, False
+
+
+@pytest.mark.parametrize("interval", [CANONICAL_INTERVAL, SHIFTED_INTERVAL])
+@pytest.mark.parametrize("family, params, weighted", list(_sign_route_cases()))
+def test_known_zero_signs_give_the_evaluated_sign_norms(family, params, weighted, interval):
+    # where the scale is 0 or subnormal the evaluated signs are all +1 and differ from the known
+    # ones, but every panel's running-integral difference is then a signed zero: compare norms.
+    # At -1e300 the running integral both routes share overflows to inf or nan for large terms.
+    for n in range(1 if family == TRIG_SIN else 0, INDEX_CAP + 1):
+        for scale in (1.0, -2.5, 0.0, 1e-300, -1e300, 3e-310):
+            signal = basis_signal(family, n, interval=interval, scale=scale, weighted=weighted, jacobi_params=params)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert repr(l1_norm(signal)) == repr(_evaluated_sign_l1(signal)), (n, scale)
 
 
 def test_lp_norm_cubic_at_degree_64():

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from nhsteer.dynamics import Rotation, _rotation_quaternion, exp_rotation, integrate_so3, log_rotation
 from nhsteer import so3_control
-from nhsteer.errors import ConvergenceError, DomainError, SingularityError
+from nhsteer.errors import ConvergenceError, DomainError, IntegrabilityError, SingularityError
 from nhsteer.orthopoly import Harmonic
 from nhsteer.so3_control import (
     AttitudePlan,
@@ -114,6 +114,16 @@ def test_weighted_rate_plan_rejects_sign_changing_weight():
     g1 = Rotation(exp_rotation(np.array([0.1, 0.2, 0.3])))
     with pytest.raises(ValueError):
         weighted_rate_plan(g0, g1, 2.0, lambda t: 1.0 - t)
+
+
+def test_weighted_rate_plan_refuses_a_weight_that_dips_below_zero_between_samples():
+    # the 257 samples of [0, 2] step by 1/128; q < 0 only within 1e-3 of 1.00390625, between two of them
+    g0 = Rotation.identity()
+    g1 = Rotation(exp_rotation(np.array([0.1, 0.2, 0.3])))
+    with pytest.raises(ValueError, match="must be positive on") as info:
+        weighted_rate_plan(g0, g1, 2.0, lambda t: (t - 1.00390625) ** 2 - 1e-6)
+    assert isinstance(info.value.__cause__, IntegrabilityError)
+    assert "1/q" in str(info.value)
 
 
 def test_weighted_rate_constant_weight_matches_constant_planner():
