@@ -14,7 +14,12 @@ The core implements classical RK4, but since the inputs depend on time only,
 the stage combinations collapse to closed-form per-step updates that
 vectorize over the whole grid.  A phase evaluates its inputs once, on the
 nodes and midpoints together, and a cross coordinate of two zero channels
-skips its pass.  Inputs carrying endpoint weight factors are integrated in
+skips its pass.  Its columns are the rows of one float block (direct
+states, cross states, inputs), written in place: the block a caller passes
+as ``out=`` (``steering.simulate_plan`` passes each phase a slice of one
+block for the whole simulation) or one of its own, so a simulation makes
+no array per column, and its overflow check reads only the last sample of
+each state row.  Inputs carrying endpoint weight factors are integrated in
 the arc variable s of ``orthopoly``'s map t = mid - half*cos(s), where the
 weight (1-tau)^a (1+tau)^b times dt/ds is cos(s/2)^(2a+1) sin(s/2)^(2b+1) up
 to a constant.  That is smooth, keeping the full fourth order, when 2a + 1
@@ -263,7 +268,7 @@ def _check_simulable(u, interval) -> None:
         )
 
 
-def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps) -> Trajectory:
+def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps, out=None) -> Trajectory:
     """Classical-RK4 trajectory of the m-input model, m = len(u).
 
     ``x0`` holds the m direct coordinates, ``xx0`` the cross coordinates in
@@ -277,47 +282,82 @@ def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps) -> Trajectory:
     The inputs come from one evaluation on nodes and midpoints (``_grids``).
     A pass whose channels are both zero signals (no terms) is skipped: after
     sample 0 its path is ``start + 0.0``, as the sum of its +0.0 increments is.
+
+    Every column is a row of one float block of shape (2m + m(m-1)/2,
+    steps + 1): the direct states, the cross states in ``_pairs`` order,
+    then the inputs on the nodes.  ``out`` is that block, written in place
+    (a new one when it is None).  Each operation writes into its
+    destination with the operands, order and grouping of the plain
+    expressions, so the bits are theirs: the direct states by
+    ``np.cumsum(..., out=)``, each cross pass through three scratch vectors
+    reused by every pass and then its own path row.  The overflow check
+    reads the last sample of each state row only: a running sum that is
+    inf or nan stays so, and a direct state that overflows mid-grid makes
+    every cross pass it enters non-finite from there on.  Inputs that
+    overflow where they are evaluated are refused as not finite, without a
+    numpy warning.
     """
     if steps < _MIN_STEPS:
         raise ValueError(f"steps must be at least {_MIN_STEPS}")
+    m = len(u)
+    n_cross = len(cross_names)
+    shape = (2 * m + n_cross, steps + 1)
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64):
+        raise ValueError(f"out must be a float64 array of shape {shape}")
     interval = _infer_interval(u, interval)
     _check_simulable(u, interval)
+    if out is None:
+        out = np.empty(shape)
     reparam = any(isinstance(sig, InputSignal) and sig.is_weighted for sig in u)
-    t_nodes, h, u_nodes, u_mid = _grids(u, interval, steps, reparam)
-    if not (np.isfinite(u_nodes).all() and np.isfinite(u_mid).all()):
-        raise DomainError("inputs must be finite on the interval")
-    m = len(u)
-    u0 = u_nodes[:, :-1]
-    u1 = u_nodes[:, 1:]
+    x, paths, inputs = out[:m], out[m : m + n_cross], out[m + n_cross :]
     state_names = [f"x{i + 1}" for i in range(m)]
     with np.errstate(over="ignore", invalid="ignore"):
-        s_sum = u0 + 4.0 * u_mid + u1
-        x = np.empty((m, steps + 1))
+        t_nodes, h, u_nodes, u_mid = _grids(u, interval, steps, reparam)
+        if not (np.isfinite(u_nodes).all() and np.isfinite(u_mid).all()):
+            raise DomainError("inputs must be finite on the interval")
+        u0 = u_nodes[:, :-1]
+        u1 = u_nodes[:, 1:]
+        s_sum = np.multiply(4.0, u_mid)  # u0 + 4.0 * u_mid + u1
+        np.add(u0, s_sum, out=s_sum)
+        np.add(s_sum, u1, out=s_sum)
         x[:, 0] = x0
-        x[:, 1:] = x[:, :1] + (h / 6.0) * np.cumsum(s_sum, axis=1)
+        np.cumsum(s_sum, axis=1, out=x[:, 1:])  # x0 + (h / 6.0) * cumsum
+        np.multiply(h / 6.0, x[:, 1:], out=x[:, 1:])
+        np.add(x[:, :1], x[:, 1:], out=x[:, 1:])
         x_start = x[:, :-1]
-        columns = dict(zip(state_names, x))
         zero = [isinstance(sig, InputSignal) and not sig.terms for sig in u]
-        for name, (i, j), start in zip(cross_names, _pairs(m), xx0):
-            path = columns[name] = np.empty(steps + 1)
+        a, b, c = np.empty((3, steps))
+        for path, (i, j), start in zip(paths, _pairs(m), xx0):
             path[0] = start
             if zero[i] and zero[j]:  # every increment would be +0.0
                 path[1:] = start + 0.0
                 continue
-            incr = (h / 6.0) * (x_start[i] * s_sum[j] - x_start[j] * s_sum[i]) + (
-                h * h / 6.0
-            ) * (
-                (u0[i] * u_mid[j] - u0[j] * u_mid[i])
-                + (u_mid[i] * u1[j] - u_mid[j] * u1[i])
-            )
-            path[1:] = start + np.cumsum(incr)
-    if not all(np.isfinite(col).all() for col in columns.values()):
+            # incr = (h / 6.0) * (x_start[i] * s_sum[j] - x_start[j] * s_sum[i])
+            #   + (h * h / 6.0) * ((u0[i] * u_mid[j] - u0[j] * u_mid[i]) + (u_mid[i] * u1[j] - u_mid[j] * u1[i]))
+            # with path[1:] as the fourth operand; then path[1:] = start + cumsum(incr)
+            tail = path[1:]
+            np.multiply(x_start[i], s_sum[j], out=a)
+            np.multiply(x_start[j], s_sum[i], out=b)
+            np.subtract(a, b, out=a)
+            np.multiply(h / 6.0, a, out=a)
+            np.multiply(u0[i], u_mid[j], out=b)
+            np.multiply(u0[j], u_mid[i], out=c)
+            np.subtract(b, c, out=b)
+            np.multiply(u_mid[i], u1[j], out=c)
+            np.multiply(u_mid[j], u1[i], out=tail)
+            np.subtract(c, tail, out=c)
+            np.add(b, c, out=b)
+            np.multiply(h * h / 6.0, b, out=b)
+            np.add(a, b, out=a)
+            np.cumsum(a, out=tail)
+            np.add(start, tail, out=tail)
+    if not np.isfinite(out[: m + n_cross, -1]).all():
         raise DomainError("inputs overflow the integrator: a state coordinate is not finite")
+    inputs[...] = u_nodes
     input_names = tuple(f"u{i + 1}" for i in range(m))
-    columns.update(zip(input_names, u_nodes.copy()))  # frees the midpoint values
     return Trajectory(
         t=t_nodes,
-        columns=columns,
+        columns=dict(zip((*state_names, *cross_names, *input_names), out)),
         state_names=(*state_names, *cross_names),
         input_names=input_names,
         scheme="rk4_reparam" if reparam else "rk4",
@@ -325,27 +365,33 @@ def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps) -> Trajectory:
     )
 
 
-def integrate_nhi(u, x0=NhiState(), interval=None, steps: int = 2000) -> Trajectory:
+def integrate_nhi(u, x0=NhiState(), interval=None, steps: int = 2000, *, out=None) -> Trajectory:
     """Integrate the three-state bilinear model driven by two inputs.
 
     This is the m = 2 case of ``integrate_gnhi`` with the cross coordinate
-    named x3 instead of x12.
+    named x3 instead of x12.  ``out``, a float block of shape (5, steps + 1),
+    receives the rows x1, x2, x3, u1, u2 in place and backs the columns.
     """
     u = tuple(u)
     if len(u) != 2:
         raise ValueError("the three-state model takes exactly two inputs")
     if not isinstance(x0, NhiState):
         x0 = NhiState.from_array(np.asarray(x0, dtype=float))
-    return _integrate_bilinear(u, (x0.x1, x0.x2), (x0.x3,), ("x3",), interval, steps)
+    return _integrate_bilinear(u, (x0.x1, x0.x2), (x0.x3,), ("x3",), interval, steps, out)
 
 
-def integrate_gnhi(u, s0: GnhiState, interval=None, steps: int = 2000) -> Trajectory:
-    """Integrate the m-input generalization with all cross coordinates."""
+def integrate_gnhi(u, s0: GnhiState, interval=None, steps: int = 2000, *, out=None) -> Trajectory:
+    """Integrate the m-input generalization with all cross coordinates.
+
+    ``out``, a float block of shape (2m + m(m-1)/2, steps + 1), receives the
+    rows x1..xm, the cross coordinates in ``pair_names`` order and u1..um in
+    place and backs the columns; without it each call allocates its own.
+    """
     u = tuple(u)
     m = s0.m
     if len(u) != m:
         raise ValueError(f"state has m={m} direct coordinates but {len(u)} inputs given")
-    return _integrate_bilinear(u, s0.x, s0.flat()[m:], pair_names(m), interval, steps)
+    return _integrate_bilinear(u, s0.x, s0.flat()[m:], pair_names(m), interval, steps, out)
 
 
 # ---------------------------------------------------------------------------

@@ -68,14 +68,16 @@ class FuelConstants:
 def _shape_constants(u1, u2, a: float, interval, norm, what: str = "the pair") -> FuelConstants:
     """Checked target, interval, coupling and ``norm`` of each shape, as ``FuelConstants``.
 
-    A zero coupling raises ``PlannerError`` naming the shapes as ``what``.
+    A zero coupling raises ``PlannerError`` naming the shapes as ``what``, and
+    one that overflows, or a norm that does, ``DomainError``.
     """
     a = float(a)
     if not 0.0 < abs(a) < math.inf:
         raise ValueError(f"the displacement target must be nonzero and finite, got {a!r}")
     if not isinstance(u1, InputSignal) or not isinstance(u2, InputSignal):
         raise ValueError("fuel analysis expects InputSignal shapes")
-    coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval), what)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval), what)
     c = a / coupling
     if not math.isfinite(c):
         raise DomainError(f"the target {a!r} over the coupling {coupling!r} overflows")

@@ -1095,7 +1095,9 @@ def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
     40-node Gauss rule in s per panel (weights and
     Jacobian folded in as in ``InputSignal.theta_factor``); panels where the
     20-node rule differs by over 1e-13 relative go to ``integrate_smooth``.
-    Non-integrable exponent*p <= -1 raises ``IntegrabilityError`` up front.
+    Non-integrable exponent*p <= -1 raises ``IntegrabilityError`` up front,
+    and a norm that overflows (inf, or nan from inf - inf running integrals)
+    raises ``DomainError`` naming it.
     """
     p = float(p)
     if not p > 0.0:
@@ -1104,6 +1106,15 @@ def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
         return 0.0
     if any(min(term.exponents) * p <= -1.0 for term in signal.terms):
         raise IntegrabilityError(f"|u|^{p} is not integrable against the endpoint weights")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _lp_panels(signal, p)
+    if not math.isfinite(norm):
+        raise DomainError(f"the L{p:g} norm of the signal overflows: it is {norm!r}")
+    return norm
+
+
+def _lp_panels(signal: InputSignal, p: float) -> float:
+    """``lp_norm``'s panel sum for a signal with terms and an integrable power p."""
     cuts = _sign_cuts(signal)
     keep = np.diff(cuts) >= 1e-14
     if p == 1.0:

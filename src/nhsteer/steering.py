@@ -13,7 +13,8 @@ not move at all; the predicted endpoints are exact, not approximations.
 For m = 2 both channels carry one balanced scale, and a negative target is
 handled by swapping which channel carries the odd shape, which flips the
 sign of the coupling displacement.  ``simulate_plan`` replays either kind of
-plan through the matching public integrator.
+plan through the matching public integrator, every phase writing into its
+slice of one block.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .dynamics import (
     GnhiState,
     NhiState,
     Trajectory,
+    _MIN_STEPS,
     _check_simulable,
     _pairs,
     coupling_displacement,
@@ -127,7 +129,12 @@ def pair_signals(
 
 
 def _nonzero_coupling(coupling: float, what: str = "the pair") -> float:
-    """The coupling a caller computed, or ``PlannerError`` if it is too small to steer with."""
+    """The coupling a caller computed, checked.
+
+    ``DomainError`` if it overflowed, ``PlannerError`` if it is too small to steer with.
+    """
+    if not math.isfinite(coupling):
+        raise DomainError(f"the coupling displacement of {what} is not finite: it is {coupling!r}")
     if abs(coupling) < _ZERO_COUPLING:
         raise PlannerError(f"{what} has zero coupling displacement; it cannot steer")
     return coupling
@@ -428,7 +435,8 @@ def scale_pair(u1, u2, target: float, interval=None) -> tuple[float, float]:
     target = float(target)
     if target == 0.0:
         return (0.0, 0.0)
-    coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval))
     ratio = target / coupling
     root = math.sqrt(abs(ratio))
     return (root, math.copysign(root, ratio))
@@ -436,7 +444,12 @@ def scale_pair(u1, u2, target: float, interval=None) -> tuple[float, float]:
 
 @dataclass
 class SimulationResult:
-    """Per-phase trajectories and the final state; ``merged``, the phases end to end, is built on first access."""
+    """Per-phase trajectories and the final state; ``merged``, the phases end to end, is built on first access.
+
+    The columns of every phase are rows of the one block ``simulate_plan``
+    allocated, so keeping one phase's trajectory (or one column) keeps the
+    whole simulation's block alive; copy a column to keep it alone.
+    """
 
     trajectories: list[Trajectory]
     terminal: dict
@@ -477,7 +490,15 @@ class SimulationResult:
 
 
 def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:
-    """Integrate every phase of a plan in sequence from its stored start state."""
+    """Integrate every phase of a plan in sequence from its stored start state.
+
+    Every phase writes its rows into its own slice of one float block of
+    shape (phases, 2m + m(m-1)/2, steps + 1), through the ``out=`` of the
+    public integrator; a plan without phases integrates zero inputs into a
+    block of one.
+    """
+    if steps < _MIN_STEPS:
+        raise ValueError(f"steps must be at least {_MIN_STEPS}")
     names = _plan_coordinates(plan.system, plan.predicted_endpoint)
     if plan.system == "nhi":
         m, integrate, state_of = 2, integrate_nhi, NhiState.from_array
@@ -485,12 +506,13 @@ def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:
         m = sum(1 for n in names if len(n) == 2)
         integrate, state_of = integrate_gnhi, functools.partial(GnhiState.from_flat, m)
     state = state_of([plan.initial[n] for n in names])
+    legs = [(ph.inputs, ph.interval) for ph in plan.phases]
+    if not legs:
+        legs = [((InputSignal(terms=(), interval=plan.interval),) * m, plan.interval)]
+    block = np.empty((len(legs), m + len(names), steps + 1))
     trajs = []
-    for phase in plan.phases:
-        trajs.append(integrate(phase.inputs, state, interval=phase.interval, steps=steps))
+    for (inputs, interval), out in zip(legs, block):
+        trajs.append(integrate(inputs, state, interval=interval, steps=steps, out=out))
         end = trajs[-1].terminal
         state = state_of([end[n] for n in names])
-    if not trajs:
-        zero = InputSignal(terms=(), interval=plan.interval)
-        trajs = [integrate((zero,) * m, state, interval=plan.interval, steps=steps)]
     return SimulationResult(trajectories=trajs, terminal=trajs[-1].terminal)

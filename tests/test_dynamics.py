@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate as sp_integrate
 from scipy.spatial.transform import Rotation as ScipyRotation
@@ -27,11 +29,14 @@ from nhsteer.dynamics import (
 )
 from nhsteer.dynamics import _exp_rotations
 from nhsteer.orthopoly import (
+    CANONICAL_INTERVAL,
     CHEBYSHEV_FIRST,
     CHEBYSHEV_SECOND,
     JACOBI,
     LEGENDRE,
     SHIFTED_INTERVAL,
+    TRIG_COS,
+    TRIG_SIN,
     BasisElement,
     Harmonic,
     InputSignal,
@@ -578,6 +583,16 @@ def test_bilinear_integrators_refuse_finite_inputs_that_overflow():
     assert np.isfinite(list(end.values())).all()
 
 
+def test_an_input_that_overflows_where_it_is_evaluated_is_refused_without_a_warning():
+    # the weighted second kind times 1.7e308 overflows at the inner nodes; the
+    # refusal used to come after a numpy overflow warning
+    big = basis_signal(CHEBYSHEV_SECOND, 0, scale=1.7e308, weighted=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="inputs must be finite"):
+            integrate_nhi((big, basis_signal(LEGENDRE, 1)), steps=200)
+
+
 def test_zero_channels_beside_an_overflowing_direct_coordinate_still_raise():
     # the cross coordinate of the two zero signals stays finite, x1 does not
     zero = InputSignal(terms=())
@@ -626,3 +641,165 @@ def test_weighted_jacobi_exponent_minus_half_still_integrates():
     sig = basis_signal(JACOBI, 1, weighted=True, jacobi_params=(-0.5, -0.5))
     end = integrate_nhi((sig, basis_signal(LEGENDRE, 2)), steps=200).terminal
     assert all(np.isfinite(list(end.values())))
+
+
+# ---------------------------------------------------------------------------
+# the block core against the column-by-column core it replaced
+
+
+def _reference_bilinear(u, x0, xx0, cross_names, interval, steps):
+    """The bilinear core with one new array per column, kept as the reference for the block core."""
+    if steps < dynamics._MIN_STEPS:
+        raise ValueError(f"steps must be at least {dynamics._MIN_STEPS}")
+    interval = dynamics._infer_interval(u, interval)
+    dynamics._check_simulable(u, interval)
+    reparam = any(isinstance(sig, InputSignal) and sig.is_weighted for sig in u)
+    t_nodes, h, u_nodes, u_mid = dynamics._grids(u, interval, steps, reparam)
+    if not (np.isfinite(u_nodes).all() and np.isfinite(u_mid).all()):
+        raise DomainError("inputs must be finite on the interval")
+    m = len(u)
+    u0 = u_nodes[:, :-1]
+    u1 = u_nodes[:, 1:]
+    state_names = [f"x{i + 1}" for i in range(m)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_sum = u0 + 4.0 * u_mid + u1
+        x = np.empty((m, steps + 1))
+        x[:, 0] = x0
+        x[:, 1:] = x[:, :1] + (h / 6.0) * np.cumsum(s_sum, axis=1)
+        x_start = x[:, :-1]
+        columns = dict(zip(state_names, x))
+        zero = [isinstance(sig, InputSignal) and not sig.terms for sig in u]
+        for name, (i, j), start in zip(cross_names, dynamics._pairs(m), xx0):
+            path = columns[name] = np.empty(steps + 1)
+            path[0] = start
+            if zero[i] and zero[j]:  # every increment would be +0.0
+                path[1:] = start + 0.0
+                continue
+            incr = (h / 6.0) * (x_start[i] * s_sum[j] - x_start[j] * s_sum[i]) + (
+                h * h / 6.0
+            ) * (
+                (u0[i] * u_mid[j] - u0[j] * u_mid[i])
+                + (u_mid[i] * u1[j] - u_mid[j] * u1[i])
+            )
+            path[1:] = start + np.cumsum(incr)
+    if not all(np.isfinite(col).all() for col in columns.values()):
+        raise DomainError("inputs overflow the integrator: a state coordinate is not finite")
+    input_names = tuple(f"u{i + 1}" for i in range(m))
+    columns.update(zip(input_names, u_nodes.copy()))  # frees the midpoint values
+    return dynamics.Trajectory(
+        t=t_nodes,
+        columns=columns,
+        state_names=(*state_names, *cross_names),
+        input_names=input_names,
+        scheme="rk4_reparam" if reparam else "rk4",
+        interval=interval,
+    )
+
+
+def _outcome(core, *args):
+    """A core's trajectory, or the type and message of what it raised."""
+    try:
+        return core(*args)
+    except (ValueError, DomainError, CapabilityError) as exc:
+        return type(exc), str(exc)
+
+
+# input scales from tiny to past the point where the states overflow, on all of
+# the grid or on part of it; starts of both signed zeros
+_SCALES = st.one_of(
+    st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    st.floats(3.0, 308.0).map(lambda e: 10.0**e),
+    st.sampled_from([0.0, 1e150, 3e153, 1e154, 1e300, 1e305, 1.7e308]),
+).flatmap(lambda s: st.sampled_from([s, -s]))
+_STARTS = st.sampled_from([0.0, -0.0, 0.75, -2.5, 1e300, -1e-300])
+_SIGNAL_FAMILIES = (LEGENDRE, CHEBYSHEV_FIRST, CHEBYSHEV_SECOND, JACOBI, TRIG_SIN, TRIG_COS)
+
+
+@st.composite
+def _channel(draw, box):
+    kind = draw(st.sampled_from(["zero", "signal", "signal", "callable"]))
+    if kind == "zero":
+        return InputSignal(terms=(), interval=box)
+    scale = draw(_SCALES)
+    if kind == "callable":
+        rate = draw(st.sampled_from([0.5, 3.0, 40.0]))
+        return lambda t, c=scale, w=rate: c * np.cos(w * np.asarray(t, dtype=float))
+    family = draw(st.sampled_from(_SIGNAL_FAMILIES))
+    weighted = family in (CHEBYSHEV_FIRST, CHEBYSHEV_SECOND, JACOBI) and draw(st.booleans())
+    params = (1.5, 1.5) if family == JACOBI else None
+    index = draw(st.integers(1 if family == TRIG_SIN else 0, 5))
+    return basis_signal(family, index, box, scale, weighted, params)
+
+
+@st.composite
+def _bilinear_cases(draw):
+    m = draw(st.integers(2, 8))
+    box = draw(st.sampled_from([CANONICAL_INTERVAL, SHIFTED_INTERVAL]))
+    u = tuple(draw(_channel(box)) for _ in range(m))
+    x0 = tuple(draw(_STARTS) for _ in range(m))
+    xx0 = tuple(draw(_STARTS) for _ in range(m * (m - 1) // 2))
+    steps = draw(st.sampled_from([100, 137, 256, 99]))
+    return u, x0, xx0, tuple(pair_names(m)), None, steps
+
+
+def _assert_same_trajectory(got, want):
+    assert (got.state_names, got.input_names, got.scheme, got.interval) == (
+        want.state_names,
+        want.input_names,
+        want.scheme,
+        want.interval,
+    )
+    assert got.t.tobytes() == want.t.tobytes()
+    for name in (*want.state_names, *want.input_names):
+        assert got.columns[name].tobytes() == want.columns[name].tobytes(), name  # signed zeros too
+
+
+def _assert_same_outcome(case):
+    with warnings.catch_warnings():
+        # the column core let an overflow in evaluating the inputs warn; the block core does not
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = _outcome(_reference_bilinear, *case)
+    got = _outcome(dynamics._integrate_bilinear, *case)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_same_trajectory(got, want)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_bilinear_cases())
+def test_block_core_is_bit_equal_to_the_column_core(case):
+    _assert_same_outcome(case)
+
+
+@pytest.mark.parametrize("length", [1.0, 1e6, 1e300])
+def test_block_core_is_bit_equal_on_long_intervals(length):
+    # steps longer than 6 scale the running sums up after they are summed, so a
+    # direct state can overflow mid-grid and end finite; the cross passes it
+    # enters carry the overflow to their last sample
+    wave = lambda t: np.sin(2.0 * np.pi * np.asarray(t, dtype=float) / length)  # x1 rises, then returns
+    for scale in (1.0, 1e-290, 1e10, 1e300):
+        u = (lambda t, c=scale: c * wave(t), _zero, lambda t: np.cos(np.asarray(t) / length))
+        _assert_same_outcome((u, (0.0, -0.0, 1.0), (-0.0, 0.0, 2.0), ("x12", "x13", "x23"), (0.0, length), 300))
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_integrators_write_their_rows_into_out(m):
+    u = tuple(basis_signal(LEGENDRE, k + 1, scale=0.5 + k) for k in range(m))
+    rows = 2 * m + m * (m - 1) // 2
+    out = np.full((rows, 201), np.nan)
+    if m == 2:
+        traj = integrate_nhi(u, (0.1, -0.0, 0.3), steps=200, out=out)
+        alone = integrate_nhi(u, (0.1, -0.0, 0.3), steps=200)
+    else:
+        traj = integrate_gnhi(u, GnhiState.zeros(m), steps=200, out=out)
+        alone = integrate_gnhi(u, GnhiState.zeros(m), steps=200)
+    names = (*traj.state_names, *traj.input_names)
+    for row, name in zip(out, names):
+        assert traj.columns[name].base is out and np.shares_memory(traj.columns[name], row)
+        assert traj.columns[name].tobytes() == alone.columns[name].tobytes()
+    assert alone.columns[names[0]].base.shape == (rows, 201)
+    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+        integrate_gnhi(u, GnhiState.zeros(m), steps=200, out=np.empty((rows, 200)))
+    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+        integrate_gnhi(u, GnhiState.zeros(m), steps=200, out=np.empty((rows, 201), dtype=np.float32))

@@ -21,6 +21,8 @@ from nhsteer.orthopoly import (
     JACOBI,
     LEGENDRE,
     SHIFTED_INTERVAL,
+    TRIG_COS,
+    TRIG_SIN,
     basis_signal,
     scale_signal,
 )
@@ -234,6 +236,21 @@ def test_fuel_analysis_refuses_overflowing_constants(a):
     odd, even = pair_signals(CHEBYSHEV_SECOND, (1, 2))
     with pytest.raises(DomainError, match="fuel minimum"):
         fuel_min(fuel_constants(odd, even, a))
+
+
+def test_fuel_analysis_refuses_a_shape_whose_norm_or_coupling_overflows():
+    # the coupling came out nan with numpy RuntimeWarnings, and the refusal read
+    # "the target 1.0 over the coupling nan overflows"
+    big = basis_signal(JACOBI, 7, scale=-1e300, jacobi_params=(5, 60))
+    for u1, u2 in ((big, big), (big, basis_signal(JACOBI, 8, jacobi_params=(5, 60)))):
+        with pytest.raises(DomainError, match="coupling .* is not finite"):
+            fuel_constants(u1, u2, 1.0)
+    # a finite coupling beside a norm above the largest float
+    small, big = basis_signal(TRIG_SIN, 1, scale=1e-300), basis_signal(TRIG_COS, 1, scale=1.5e308)
+    with pytest.raises(DomainError, match="the L1 norm"):
+        fuel_constants(small, big, 1.0)
+    with pytest.raises(DomainError, match="the L3 norm"):
+        fuel_min_lp(small, big, 1.0, 3.0)
 
 
 def test_compare_families_passes_jacobi_params_to_jacobi_entries_only():

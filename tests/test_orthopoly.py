@@ -850,12 +850,18 @@ def _sign_route_cases():
 def test_known_zero_signs_give_the_evaluated_sign_norms(family, params, weighted, interval):
     # where the scale is 0 or subnormal the evaluated signs are all +1 and differ from the known
     # ones, but every panel's running-integral difference is then a signed zero: compare norms.
-    # At -1e300 the running integral both routes share overflows to inf or nan for large terms.
+    # At -1e300 the running integral both routes share overflows to inf or nan for large terms,
+    # which l1_norm refuses.
     for n in range(1 if family == TRIG_SIN else 0, INDEX_CAP + 1):
         for scale in (1.0, -2.5, 0.0, 1e-300, -1e300, 3e-310):
             signal = basis_signal(family, n, interval=interval, scale=scale, weighted=weighted, jacobi_params=params)
             with np.errstate(over="ignore", invalid="ignore"):
-                assert repr(l1_norm(signal)) == repr(_evaluated_sign_l1(signal)), (n, scale)
+                want = _evaluated_sign_l1(signal)
+            if math.isfinite(want):
+                assert repr(l1_norm(signal)) == repr(want), (n, scale)
+            else:
+                with pytest.raises(DomainError, match="the L1 norm"):
+                    l1_norm(signal)
 
 
 def test_lp_norm_cubic_at_degree_64():
@@ -869,6 +875,23 @@ def test_lp_norm_of_mixed_weights():
     # u = 2t sqrt(1 - t^2) + 0.3: int u^2 = 4 (2/3 - 2/5) + 0.18, the cross term is odd
     u = combine_signals(basis_signal(CHEBYSHEV_SECOND, 1, weighted=True), constant_signal(LEGENDRE, 0.3))
     assert_allclose(lp_norm(u, 2.0), 16.0 / 15.0 + 0.18, rtol=1e-13)
+
+
+@pytest.mark.parametrize("p, name", [(1.0, "L1"), (2.0, "L2"), (3.0, "L3")])
+def test_an_overflowing_norm_is_refused_naming_the_norm(p, name):
+    # the running integral is inf at every cut after the first, so the L1 panel
+    # differences were inf - inf: nan with numpy RuntimeWarnings
+    sig = basis_signal(JACOBI, 7, scale=-1e300, jacobi_params=(5, 60))
+    with pytest.raises(DomainError, match=f"the {name} norm"):
+        lp_norm(sig, p)
+    # finite running integrals, but a norm above the largest float
+    with pytest.raises(DomainError, match=f"the {name} norm"):
+        lp_norm(basis_signal(TRIG_COS, 1, scale=1.5e308), p)
+    with pytest.raises(DomainError, match="the L1 norm"):
+        l1_norm(combine_signals(basis_signal(TRIG_COS, 1, scale=1.5e308), basis_signal(TRIG_COS, 3, scale=1e307)))
+    # a finite norm whose sign scan overflows midway comes back without a warning
+    legendre = combine_signals(basis_signal(LEGENDRE, 3, scale=1.5e308), basis_signal(LEGENDRE, 1, scale=1.5e308))
+    assert_allclose(l1_norm(legendre), 0.85 * 1.5e308, rtol=1e-14)
 
 
 def test_lp_norm_rejects_non_integrable_powers_up_front():

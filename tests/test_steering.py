@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nhsteer import steering
 from nhsteer.dynamics import GnhiState, NhiState, integrate_nhi
 from nhsteer.errors import CapabilityError, DomainError, PlannerError
 from nhsteer.orthopoly import (
@@ -298,6 +299,10 @@ def test_scale_pair_rejects_degenerate_coupling():
     u1 = basis_signal(LEGENDRE, 1)
     with pytest.raises(PlannerError):
         scale_pair(u1, u1, 1.0)  # antisymmetry makes the coupling vanish
+    # a coupling that overflows came out nan with numpy RuntimeWarnings
+    big = basis_signal(JACOBI, 7, scale=-1e300, jacobi_params=(5, 60))
+    with pytest.raises(DomainError, match="coupling displacement of the pair is not finite"):
+        scale_pair(big, basis_signal(JACOBI, 8, jacobi_params=(5, 60)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +473,51 @@ def test_an_overflowing_signal_energy_is_refused_where_it_is_computed():
 def test_divergent_energy_of_a_huge_target_stays_infinite():
     # weighted T_n have infinite energy at every target, which is not an overflow
     assert plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1e306), family=CHEBYSHEV_FIRST).cost == math.inf
+
+
+# ---------------------------------------------------------------------------
+# one block per simulation
+
+
+def _gnhi_plan(m, seed):
+    rng = np.random.default_rng(seed)
+    size = m + m * (m - 1) // 2
+    s0 = GnhiState.from_flat(m, rng.uniform(-1.0, 1.0, size))
+    return plan_gnhi(s0, GnhiState.from_flat(m, rng.uniform(-2.0, 2.0, size)))
+
+
+@pytest.mark.parametrize(
+    "plan, phases",
+    [
+        (plan_nhi((0.3, -0.7, 0.2), (-1.1, 0.4, 2.5)), 2),
+        (_gnhi_plan(3, 3), 3),
+        (_gnhi_plan(8, 8), 8),
+        (plan_nhi((-0.0, 0.0, -0.0), (-0.0, 0.0, -0.0)), 0),
+    ],
+    ids=["nhi", "gnhi m3", "gnhi m8", "no phases"],
+)
+def test_a_simulation_writes_every_phase_into_one_block(plan, phases):
+    sim = simulate_plan(plan, steps=150)
+    assert len(plan.phases) == phases and len(sim.trajectories) == max(phases, 1)
+    first = sim.trajectories[0]
+    owner = first.columns["x1"].base
+    rows = len(first.state_names) + len(first.input_names)
+    assert owner.shape == (len(sim.trajectories), rows, 151)
+    for traj in sim.trajectories:
+        for name in (*traj.state_names, *traj.input_names):
+            assert traj.columns[name].base is owner and np.shares_memory(traj.columns[name], owner)
+    last = sim.trajectories[-1]
+    assert sim.terminal == {name: float(last.columns[name][-1]) for name in last.state_names}
+    assert list(sim.terminal.values()) == owner[-1, : len(last.state_names), -1].tolist()
+
+
+def test_simulate_plan_refuses_too_few_steps_before_allocating(monkeypatch):
+    plan = plan_nhi((0.3, -0.7, 0.2), (-1.1, 0.4, 2.5))
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block was allocated")
+
+    monkeypatch.setattr(steering.np, "empty", no_block)
+    for steps in (99, -2):  # not numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match="steps must be at least 100"):
+            simulate_plan(plan, steps=steps)

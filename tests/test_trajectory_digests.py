@@ -52,15 +52,16 @@ def _csv_digest(sim) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-def _nhi(family, interval=None, jacobi=None):
-    x0, xf = (0.3, -0.7, 0.2), (-1.1, 0.4, 2.5)
+def _nhi(family, interval=None, jacobi=None, x0=(0.3, -0.7, 0.2), xf=(-1.1, 0.4, 2.5)):
     return lambda: simulate_plan(plan_nhi(x0, xf, family=family, interval=interval, jacobi_params=jacobi), STEPS)
 
 
-def _gnhi(m, family):
+def _gnhi(m, family, from_zeros=False):
     rng = np.random.default_rng(m)
     s0 = GnhiState.from_flat(m, rng.uniform(-1.0, 1.0, m + m * (m - 1) // 2))
     sf = GnhiState.from_flat(m, rng.uniform(-2.0, 2.0, m + m * (m - 1) // 2))
+    if from_zeros:  # the direct phase leaves every cross coordinate at zero: zero channels, skipped pairs
+        s0 = GnhiState.zeros(m)
     return lambda: simulate_plan(plan_gnhi(s0, sf, family=family), STEPS)
 
 
@@ -84,6 +85,9 @@ CASES = {
     "nhi chebyshev_second 0,1": _nhi("chebyshev_second", (0.0, 1.0)),
     "nhi trig": _nhi("trig"),
     "nhi trig 0,1": _nhi("trig", (0.0, 1.0)),
+    # signed zeros: the start is sample 0 of every column, and a plan with no phases runs zero inputs
+    "nhi legendre from -0,0,-0": _nhi("legendre", x0=(-0.0, 0.0, -0.0)),
+    "nhi no phases at -0,0,-0": _nhi("legendre", x0=(-0.0, 0.0, -0.0), xf=(-0.0, 0.0, -0.0)),
     "nhi jacobi 1.7": _nhi("jacobi", jacobi=(1.7, 1.7)),
     "nhi jacobi 1.7 0,1": _nhi("jacobi", (0.0, 1.0), (1.7, 1.7)),
     "nhi jacobi 0.3": _nhi("jacobi", jacobi=(0.3, 0.3)),
@@ -95,6 +99,7 @@ CASES = {
     "gnhi m3 chebyshev_second": _gnhi(3, "chebyshev_second"),
     "gnhi m3 trig": _gnhi(3, "trig"),
     "gnhi m8 legendre": _gnhi(8, "legendre"),
+    "gnhi m8 legendre from zeros": _gnhi(8, "legendre", from_zeros=True),
     "gnhi m8 chebyshev_second": _gnhi(8, "chebyshev_second"),
     "gnhi m8 trig": _gnhi(8, "trig"),
     "so3 constant": _so3(constant_omega_plan, 2.0),
@@ -107,6 +112,7 @@ DIGESTS = {
     "gnhi m3 trig": "21e6f19249330f51cbf18417785df42de7e55efef4d16bc6f037a2fb5864d7dc",
     "gnhi m8 chebyshev_second": "a25f68b16f3c6a84196018eeb1c809f3f6ea9b50da7a4de342e5fcaf300b5899",
     "gnhi m8 legendre": "4a0d50d7e4c3adb5e523e642a180ebe14d17d3e3322d770067858c312a58e7c1",
+    "gnhi m8 legendre from zeros": "ec56ca510272c633f4ef9e08b0cd0bc99d2398265b9fa81fd7f7262adea15bc2",
     "gnhi m8 trig": "06a18e8705ab4d64c4631f03359a0f07243c2dd7edf9d8c8113f8f7634c865d8",
     "nhi chebyshev_first": "95969a8cdf3de215a519aed405926ceb3a8efaf28cdd3ad04b50826bde62f3ec",
     "nhi chebyshev_second": "b5b1c1530f75b4e8e6a5b53bdb994d8e72d4ad16b507cf74aa89f8015f2b8e56",
@@ -118,6 +124,8 @@ DIGESTS = {
     "nhi jacobi 1.7 0,1": "b10177e7f14498fbcfd8428610986398a5094127beab659b62d41854ad7f1353",
     "nhi legendre": "e01beff208dc1f382676624ec8e7bf90e70dd7a83c49a50a404343fed16faa61",
     "nhi legendre 0,1": "cce77d46e15feed7146c4509ed09acec5291f5beebd6ac17fcfe1cc5b7e52e03",
+    "nhi legendre from -0,0,-0": "a11ca2ef92f17d3a69ce015c260ef0f58f0ff1ea27529d5cc6ad00c105f26add",
+    "nhi no phases at -0,0,-0": "0a426c1c5e1bd371bff6a2583bd508a4cb420ec5837dc17b6cab5948f5b35d49",
     "nhi optimal": "49846bfcf0059311d151755fcb7a42f97bf4652de9f24b3c316eca3e2635a71e",
     "nhi optimal split": "9fa0e5fb76db5201d507dd449eaf04f6fe748430c28f8385f712e174e00a4b76",
     "nhi trig": "852671c19e6c19a8ad5bf0533efa2c7360531f477e498855cd036192425f3106",
@@ -132,6 +140,7 @@ CSV_DIGESTS = {
     "gnhi m3 trig": "975853af92ca66794cd5dc58515706f81ac81aec5cdf06da5dbb985821aa7108",
     "gnhi m8 chebyshev_second": "d1cf5237523a45145e9ef147d4beee5f2d552c4fc531ab3eddbcd95708a7a25e",
     "gnhi m8 legendre": "9a457b2ef326eeefbc5f9bce38a45579d66409658f957c0e237a932e4e410e15",
+    "gnhi m8 legendre from zeros": "8894f24433d99fb8a01b58aeb2c6c561f0b21327079d7ad1e88952a624c3c0e0",
     "gnhi m8 trig": "afb3053d5c7eabb8634fb4e06fea2760ff5845186fa45c92ab4400eae9faf2b6",
     "nhi chebyshev_first": "9ab553a4abb435b0eb512ed2969542e8af9e6d9978516688405a1533509c5f23",
     "nhi chebyshev_second": "1a020308f8b38cd8ba5ff501bae46acfdfcf2181fa99b0a6b39462f3ff3560ff",
@@ -143,6 +152,8 @@ CSV_DIGESTS = {
     "nhi jacobi 1.7 0,1": "db8ea9d455cf6a8538cc9a2648cb9bcb4fe46576d1d9a32dcc2cf38ec9067c1a",
     "nhi legendre": "98bd2cee646292a469f08f3adf4ac53844439615e49b45ceddacb3ceb1de2b27",
     "nhi legendre 0,1": "68bd25a00a1c88b1e9da3b1b9a15a1cc8499d75f23ce019d5593fa8f2b95a5ce",
+    "nhi legendre from -0,0,-0": "7f0600bd2a12f5bfb99848b477a533e98db2925211df58fa5e393631cf27c1f7",
+    "nhi no phases at -0,0,-0": "b748ff34645e76999c23c7b0bdb15524e270c186ba235a4891bba6afacd6ed2d",
     "nhi optimal": "1f61462f398f9539e4318a7b02d7b3e4449097953906e748ab03a5ce802cc920",
     "nhi optimal split": "b0d4065aba3b64b86ae6d7bf03bdad7d977451a66379ec5d7296ffeb9426d438",
     "nhi trig": "f2f088944731ac40b59e25c7d25b58dd4d4964d34889f6fc6baabb851045861e",
