@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _planfile
 from .dynamics import GnhiState, Rotation, coupling_displacement
 from .errors import NhsteerError
 from .fuel_l1 import _pair_constants, compare_families, fuel_constants, fuel_min
@@ -221,14 +222,12 @@ def _simulate_plan_file(args):
     """
     try:
         data = json.loads(Path(args.plan).read_text())
-        plan_type = AttitudePlan if data.get("system") == "so3" else SteeringPlan
-        plan = plan_type.from_json_dict(data)
-    except KeyError as exc:
-        raise NhsteerError(f"plan file {args.plan} lacks the field {exc}") from exc
-    except (TypeError, AttributeError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise NhsteerError(f"malformed plan file {args.plan}: {exc}") from exc
-    if isinstance(plan, AttitudePlan):
-        return simulate_attitude(plan, steps=args.steps)
+    data = _planfile.document(data, f"plan file {args.plan}")
+    if data.choice("system", ("nhi", "gnhi", "so3")) == "so3":
+        return simulate_attitude(AttitudePlan.from_json_dict(data), steps=args.steps)
+    plan = SteeringPlan.from_json_dict(data)
     result = simulate_plan(plan, steps=args.steps)
     return result, max(abs(result.terminal[name] - value) for name, value in plan.predicted_endpoint.items())
 

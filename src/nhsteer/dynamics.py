@@ -146,14 +146,11 @@ class GnhiState:
     def from_flat(cls, m: int, values) -> "GnhiState":
         """Build from [x1..xm, x12, x13, ..., x(m-1)m]."""
         values = np.asarray(values, dtype=float)
-        pairs = _pairs(m)
-        if values.shape != (m + len(pairs),):
-            raise ValueError(
-                f"expected {m + len(pairs)} values for m={m}: "
-                "x1..xm then x_ij in lexicographic order"
-            )
+        count = m + m * (m - 1) // 2  # compared before the m(m - 1)/2 pairs are built
+        if values.shape != (count,):
+            raise ValueError(f"expected {count} values for m={m}: x1..xm then x_ij in lexicographic order")
         xx = np.zeros((m, m))
-        for k, (i, j) in enumerate(pairs, start=m):
+        for k, (i, j) in enumerate(_pairs(m), start=m):
             xx[i, j] = values[k]
             xx[j, i] = -values[k]
         return cls(values[:m], xx)
@@ -175,7 +172,8 @@ class Rotation:
             raise ValueError("rotation matrix must be 3x3")
         if not np.all(np.isfinite(mat)):
             raise ValueError("rotation matrix entries must be finite")
-        if np.max(np.abs(mat.T @ mat - np.eye(3))) > 1e-8:
+        # the entries are bounded first, so that the product cannot overflow
+        if np.max(np.abs(mat)) > 2.0 or np.max(np.abs(mat.T @ mat - np.eye(3))) > 1e-8:
             raise ValueError("matrix is not orthogonal")
         if abs(np.linalg.det(mat) - 1.0) > 1e-8:
             raise ValueError("matrix determinant is not +1")
@@ -582,11 +580,11 @@ def integrate_so3(omega, g0=None, interval=(0.0, 1.0), steps: int = 2000) -> Tra
     h = (hi - lo) / steps
     t_nodes = np.linspace(lo, hi, steps + 1)
     stage_times = (t_nodes[:-1] + (0.5 - _SQ3 / 6.0) * h, t_nodes[:-1] + (0.5 + _SQ3 / 6.0) * h)
-    rates = _stacked_values(omega, np.concatenate((t_nodes, *stage_times)))
-    if not np.isfinite(rates).all():
-        raise DomainError("rates must be finite on the interval")
-    w_nodes, wa, wb = np.split(rates, [steps + 1, 2 * steps + 1], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
+        rates = _stacked_values(omega, np.concatenate((t_nodes, *stage_times)))
+        if not np.isfinite(rates).all():
+            raise DomainError("rates must be finite on the interval")
+        w_nodes, wa, wb = np.split(rates, [steps + 1, 2 * steps + 1], axis=1)
         steps_vec = 0.5 * h * (wa + wb).T - (_SQ3 / 12.0) * h * h * np.cross(wa.T, wb.T)
         rots = _exp_rotations(steps_vec)
     if not np.isfinite(rots).all():

@@ -9,6 +9,7 @@ __all__ = [
     "ConvergenceError",
     "AmbiguityError",
     "SingularityError",
+    "PlanFileError",
 ]
 
 
@@ -49,3 +50,7 @@ class AmbiguityError(NhsteerError):
 
 class SingularityError(NhsteerError):
     """A coefficient function vanishes where the expression divides by it."""
+
+
+class PlanFileError(NhsteerError, ValueError):
+    """A plan file's field is missing or of the wrong JSON type; the message names its path."""

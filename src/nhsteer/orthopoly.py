@@ -63,6 +63,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapabilityError, ConvergenceError, DomainError, IntegrabilityError
+from . import _planfile
 
 __all__ = [
     "LEGENDRE",
@@ -561,17 +562,11 @@ class Term:
         return out
 
     @staticmethod
-    def from_json_dict(data: dict, interval) -> "Term":
-        params = None
-        if "alpha" in data:
-            params = (float(data["alpha"]), float(data["beta"]))
-        element = BasisElement(
-            family=data["family"],
-            index=int(data["index"]),
-            interval=tuple(interval),
-            jacobi_params=params,
-        )
-        return Term(element=element, scale=float(data["scale"]), weighted=bool(data["weighted"]))
+    def from_json_dict(data, interval) -> "Term":
+        data = _planfile.document(data)
+        params = (data.real("alpha"), data.real("beta")) if "alpha" in data.value else None
+        element = BasisElement(data.choice("family", FAMILIES), data.index("index"), interval, params)
+        return Term(element=element, scale=data.real("scale"), weighted=data.flag("weighted"))
 
 
 def _term_running_integral_canonical(term: Term):
@@ -779,9 +774,10 @@ class InputSignal:
         }
 
     @staticmethod
-    def from_json_dict(data: dict) -> "InputSignal":
-        interval = tuple(float(x) for x in data["interval"])
-        terms = tuple(Term.from_json_dict(d, interval) for d in data["terms"])
+    def from_json_dict(data) -> "InputSignal":
+        data = _planfile.document(data)
+        interval = data.reals("interval", 2)
+        terms = data.items("terms", lambda term: Term.from_json_dict(term, interval))
         return InputSignal(terms=terms, interval=interval)
 
 

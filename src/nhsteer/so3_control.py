@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _planfile
 from .errors import ConvergenceError, DomainError, IntegrabilityError, SingularityError
 from .dynamics import Rotation, exp_rotation, integrate_so3, log_rotation
 from .dynamics import _quaternion_log, _quaternion_product, _rotation_quaternion
@@ -79,23 +80,23 @@ class AttitudePlan:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     @staticmethod
-    def from_json_dict(data: dict) -> "AttitudePlan":
+    def from_json_dict(data) -> "AttitudePlan":
         """Rebuild a constant or underactuated plan (a weighted plan's q is not in its JSON)."""
-        params = {k: float(v) for k, v in data["params"].items()}
-        if data["mode"] == "constant":
-            omega = tuple(Harmonic("cos", 0.0, 0.0, params[k]) for k in ("w1", "w2", "w3"))
-        elif data["mode"] == "underactuated":
-            omega = _underactuated_rates(params["r"], params["phi"], params["c"])
+        data = _planfile.document(data)
+        mode = data.choice("mode", ("constant", "underactuated"))
+        rates = data.child("params")
+        if mode == "constant":
+            omega = _constant_rates([rates.real(k) for k in ("w1", "w2", "w3")])
         else:
-            raise ValueError(f"cannot rebuild rate laws for mode {data['mode']!r}")
+            omega = _underactuated_rates(rates.real("r"), rates.real("phi"), rates.real("c"))
         return AttitudePlan(
-            mode=data["mode"],
-            g0=Rotation(np.array(data["g0"], dtype=float)),
-            g1=Rotation(np.array(data["g1"], dtype=float)),
-            duration=float(data["duration"]),
+            mode=mode,
+            g0=Rotation(data.reals("g0", 3, 3)),
+            g1=Rotation(data.reals("g1", 3, 3)),
+            duration=data.real("duration"),
             omega=omega,
-            params=params,
-            cost=float(data["cost"]),
+            params=data.mapping("params"),
+            cost=data.real("cost"),
         )
 
 
@@ -117,7 +118,7 @@ def constant_omega_plan(g0, g1, duration: float, accept_pi_tiebreak: bool = Fals
     g0, g1, duration = _boundary(g0, g1, duration)
     rel = g1.matrix @ g0.matrix.T
     v = log_rotation(rel, accept_pi_tiebreak=accept_pi_tiebreak) / duration
-    omega = tuple(Harmonic("cos", 0.0, 0.0, float(v[i])) for i in range(3))
+    omega = _constant_rates(v)
     return AttitudePlan(
         mode="constant",
         g0=g0,
@@ -176,6 +177,11 @@ def weighted_rate_plan(g0, g1, duration: float, q, accept_pi_tiebreak: bool = Fa
 
 
 _E3 = np.array([0.0, 0.0, 1.0])
+
+
+def _constant_rates(w) -> tuple:
+    """omega = w, a constant rate vector, as frequency-0 harmonics."""
+    return tuple(Harmonic("cos", 0.0, 0.0, float(v)) for v in w)
 
 
 def _underactuated_rates(r: float, phi: float, c: float) -> tuple:

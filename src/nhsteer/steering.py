@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _planfile
 from .errors import CapabilityError, DomainError, IntegrabilityError, PlannerError
 from .orthopoly import (
     CANONICAL_INTERVAL,
@@ -172,13 +173,15 @@ class Phase:
         }
 
     @staticmethod
-    def from_json_dict(data: dict) -> "Phase":
+    def from_json_dict(data, names) -> "Phase":
+        """Rebuild a phase of a plan whose coordinates are ``names``; its endpoint names them all, in order."""
+        data = _planfile.document(data)
         return Phase(
-            interval=tuple(float(x) for x in data["interval"]),
-            inputs=tuple(InputSignal.from_json_dict(d) for d in data["inputs"]),
-            moves=tuple(data["moves"]),
-            fixes=tuple(data["fixes"]),
-            endpoint={k: float(v) for k, v in data["endpoint"].items()},
+            interval=data.reals("interval", 2),
+            inputs=data.items("inputs", InputSignal.from_json_dict),
+            moves=data.names("moves", names),
+            fixes=data.names("fixes", names),
+            endpoint=data.mapping("endpoint", names),
         )
 
 
@@ -197,11 +200,11 @@ def _phase(interval, inputs, names, values, moves) -> Phase:
 
 
 def _plan_coordinates(system: str, names) -> list[str]:
-    """A plan's coordinates in order; for gnhi, m is the count of direct names in ``names``."""
+    """A plan's coordinates in order; for gnhi, those of the m channels that ``names`` has room for."""
     if system == "nhi":
         return ["x1", "x2", "x3"]
     if system == "gnhi":
-        m = sum(1 for n in names if len(n) == 2)
+        m = (math.isqrt(8 * len(names) + 1) - 1) // 2  # m(m + 1)/2 <= len(names): built no larger
         return [f"x{i + 1}" for i in range(m)] + pair_names(m)
     raise ValueError(f"unknown plan system {system!r}")
 
@@ -244,23 +247,20 @@ class SteeringPlan:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     @staticmethod
-    def from_json_dict(data: dict) -> "SteeringPlan":
+    def from_json_dict(data) -> "SteeringPlan":
         """Rebuild a plan; its start and endpoint must name the system's coordinates in order."""
-        cost = data.get("cost")
-        initial = {k: float(v) for k, v in data["initial_state"].items()}
-        endpoint = {k: float(v) for k, v in data["predicted_endpoint"].items()}
-        names = _plan_coordinates(data["system"], initial)
-        if list(initial) != names or list(endpoint) != names:
-            raise ValueError(f"initial_state and predicted_endpoint must name {', '.join(names)}")
+        data = _planfile.document(data)
+        system = data.choice("system", ("nhi", "gnhi"))
+        names = _plan_coordinates(system, data.child("initial_state").value)
         return SteeringPlan(
-            system=data["system"],
-            family=data["family"],
-            interval=tuple(float(x) for x in data["interval"]),
-            initial=initial,
-            phases=tuple(Phase.from_json_dict(d) for d in data["phases"]),
-            predicted_endpoint=endpoint,
-            cost=math.inf if cost is None else float(cost),
-            closed_form=data.get("closed_form"),
+            system=system,
+            family=data.choice("family", PLAN_FAMILIES),
+            interval=data.reals("interval", 2),
+            initial=data.mapping("initial_state", names),
+            phases=data.items("phases", lambda phase: Phase.from_json_dict(phase, names)),
+            predicted_endpoint=data.mapping("predicted_endpoint", names),
+            cost=math.inf if data.value.get("cost") is None else data.real("cost"),
+            closed_form=data.choice("closed_form") if "closed_form" in data.value else None,
         )
 
     @staticmethod

@@ -1,6 +1,9 @@
 import argparse
+import itertools
 import json
+import math
 import os
+import string
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 import nhsteer
-from nhsteer import cli
+from nhsteer import cli, dynamics, steering
 from nhsteer.cli import _glue_negative_values, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -430,6 +433,151 @@ def test_plan_file_with_mismatched_coordinates_exits_one(tmp_path, capsys, comma
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
+
+
+def _edit_golden(tmp_path, name, edit):
+    """A copy of the golden plan ``name`` with ``edit`` applied to its JSON text."""
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(edit((GOLDEN / name).read_text()))
+    return plan_file
+
+
+def _set(path, value):
+    """An edit of a plan's JSON text that sets the leaf at ``path`` to ``value``."""
+
+    def edit(text):
+        data = json.loads(text)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return json.dumps(data)
+
+    return edit
+
+
+_TERM = ("phases", 0, "inputs", 0, "terms", 0)
+_SILENT_READINGS = {
+    # a term index of 1.5 was read as 1, "no" as true, "x1" as ('x', '1'), and an
+    # unknown plan family or a three-entry interval was accepted: verify exited 0
+    "index 1.5": (_set(("phases", 0, "inputs", 1, "terms", 0, "index"), 1.5),
+                  "phases[0].inputs[1].terms[0].index: expected an integer, got 1.5"),
+    "weighted no": (_set((*_TERM, "weighted"), "no"),
+                    "phases[0].inputs[0].terms[0].weighted: expected true or false, got \"no\""),
+    "moves x1": (_set(("phases", 0, "moves"), "x1"), 'phases[0].moves: expected a list, got "x1"'),
+    "family nonsense": (_set(("family",), "nonsense"), "family: expected one of "),
+    "three-entry interval": (_set(("phases", 0, "interval"), [-1.0, 0.0, 1.0]),
+                             "phases[0].interval: expected a list of 2, got [-1.0, 0.0, 1.0]"),
+    # these ended in OverflowError tracebacks
+    "10^400 scale": (_set((*_TERM, "scale"), 10**400),
+                     "phases[0].inputs[0].terms[0].scale: expected a finite number, got 1000"),
+    "10^400 start": (_set(("initial_state", "x2"), 10**400), "initial_state.x2: expected a finite number, got 1000"),
+    "infinite index": (_set((*_TERM, "index"), math.inf),
+                       "phases[0].inputs[0].terms[0].index: expected an integer, got Infinity"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("case", sorted(_SILENT_READINGS))
+def test_a_mistyped_plan_field_is_refused_by_its_json_path(tmp_path, capsys, command, case):
+    edit, message = _SILENT_READINGS[case]
+    plan_file = _edit_golden(tmp_path, "plan_nhi_legendre.json", edit)
+    code, out, err = run(capsys, command, "--plan", str(plan_file), "--steps", "100")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: plan file {plan_file}: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("duration",), "duration: expected a finite number, got 1000"),
+        (("g1", 0, 1), "g1[0][1]: expected a finite number, got 1000"),
+        (("params", "r"), "params.r: expected a finite number, got 1000"),
+        (("cost",), "cost: expected a finite number, got 1000"),
+    ],
+)
+def test_an_attitude_plan_field_beyond_the_float_range_is_refused(tmp_path, capsys, path, message):
+    # float(10**400) raised OverflowError, a traceback
+    plan_file = _edit_golden(tmp_path, "plan_so3_underactuated.json", _set(path, 10**400))
+    code, out, err = run(capsys, "verify", "--plan", str(plan_file), "--steps", "100")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: plan file {plan_file}: {message}")
+
+
+_MUTANTS = [None, "x", -1, 0, 1e308, math.nan, math.inf, [], {}, True, 10**400]
+
+
+def _leaves(node, path=()):
+    """The path of every scalar leaf of a JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, (*path, key))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("name", ["plan_nhi_legendre.json", "plan_gnhi_m3_trig.json", "plan_so3_underactuated.json"])
+def test_every_mutated_leaf_of_a_plan_file_exits_cleanly(tmp_path, capsys, name):
+    # every scalar leaf in turn set to each value of _MUTANTS: verify returns 0 or 1 and
+    # raises nothing (warnings are errors here); an exit 1 is one error: line, or a
+    # simulation that ran and missed the tolerance
+    plan = json.loads((GOLDEN / name).read_text())
+    plan_file = tmp_path / "plan.json"
+    bad = []
+    for path in _leaves(plan):
+        parent = plan
+        for key in path[:-1]:
+            parent = parent[key]
+        original = parent[path[-1]]
+        for value in _MUTANTS:
+            parent[path[-1]] = value
+            plan_file.write_text(json.dumps(plan))
+            try:
+                code, out, err = run(capsys, "verify", "--plan", str(plan_file), "--steps", "100")
+            except Exception as exc:  # an exception escaping main is what this test counts
+                capsys.readouterr()
+                bad.append((path, value, repr(exc)))
+                continue
+            refused = code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+            missed = code == 1 and err == "" and out.endswith("exceeds tolerance 1e-06\n")
+            if not ((code == 0 and err == "") or refused or missed):
+                bad.append((path, value, code, err))
+        parent[path[-1]] = original
+    assert bad == [], f"{len(bad)} mutants escaped, e.g. {bad[:3]}"
+
+
+@pytest.mark.parametrize("m", ["100000000", "1" + "0" * 400], ids=["10^8", "10^400"])
+def test_plan_gnhi_counts_the_values_before_it_builds_the_pairs(capsys, monkeypatch, m):
+    # from_flat built the m(m-1)/2 pairs before it compared the value count, so both
+    # of these ended in MemoryError under a 1.5 GB address-space limit
+    build_pairs = dynamics._pairs
+
+    def small_pairs(n):
+        assert n <= 8, "_pairs was asked for more channels than a state can have"
+        return build_pairs(n)
+
+    monkeypatch.setattr(dynamics, "_pairs", small_pairs)
+    code, out, err = run(capsys, "plan", "gnhi", "--m", m, "--from", "0,0,0", "--to", "0,0,0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: expected ") and f" values for m={m}: " in err
+
+
+def test_a_gnhi_plan_file_builds_no_more_names_than_it_has(tmp_path, capsys, monkeypatch):
+    # m was the count of two-character keys of initial_state, and its m(m-1)/2 pair
+    # names were built before they were compared: 2000 keys cost 1.3 s and 366 MB
+    build_names = steering.pair_names
+    keys = ["".join(pair) for pair in itertools.product(string.ascii_letters + string.digits, repeat=2)][:3000]
+
+    def bounded_names(m):
+        assert m * (m - 1) // 2 <= len(keys), f"pair_names({m}) outgrows the plan file"
+        return build_names(m)
+
+    monkeypatch.setattr(steering, "pair_names", bounded_names)
+    plan_file = _edit_golden(tmp_path, "plan_gnhi_m3_trig.json", _set(("initial_state",), dict.fromkeys(keys, 0.0)))
+    code, out, err = run(capsys, "verify", "--plan", str(plan_file), "--steps", "100")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: plan file {plan_file}: initial_state: expected an object naming x1, x2, ")
 
 
 def test_out_dir_env(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """Every public name the package and its modules export resolves, the
 package imports nothing at run time beyond the standard library and numpy,
-only ``orthopoly`` integrates products of signals, the CLI writes its
-output through one sink, and a plan does not load the CSV kernel."""
+only ``orthopoly`` integrates products of signals, only ``_planfile`` types
+the fields of a plan file, the CLI writes its output through one sink, and a
+plan does not load the CSV kernel."""
 
 import ast
 import importlib
@@ -66,6 +67,30 @@ def _identifiers(tree):
 def test_only_orthopoly_names_the_product_rules(name):
     named = PRODUCT_RULES & set(_identifiers(_tree(name)))
     assert named == (PRODUCT_RULES if name == "nhsteer.orthopoly" else set())
+
+
+COERCIONS = {"float", "int", "bool", "tuple"}
+
+
+@pytest.mark.parametrize("name", ["nhsteer", *MODULES])
+def test_plan_readers_coerce_nothing_and_only_planfile_refuses_a_plan_file(name):
+    # the typing rules of the plan-file format live in _planfile: a from_json_dict body
+    # calls none of float, int, bool or tuple, and no other module raises PlanFileError
+    tree = _tree(name)
+    readers = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "from_json_dict"]
+    coerced = [
+        (reader.lineno, call.func.id)
+        for reader in readers
+        for call in ast.walk(reader)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in COERCIONS
+    ]
+    raised = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None and "PlanFileError" in set(_identifiers(node.exc))
+    ]
+    assert coerced == []
+    assert bool(raised) == (name == "nhsteer._planfile")
 
 
 @pytest.mark.parametrize("name", ["nhsteer.optimal_energy", "nhsteer.fuel_l1"])

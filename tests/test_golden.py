@@ -16,6 +16,7 @@ level (simulated endpoint errors, |delta| of exact rows) have no relative
 accuracy at all, so they also pass within an absolute 1e-12.
 """
 
+import json
 import math
 import re
 from pathlib import Path
@@ -23,6 +24,8 @@ from pathlib import Path
 import pytest
 
 from nhsteer.cli import main
+from nhsteer.so3_control import AttitudePlan
+from nhsteer.steering import SteeringPlan
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,6 +78,14 @@ def test_cli_output_matches_golden(name, capsys):
         if not math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12)
     ]
     assert not bad, f"numbers off (index, got, golden): {bad[:5]}"
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("plan_")))
+def test_a_plan_golden_loads_and_writes_its_own_bytes(name):
+    text = (GOLDEN / name).read_text()
+    data = json.loads(text)
+    plan_type = AttitudePlan if data["system"] == "so3" else SteeringPlan
+    assert plan_type.from_json_dict(data).to_json() == text
 
 
 def test_split_keeps_names_and_finds_numbers():

@@ -17,6 +17,8 @@ tables) and compare the change against those.
 
 import hashlib
 import io
+import json
+import sys
 
 import numpy as np
 import pytest
@@ -171,6 +173,16 @@ def test_simulated_trajectory_is_bit_identical(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulated_csv_is_byte_identical(name):
     assert _csv_digest(CASES[name]()) == CSV_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_plan_of_a_case_loads_and_writes_its_own_bytes(name, monkeypatch):
+    # the simulators are swapped for functions that hand back the plan they were given
+    monkeypatch.setattr(sys.modules[__name__], "simulate_plan", lambda plan, steps: plan)
+    monkeypatch.setattr(sys.modules[__name__], "simulate_attitude", lambda plan, steps: (plan,))
+    plan = CASES[name]()
+    text = plan.to_json()
+    assert type(plan).from_json_dict(json.loads(text)).to_json() == text
 
 
 if __name__ == "__main__":
