@@ -95,6 +95,9 @@ class NhiState:
 
     @classmethod
     def from_array(cls, arr) -> "NhiState":
+        """The state of the three coordinates ``arr``; a state is returned as it is."""
+        if isinstance(arr, NhiState):
+            return arr
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (3,):
             raise ValueError("NhiState needs exactly three coordinates")
@@ -373,8 +376,7 @@ def integrate_nhi(u, x0=NhiState(), interval=None, steps: int = 2000, *, out=Non
     u = tuple(u)
     if len(u) != 2:
         raise ValueError("the three-state model takes exactly two inputs")
-    if not isinstance(x0, NhiState):
-        x0 = NhiState.from_array(np.asarray(x0, dtype=float))
+    x0 = NhiState.from_array(x0)
     return _integrate_bilinear(u, (x0.x1, x0.x2), (x0.x3,), ("x3",), interval, steps, out)
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 __all__ = [
     "NhsteerError",
     "DomainError",
@@ -19,6 +21,13 @@ class NhsteerError(Exception):
 
 class DomainError(NhsteerError):
     """An evaluation point lies outside the valid domain of an expression."""
+
+
+def _finite(value: float, what: str, *args) -> float:
+    """``value`` if it is finite, else ``DomainError`` naming it as ``what % args``, formatted only then."""
+    if math.isfinite(value):
+        return value
+    raise DomainError(f"{what % args} is not finite: it is {value!r}")
 
 
 class CapabilityError(NhsteerError):

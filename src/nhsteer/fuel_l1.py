@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, PlannerError
+from .errors import PlannerError, _finite
 from .dynamics import coupling_displacement, integrate_nhi
 from .orthopoly import JACOBI, InputSignal, l1_norm, lp_norm, scale_signal
 from .steering import _nonzero_coupling, pair_signals
@@ -76,11 +76,8 @@ def _shape_constants(u1, u2, a: float, interval, norm, what: str = "the pair") -
         raise ValueError(f"the displacement target must be nonzero and finite, got {a!r}")
     if not isinstance(u1, InputSignal) or not isinstance(u2, InputSignal):
         raise ValueError("fuel analysis expects InputSignal shapes")
-    with np.errstate(over="ignore", invalid="ignore"):
-        coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval), what)
-    c = a / coupling
-    if not math.isfinite(c):
-        raise DomainError(f"the target {a!r} over the coupling {coupling!r} overflows")
+    coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval), what)
+    c = _finite(a / coupling, "the target %r over the coupling %r", a, coupling)
     return FuelConstants(
         c1=norm(u1),
         c2=norm(u2),
@@ -158,11 +155,9 @@ def fuel_min(constants: FuelConstants, family=None, pair=None) -> FuelReport:
         raise ValueError("fuel constants must be positive")
     if c == 0.0:
         raise ValueError("the coefficient product constraint is degenerate")
-    b1 = math.sqrt(abs(c) * c2 / c1)
-    b2 = math.copysign(math.sqrt(abs(c) * c1 / c2), c)
-    min_fuel = 2.0 * math.sqrt(abs(c) * c1 * c2)
-    if not all(map(math.isfinite, (b1, b2, min_fuel))):
-        raise DomainError(f"the fuel minimum for c = {c!r} overflows")
+    b1 = _finite(math.sqrt(abs(c) * c2 / c1), "b1 of the fuel minimum for c = %r", c)
+    b2 = math.copysign(_finite(math.sqrt(abs(c) * c1 / c2), "b2 of the fuel minimum for c = %r", c), c)
+    min_fuel = _finite(2.0 * math.sqrt(abs(c) * c1 * c2), "J* of the fuel minimum for c = %r", c)
     grid = math.sqrt(abs(c)) * _grid_base(GRID_POINTS)
     fuel = grid * c1 + (abs(c) / grid) * c2
     grid_min = float(np.min(fuel))
@@ -241,7 +236,11 @@ def fuel_min_lp(u1, u2, a: float, p: float, interval=None) -> LpFuelReport:
     c1p, c2p, c = consts.c1, consts.c2, consts.c
     if not (c1p > 0.0) or not (c2p > 0.0):
         raise ValueError("shape Lp norms must be positive")
-    b1 = math.sqrt(abs(c)) * (c2p / c1p) ** (0.5 / p)
-    b2 = math.copysign(abs(c) / b1, c)
-    min_value = 2.0 * abs(c) ** (0.5 * p) * math.sqrt(c1p * c2p)
+    b1 = _finite(math.sqrt(abs(c)) * (c2p / c1p) ** (0.5 / p), "b1 of the L%g fuel minimum for c = %r", p, c)
+    b2 = _finite(math.copysign(abs(c) / b1, c), "b2 of the L%g fuel minimum for c = %r", p, c)
+    try:
+        power = abs(c) ** (0.5 * p)
+    except OverflowError:  # a float power that overflows raises where a product gives inf
+        power = math.inf
+    min_value = _finite(2.0 * power * math.sqrt(c1p * c2p), "J* of the L%g fuel minimum for c = %r", p, c)
     return LpFuelReport(p=p, c1p=c1p, c2p=c2p, c=c, b1=b1, b2=b2, min_value=min_value)

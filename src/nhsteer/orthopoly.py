@@ -62,7 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapabilityError, ConvergenceError, DomainError, IntegrabilityError
+from .errors import CapabilityError, ConvergenceError, DomainError, IntegrabilityError, _finite
 from . import _planfile
 
 __all__ = [
@@ -975,14 +975,15 @@ def inner_product(f, g, w: InputSignal | float | None = None, interval=None) -> 
     ``interval``, any finite box, when all of them are callables or numbers.
     The endpoint singularities of weighted terms, the weight's included,
     become the weight of an exact Gauss-Jacobi rule, or of the substitution
-    inside ``integrate`` for a plain callable.
+    inside ``integrate`` for a plain callable; overflow is a ``DomainError``.
     """
     operands = tuple(map(_as_signal, (f, g) if w is None else (f, g, w)))
     box = _infer_interval([op for op in operands if not isinstance(op, (int, float))], interval)
     total = 0.0
-    for part in _product_integrals(map(_factors, operands), box):
-        total += part
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in _product_integrals(map(_factors, operands), box):
+            total += part
+    return _finite(total, "the inner product")
 
 
 def coupling_displacement(u1, u2, interval=None) -> float:
@@ -996,7 +997,7 @@ def coupling_displacement(u1, u2, interval=None) -> float:
     polynomial; against a term whose running integral is, its product is
     integrated by parts, X1(hi) X2(hi) = integral of X1 u2 + X2 u1, which
     leaves only exact rules.  Bare callables and mixed trig and polynomial
-    products go through adaptive quadrature.
+    products go through adaptive quadrature; overflow is a ``DomainError``.
     """
     u1, u2 = _as_signal(u1), _as_signal(u2)
     interval = _infer_interval((u1, u2), interval)
@@ -1011,11 +1012,12 @@ def coupling_displacement(u1, u2, interval=None) -> float:
         return next(_product_integrals(((x,), (g,)), interval))
 
     total = 0.0
-    for (x1, f1), (x2, f2) in itertools.product(ops1, ops2):
-        total += part(x1, f1, x2, f2)
-    for (x2, f2), (x1, f1) in itertools.product(ops2, ops1):
-        total -= part(x2, f2, x1, f1)
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (x1, f1), (x2, f2) in itertools.product(ops1, ops2):
+            total += part(x1, f1, x2, f2)
+        for (x2, f2), (x1, f1) in itertools.product(ops2, ops1):
+            total -= part(x2, f2, x1, f1)
+    return _finite(total, "the coupling displacement of the pair")
 
 
 def _sign_cuts(signal: InputSignal) -> np.ndarray:
@@ -1104,9 +1106,7 @@ def lp_norm(signal: InputSignal, p: float = 1.0) -> float:
         raise IntegrabilityError(f"|u|^{p} is not integrable against the endpoint weights")
     with np.errstate(over="ignore", invalid="ignore"):
         norm = _lp_panels(signal, p)
-    if not math.isfinite(norm):
-        raise DomainError(f"the L{p:g} norm of the signal overflows: it is {norm!r}")
-    return norm
+    return _finite(norm, "the L%g norm of the signal", p)
 
 
 def _lp_panels(signal: InputSignal, p: float) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _planfile
-from .errors import CapabilityError, DomainError, IntegrabilityError, PlannerError
+from .errors import CapabilityError, DomainError, IntegrabilityError, PlannerError, _finite
 from .orthopoly import (
     CANONICAL_INTERVAL,
     CHEBYSHEV_FIRST,
@@ -130,12 +130,7 @@ def pair_signals(
 
 
 def _nonzero_coupling(coupling: float, what: str = "the pair") -> float:
-    """The coupling a caller computed, checked.
-
-    ``DomainError`` if it overflowed, ``PlannerError`` if it is too small to steer with.
-    """
-    if not math.isfinite(coupling):
-        raise DomainError(f"the coupling displacement of {what} is not finite: it is {coupling!r}")
+    """The coupling a caller computed; ``PlannerError`` if it is too small to steer with."""
     if abs(coupling) < _ZERO_COUPLING:
         raise PlannerError(f"{what} has zero coupling displacement; it cannot steer")
     return coupling
@@ -144,13 +139,11 @@ def _nonzero_coupling(coupling: float, what: str = "the pair") -> float:
 def _signal_energy(sig: InputSignal) -> float:
     """The plain energy of ``sig``: infinite for a non-integrable weight; an overflow raises ``DomainError``."""
     try:
-        with np.errstate(over="ignore"):
-            energy = inner_product(sig, sig)
+        return inner_product(sig, sig)
     except IntegrabilityError:
         return math.inf
-    if not math.isfinite(energy):
-        raise DomainError("the target is too far: the input energy overflows")
-    return energy
+    except DomainError as exc:
+        raise DomainError("the target is too far: the input energy overflows") from exc
 
 
 @dataclass(frozen=True)
@@ -390,10 +383,7 @@ def plan_nhi(
     phase is omitted when its targets are already met.  This is the m = 2
     case of ``plan_gnhi`` with the cross coordinate named x3 instead of x12.
     """
-    if not isinstance(x0, NhiState):
-        x0 = NhiState.from_array(np.asarray(x0, dtype=float))
-    if not isinstance(xf, NhiState):
-        xf = NhiState.from_array(np.asarray(xf, dtype=float))
+    x0, xf = NhiState.from_array(x0), NhiState.from_array(xf)
     start, target = [x0.x1, x0.x2, x0.x3], [xf.x1, xf.x2, xf.x3]
     return _plan_bilinear("nhi", start, target, ["x3"], family, pair, interval, jacobi_params)
 
@@ -435,9 +425,8 @@ def scale_pair(u1, u2, target: float, interval=None) -> tuple[float, float]:
     target = float(target)
     if target == 0.0:
         return (0.0, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval))
-    ratio = target / coupling
+    coupling = _nonzero_coupling(coupling_displacement(u1, u2, interval))
+    ratio = _finite(target / coupling, "the target %r over the coupling %r", target, coupling)
     root = math.sqrt(abs(ratio))
     return (root, math.copysign(root, ratio))
 

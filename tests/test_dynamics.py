@@ -83,6 +83,12 @@ def test_published_simulation_inputs_reach_unit_displacement():
     assert abs(end["x3"] - 1.0) < 1e-6
 
 
+def test_nhi_state_from_array_returns_a_state_as_it_is():
+    state = NhiState(1.0, -2.0, 0.5)
+    assert NhiState.from_array(state) is state
+    assert NhiState.from_array([1, -2, 0.5]) == state
+
+
 def test_rk4_is_order_four():
     u = (Harmonic("cos", 2.0, 0.4), Harmonic("sin", 3.0, -0.1))
     x0 = NhiState(0.3, -0.2, 0.1)

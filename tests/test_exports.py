@@ -1,8 +1,9 @@
 """Every public name the package and its modules export resolves, the
 package imports nothing at run time beyond the standard library and numpy,
 only ``orthopoly`` integrates products of signals, only ``_planfile`` types
-the fields of a plan file, the CLI writes its output through one sink, and a
-plan does not load the CSV kernel."""
+the fields of a plan file, numpy's error state is set only where a number is
+computed, the CLI writes its output through one sink, and a plan does not
+load the CSV kernel."""
 
 import ast
 import importlib
@@ -91,6 +92,28 @@ def test_plan_readers_coerce_nothing_and_only_planfile_refuses_a_plan_file(name)
     ]
     assert coerced == []
     assert bool(raised) == (name == "nhsteer._planfile")
+
+
+ERRSTATE_OWNERS = {"nhsteer.dynamics", "nhsteer.orthopoly"}
+
+
+@pytest.mark.parametrize("name", ["nhsteer", *MODULES])
+def test_numpy_error_state_is_set_only_where_the_number_is_computed(name):
+    # the integrators and the integrals refuse their own overflow, so no caller guards them;
+    # the planner's one np.errstate covers the sum of its translation's squared inputs
+    tree = _tree(name)
+    sites = [
+        (top.name, [ast.unparse(stmt) for stmt in node.body])
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.With)
+        and any("errstate" in set(_identifiers(item.context_expr)) for item in node.items)
+    ]
+    assert len(sites) == list(_identifiers(tree)).count("errstate")  # every use is a with statement
+    if name in ERRSTATE_OWNERS:
+        return
+    translation_cost = [("_plan_bilinear", ["cost += float(np.sum(np.square(v))) * duration"])]
+    assert sites == (translation_cost if name == "nhsteer.steering" else [])
 
 
 @pytest.mark.parametrize("name", ["nhsteer.optimal_energy", "nhsteer.fuel_l1"])

@@ -253,6 +253,17 @@ def test_fuel_analysis_refuses_a_shape_whose_norm_or_coupling_overflows():
         fuel_min_lp(small, big, 1.0, 3.0)
 
 
+def test_fuel_min_lp_refuses_a_minimum_or_coefficient_that_overflows():
+    # |c|^(p/2) raised a bare OverflowError
+    odd, even = pair_signals(LEGENDRE, (1, 2))
+    with pytest.raises(DomainError, match=r"J\* of the L3 fuel minimum for c = .* is not finite"):
+        fuel_min_lp(odd, even, 1e300, 3.0)
+    # c2p / c1p overflows, and b1 came out inf beside b2 = 0 and a finite minimum
+    u1, u2 = basis_signal(LEGENDRE, 1, scale=1e-200), basis_signal(LEGENDRE, 2, scale=1e200)
+    with pytest.raises(DomainError, match="b1 of the L1 fuel minimum"):
+        fuel_min_lp(u1, u2, 1.0, 1.0)
+
+
 def test_compare_families_passes_jacobi_params_to_jacobi_entries_only():
     specs = [(LEGENDRE, (1, 2)), (JACOBI, (1, 2))]
     reports = {r.family: r for r in compare_families(specs, 1.0, jacobi_params=(0.5, 0.5))}

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate as sp_integrate
 
 from nhsteer.dynamics import coupling_displacement
+from nhsteer.errors import DomainError
 from nhsteer.optimal_energy import (
     cheb_cost,
     cheb_extremal_inputs,
@@ -226,6 +227,14 @@ def test_weighted_cost_under_unit_cost_matches_quad():
     u1, u2 = _two_term_pair(CANONICAL_INTERVAL)
     want = _quad(lambda t: 0.5 * (u1(t) ** 2 + u2(t) ** 2), -1.0, 1.0)
     assert_allclose(weighted_cost(u1, u2, unit_cost()), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("cost", [unit_cost(), cheb_cost()], ids=["unit", "cheb"])
+def test_an_overflowing_weighted_cost_is_refused(cost):
+    # each channel's inner product came out inf with numpy RuntimeWarnings
+    sig = basis_signal(LEGENDRE, 1, scale=1e200)
+    with pytest.raises(DomainError, match="the inner product is not finite"):
+        weighted_cost(sig, sig, cost)
 
 
 def test_weighted_cost_with_callable_channel_weights_matches_quad():

@@ -894,6 +894,16 @@ def test_an_overflowing_norm_is_refused_naming_the_norm(p, name):
     assert_allclose(l1_norm(legendre), 0.85 * 1.5e308, rtol=1e-14)
 
 
+def test_an_overflowing_coupling_or_inner_product_is_refused_naming_it():
+    # the coupling came out nan, and the inner product inf, with numpy RuntimeWarnings
+    big = basis_signal(JACOBI, 7, scale=-1e300, jacobi_params=(5, 60))
+    with pytest.raises(DomainError, match="the coupling displacement of the pair is not finite: it is nan"):
+        coupling_displacement(big, basis_signal(JACOBI, 8, jacobi_params=(5, 60)))
+    sig = basis_signal(LEGENDRE, 1, scale=1e200)
+    with pytest.raises(DomainError, match="the inner product is not finite: it is inf"):
+        inner_product(sig, sig)
+
+
 def test_lp_norm_rejects_non_integrable_powers_up_front():
     with pytest.raises(IntegrabilityError):
         lp_norm(basis_signal(CHEBYSHEV_FIRST, 3, weighted=True), 2.0)

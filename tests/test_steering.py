@@ -305,6 +305,14 @@ def test_scale_pair_rejects_degenerate_coupling():
         scale_pair(big, basis_signal(JACOBI, 8, jacobi_params=(5, 60)), 1.0)
 
 
+@pytest.mark.parametrize("target", [1e308, -1e308])
+def test_scale_pair_refuses_a_target_whose_ratio_to_the_coupling_overflows(target):
+    # the scales came out (inf, inf) and (inf, -inf)
+    odd, even = pair_signals(LEGENDRE, (1, 2))
+    with pytest.raises(DomainError, match="over the coupling .* is not finite"):
+        scale_pair(odd, even, target)
+
+
 # ---------------------------------------------------------------------------
 # simulation plumbing
 
