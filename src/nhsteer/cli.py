@@ -60,6 +60,7 @@ _NEGATIVE_VALUE_FLAGS = (
     "--target",
     "--split",
     "--jacobi",
+    "--duration",
 )
 _NEGATIVE_START = re.compile(r"^-\d|^-\.\d")
 

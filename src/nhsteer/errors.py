@@ -30,6 +30,11 @@ def _finite(value: float, what: str, *args) -> float:
     raise DomainError(f"{what % args} is not finite: it is {value!r}")
 
 
+def _finite_ldexp(mantissa: float, exponent: int, what: str, *args) -> float:
+    """``_finite(mantissa * 2**exponent)``, exponent <= 2046: two powers of two in range scale it, exact where normal."""
+    return _finite(mantissa * 2.0 ** (exponent // 2) * 2.0 ** (exponent - exponent // 2), what, *args)
+
+
 class CapabilityError(NhsteerError):
     """The request is well-posed but outside what this package supports."""
 

@@ -7,12 +7,12 @@ b1 b2 = c = a / D, and the fuel  J = integral |u1| + |u2| = |b1| c1 + |b2| c2
 
     |b1| = sqrt(|c| c2 / c1),   |b2| = sqrt(|c| c1 / c2),   J* = 2 sqrt(|c| c1 c2)
 
-by the arithmetic-geometric inequality.  ``fuel_min`` reports the closed form
-and cross-checks it against a dense logarithmic grid (its four decades built
-once per point count, read-only, and scaled by sqrt(|c|)); ``compare_families``
-ranks several shape pairs for the same target and refuses to return a report
-whose transfer does not survive simulation.  ``fuel_min_lp`` solves the Lp
-fuel in closed form by the same inequality, J* = 2 |c|^(p/2) sqrt(c1p c2p).
+by the arithmetic-geometric inequality.  ``fuel_min`` cross-checks it against
+a dense logarithmic grid (four decades built once per point count, read-only,
+centred on the decade of |b1|); ``compare_families`` ranks shape pairs for one
+target and refuses a report whose transfer does not survive simulation.
+``fuel_min_lp`` solves the Lp fuel by the same inequality and the same
+range-safe helper, so at p = 1 the two agree bit for bit.
 
 The coupling D is summed exactly by ``orthopoly.coupling_displacement`` (Gauss-
 Jacobi nodes, or the trapezoid rule for trig shapes).  Shape norms come from
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PlannerError, _finite
+from .errors import PlannerError, _finite, _finite_ldexp
 from .dynamics import coupling_displacement, integrate_nhi
 from .orthopoly import JACOBI, InputSignal, l1_norm, lp_norm, scale_signal
 from .steering import _nonzero_coupling, pair_signals
@@ -144,21 +144,15 @@ def _grid_base(points: int) -> np.ndarray:
 def fuel_min(constants: FuelConstants, family=None, pair=None) -> FuelReport:
     """Closed-form fuel minimum plus an independent grid cross-check.
 
-    The grid sweeps ``GRID_POINTS`` (10000) logarithmically spaced |b1|
-    values over four decades around sqrt(|c|) and must land within 1e-6 of
-    the closed form — a deliberately redundant route kept as a live
-    verification.  The decades themselves are built at the first call for
-    each point count and shared read-only; each call scales them by sqrt(|c|).
+    The grid sweeps ``GRID_POINTS`` (10000) logarithmically spaced |b1| values
+    over four decades (built once per point count, read-only) around the decade
+    of |b1|, sqrt(|c|) 10^round(log10(c2/c1)/2), and must land within 1e-6 of
+    the closed form — a deliberately redundant route kept as a live check.
     """
     c1, c2, c = constants.c1, constants.c2, constants.c
-    if not (c1 > 0.0) or not (c2 > 0.0):
-        raise ValueError("fuel constants must be positive")
-    if c == 0.0:
-        raise ValueError("the coefficient product constraint is degenerate")
-    b1 = _finite(math.sqrt(abs(c) * c2 / c1), "b1 of the fuel minimum for c = %r", c)
-    b2 = math.copysign(_finite(math.sqrt(abs(c) * c1 / c2), "b2 of the fuel minimum for c = %r", c), c)
-    min_fuel = _finite(2.0 * math.sqrt(abs(c) * c1 * c2), "J* of the fuel minimum for c = %r", c)
-    grid = math.sqrt(abs(c)) * _grid_base(GRID_POINTS)
+    b1, b2, min_fuel = _amgm_minimum(c, c1, c2, 1.0, "fuel minimum")
+    k = round(0.5 * (math.log10(c2) - math.log10(c1)))
+    grid = math.sqrt(abs(c)) * 10.0 ** (k // 2) * 10.0 ** (k - k // 2) * _grid_base(GRID_POINTS)
     fuel = grid * c1 + (abs(c) / grid) * c2
     grid_min = float(np.min(fuel))
     return FuelReport(
@@ -225,7 +219,7 @@ def fuel_min_lp(u1, u2, a: float, p: float, interval=None) -> LpFuelReport:
     With c1p, c2p the integrals of |u1|^p, |u2|^p and b1 b2 = c, the value is
     b1^p c1p + (|c|/b1)^p c2p >= 2 |c|^(p/2) sqrt(c1p c2p) by the
     arithmetic-geometric inequality, with equality at
-    b1 = sqrt(|c|) (c2p/c1p)^(1/(2p)); p = 1 is ``fuel_min``'s closed form.
+    b1 = sqrt(|c|) (c2p/c1p)^(1/(2p)); at p = 1, b1, b2 and J* are ``fuel_min``'s bits.
     Exponent combinations that make |u|^p non-integrable raise
     ``IntegrabilityError``.
     """
@@ -233,14 +227,33 @@ def fuel_min_lp(u1, u2, a: float, p: float, interval=None) -> LpFuelReport:
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be at least 1 and finite, got {p!r}")
     consts = _shape_constants(u1, u2, a, interval, lambda u: lp_norm(u, p))
-    c1p, c2p, c = consts.c1, consts.c2, consts.c
-    if not (c1p > 0.0) or not (c2p > 0.0):
-        raise ValueError("shape Lp norms must be positive")
-    b1 = _finite(math.sqrt(abs(c)) * (c2p / c1p) ** (0.5 / p), "b1 of the L%g fuel minimum for c = %r", p, c)
-    b2 = _finite(math.copysign(abs(c) / b1, c), "b2 of the L%g fuel minimum for c = %r", p, c)
-    try:
-        power = abs(c) ** (0.5 * p)
-    except OverflowError:  # a float power that overflows raises where a product gives inf
-        power = math.inf
-    min_value = _finite(2.0 * power * math.sqrt(c1p * c2p), "J* of the L%g fuel minimum for c = %r", p, c)
-    return LpFuelReport(p=p, c1p=c1p, c2p=c2p, c=c, b1=b1, b2=b2, min_value=min_value)
+    b1, b2, min_value = _amgm_minimum(consts.c, consts.c1, consts.c2, p, "L%g fuel minimum" % p)
+    return LpFuelReport(p=p, c1p=consts.c1, c2p=consts.c2, c=consts.c, b1=b1, b2=b2, min_value=min_value)
+
+
+def _root(n: float, p: float) -> tuple[float, int]:
+    """n^(1/p) as m^(1/p) 2^(rho/p) and j, where frexp(n) = (m, j p + rho): frexp(n) itself at p = 1."""
+    m, e = math.frexp(n)
+    j, rho = divmod(e, p)
+    return m ** (1.0 / p) * 2.0 ** (rho / p), int(j)
+
+
+def _amgm_minimum(c: float, n1: float, n2: float, p: float, what: str) -> tuple[float, float, float]:
+    """(b1, b2, J*) least in |b1|^p n1 + |b2|^p n2 with b1 b2 = c; ``DomainError`` names one that overflows.
+
+    With r = n^(1/p): |b1| = sqrt(|c| r2 / r1), |b2| = sqrt(|c| r1 / r2), J* = 2 sqrt(|c| r1 r2)^p.  Each root is of a
+    mantissa product, scaled back by a power of two: the plain expression's bits where it stays normal, else finite.
+    """
+    if not (n1 > 0.0) or not (n2 > 0.0):
+        raise ValueError("fuel constants must be positive")
+    if c == 0.0:
+        raise ValueError("the coefficient product constraint is degenerate")
+    (mc, ec), (m1, e1), (m2, e2) = math.frexp(abs(c)), _root(n1, p), _root(n2, p)
+
+    def root(m: float, e: int, name: str) -> float:  # sqrt(m 2^e), refused as ``name`` where it overflows
+        return _finite_ldexp(math.sqrt(math.ldexp(m, e % 2)), e // 2, "%s of the %s for c = %r", name, what, c)
+
+    b1, b2 = root(mc * m2 / m1, ec + e2 - e1, "b1"), root(mc * m1 / m2, ec + e1 - e2, "b2")
+    s = root(mc * m1 * m2, ec + e1 + e2, "J*")  # J* = 2 s^p, so an infinite s is an infinite J*
+    power = s**p if s < 2.0 ** (1023.0 / p) else math.inf  # a float power above the range raises
+    return b1, math.copysign(b2, c), _finite(2.0 * power, "J* of the %s for c = %r", what, c)

@@ -145,10 +145,11 @@ def weighted_cost(u1, u2, cost: WeightedCost) -> float:
     weighted index-0 term, whose exponents add to the inputs'), a number
     weight is a constant factor, and products of family terms are summed by
     exact Gauss rules.  Any other callable weight or a plain callable input
-    enters the product as it is and goes through adaptive quadrature (such
-    an input must be bounded).
+    enters the product as it is and goes through adaptive quadrature (such an
+    input must be bounded).  Each channel is halved first, exactly, so two
+    finite channels have a finite sum.
     """
-    return 0.5 * (inner_product(u1, u1, cost.a1, cost.interval) + inner_product(u2, u2, cost.a2, cost.interval))
+    return 0.5 * inner_product(u1, u1, cost.a1, cost.interval) + 0.5 * inner_product(u2, u2, cost.a2, cost.interval)
 
 
 def el_residual(u1, u2, cost: WeightedCost, lam: float, t: float) -> tuple[float, float]:

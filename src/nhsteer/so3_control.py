@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _planfile
-from .errors import ConvergenceError, DomainError, IntegrabilityError, SingularityError
+from .errors import ConvergenceError, DomainError, IntegrabilityError, SingularityError, _finite_ldexp
 from .dynamics import Rotation, exp_rotation, integrate_so3, log_rotation
 from .dynamics import _quaternion_log, _quaternion_product, _rotation_quaternion
 from .orthopoly import Harmonic, _eval_array, integrate_smooth
@@ -116,18 +116,24 @@ def constant_omega_plan(g0, g1, duration: float, accept_pi_tiebreak: bool = Fals
     half-turn unless the tie-break is accepted.  Cost is T ||omega||^2.
     """
     g0, g1, duration = _boundary(g0, g1, duration)
-    rel = g1.matrix @ g0.matrix.T
-    v = log_rotation(rel, accept_pi_tiebreak=accept_pi_tiebreak) / duration
-    omega = _constant_rates(v)
+    v, cost = _rates_and_cost(g0, g1, accept_pi_tiebreak, duration)
     return AttitudePlan(
         mode="constant",
         g0=g0,
         g1=g1,
         duration=duration,
-        omega=omega,
+        omega=_constant_rates(v),
         params={"w1": v[0], "w2": v[1], "w3": v[2]},
-        cost=duration * float(v @ v),
+        cost=cost,
     )
+
+
+def _rates_and_cost(g0: Rotation, g1: Rotation, accept_pi_tiebreak: bool, length: float) -> tuple[tuple, float]:
+    """Rates log(g1 g0^T) / ``length`` and cost ||rates||^2 ``length``, frexp-scaled: plain bits where normal."""
+    mantissa, exponent = math.frexp(length)
+    w = log_rotation(g1.matrix @ g0.matrix.T, accept_pi_tiebreak=accept_pi_tiebreak) / mantissa
+    rates = tuple(_finite_ldexp(float(x), -exponent, "a rate over %r", length) for x in w)
+    return rates, _finite_ldexp(float(w @ w) * mantissa, -exponent, "the cost of the rates over %r", length)
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,8 @@ def weighted_rate_plan(g0, g1, duration: float, q, accept_pi_tiebreak: bool = Fa
     the boundary condition fixes c = log(g1 g0^T) / integral(1/q), and the
     cost is ||c||^2 integral(1/q).  ``q`` must be positive on [0, T]: a q
     that is not positive at 257 samples, or whose 1/q fails to integrate
-    (it vanishes or dips below zero between them), raises ``ValueError``.
+    (it vanishes or dips below zero between them), raises ``ValueError``; an
+    integral that underflows to zero, or a c that overflows, ``DomainError``.
     """
     g0, g1, duration = _boundary(g0, g1, duration)
     samples = np.linspace(0.0, duration, 257)
@@ -162,17 +169,17 @@ def weighted_rate_plan(g0, g1, duration: float, q, accept_pi_tiebreak: bool = Fa
             "the rate weight q must be positive on [0, T]: it is positive at 257 samples, "
             f"but the integral of 1/q does not converge ({err})"
         ) from err
-    v = log_rotation(g1.matrix @ g0.matrix.T, accept_pi_tiebreak=accept_pi_tiebreak)
-    c = v / rate_integral
-    omega = tuple(_ScaledReciprocal(float(c[i]), q) for i in range(3))
+    if not rate_integral > 0.0:
+        raise DomainError(f"the integral of 1/q over [0, {duration!r}] underflows to {rate_integral!r}")
+    c, cost = _rates_and_cost(g0, g1, accept_pi_tiebreak, rate_integral)
     return AttitudePlan(
         mode="weighted",
         g0=g0,
         g1=g1,
         duration=duration,
-        omega=omega,
+        omega=tuple(_ScaledReciprocal(ci, q) for ci in c),
         params={"c1": c[0], "c2": c[1], "c3": c[2], "rate_integral": rate_integral},
-        cost=float(c @ c) * rate_integral,
+        cost=cost,
     )
 
 

@@ -16,6 +16,7 @@ import pytest
 import nhsteer
 from nhsteer import cli, dynamics, steering
 from nhsteer.cli import _glue_negative_values, main
+from nhsteer.so3_control import AttitudePlan
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -231,7 +232,6 @@ def test_fuel_compare_passes_jacobi_params(capsys):
         ("plan", "nhi", "--from", "0,0,0", "--to", "0,0,1e308", "--optimal"),
         ("plan", "gnhi", "--m", "3", "--from", "0,0,0,0,0,0", "--to", "0,0,0,1e308,1e308,0"),
         ("fuel", "--target", "1e308"),
-        ("fuel", "--target", "1e308", "--family", "chebyshev_second"),
     ],
 )
 def test_overflowing_plans_and_fuel_reports_exit_one(capsys, argv):
@@ -243,6 +243,15 @@ def test_overflowing_plans_and_fuel_reports_exit_one(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err and "Warning" not in err
     assert not caught
+
+
+def test_fuel_reports_a_finite_minimum_whose_radicand_overflows(capsys):
+    # |c| c1 c2 overflows at this target, but J* does not: fuel used to refuse it and exit 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "fuel", "--target", "1e308", "--family", "chebyshev_second")
+    assert (code, err, caught) == (0, "", [])
+    assert json.loads(out)["min_fuel"] == pytest.approx(3.3714e154, rel=1e-4)
 
 
 @pytest.mark.parametrize(
@@ -696,6 +705,29 @@ HOSTILE = [
     (1, ("fuel", "--target", "1", "--out", "{tmp}/malformed.json/fuel.json")),
     (1, ("fuel", "--target", "1", "--compare", "legendre,trig", "--out", "{tmp}")),
 ]
+
+
+_EXTREMES = ("0", "5e-324", "-5e-324", "1e-310", "1e-300", "1e-160", "1e300", "1.7e308", "inf", "nan")
+_EXTREME_FLAGS = [
+    ("fuel", "--target"),
+    (*_SO3, _ROT, "--duration"),
+    (*_SO3, _ROT, "--mode", "underactuated", "--duration"),
+]
+
+
+@pytest.mark.parametrize("value", _EXTREMES)
+@pytest.mark.parametrize("flag", _EXTREME_FLAGS, ids=[" ".join(flag) for flag in _EXTREME_FLAGS])
+def test_extreme_targets_and_durations_exit_cleanly_with_a_readable_plan(tmp_path, capsys, flag, value):
+    # plan so3 --duration 1e-300 wrote "cost": Infinity after numpy warnings, and verify refused the file;
+    # at a subnormal duration the warning left main as a traceback
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *flag, value, "--out", str(out))
+    assert code in (0, 1), err
+    assert (code == 0) == out.exists()
+    if code == 0 and flag[0] == "plan":
+        assert math.isfinite(AttitudePlan.from_json_dict(json.loads(out.read_text())).cost)
 
 
 # rows whose message is checked too

@@ -1,9 +1,13 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from test_fuel_digests import GROUPS, LOWER_INDICES, TARGET
 
 from nhsteer import fuel_l1
 from nhsteer.dynamics import integrate_nhi
@@ -32,6 +36,21 @@ from nhsteer.steering import pair_signals
 def _constants(family, pair, a=1.0):
     odd, even = pair_signals(family, pair)
     return fuel_constants(odd, even, a), odd, even
+
+
+def _assert_near_mp_minimum(got, c, n1, n2, p=1.0, rtol=1e-15):
+    """(b1, b2, J*) within ``rtol`` of the AM-GM minimum in 40 digits, for the float inputs as they are.
+
+    J* is the p-th power of a root, so it is held to p * rtol.
+    """
+    with mpmath.workdps(40):
+        c, n1, n2, p = (mpmath.mpf(x) for x in (c, n1, n2, p))
+        r1, r2 = n1 ** (1 / p), n2 ** (1 / p)
+        b1, b2 = mpmath.sqrt(abs(c) * r2 / r1), mpmath.sign(c) * mpmath.sqrt(abs(c) * r1 / r2)
+        want = (b1, b2, 2 * mpmath.sqrt(abs(c) * r1 * r2) ** p)
+        errors = [float(abs((g - w) / w)) for g, w in zip(got, want)]
+    assert all(math.isfinite(g) for g in got)
+    assert max(errors[:2]) <= rtol and errors[2] <= float(p) * rtol, errors
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +248,16 @@ def test_fuel_constants_refuse_non_finite_targets(a):
 
 @pytest.mark.parametrize("a", [1e308, -1e308])
 def test_fuel_analysis_refuses_overflowing_constants(a):
-    # c = a / coupling and the closed-form minimum used to come out infinite
+    # c = a / coupling used to come out infinite
     odd, even = pair_signals(LEGENDRE, (1, 2))
     with pytest.raises(DomainError, match="over the coupling"):
         fuel_constants(odd, even, a)
+    # |c| c1 c2 overflows, but J* = 2 sqrt(|c| c1 c2) does not: the minimum used to be refused
     odd, even = pair_signals(CHEBYSHEV_SECOND, (1, 2))
-    with pytest.raises(DomainError, match="fuel minimum"):
-        fuel_min(fuel_constants(odd, even, a))
+    consts = fuel_constants(odd, even, a)
+    report = fuel_min(consts)
+    _assert_near_mp_minimum((report.b1, report.b2, report.min_fuel), consts.c, consts.c1, consts.c2)
+    assert report.min_fuel == pytest.approx(3.3714e154, rel=1e-4)
 
 
 def test_fuel_analysis_refuses_a_shape_whose_norm_or_coupling_overflows():
@@ -258,10 +280,11 @@ def test_fuel_min_lp_refuses_a_minimum_or_coefficient_that_overflows():
     odd, even = pair_signals(LEGENDRE, (1, 2))
     with pytest.raises(DomainError, match=r"J\* of the L3 fuel minimum for c = .* is not finite"):
         fuel_min_lp(odd, even, 1e300, 3.0)
-    # c2p / c1p overflows, and b1 came out inf beside b2 = 0 and a finite minimum
+    # c2p / c1p overflows, but b1 ~ 1e200 does not: it used to be refused beside b2 = 0
     u1, u2 = basis_signal(LEGENDRE, 1, scale=1e-200), basis_signal(LEGENDRE, 2, scale=1e200)
-    with pytest.raises(DomainError, match="b1 of the L1 fuel minimum"):
-        fuel_min_lp(u1, u2, 1.0, 1.0)
+    rep = fuel_min_lp(u1, u2, 1.0, 1.0)
+    _assert_near_mp_minimum((rep.b1, rep.b2, rep.min_value), rep.c, rep.c1p, rep.c2p)
+    assert rep.b1 == pytest.approx(1.6990442448471226e200, rel=1e-15)
 
 
 def test_compare_families_passes_jacobi_params_to_jacobi_entries_only():
@@ -349,7 +372,7 @@ def test_lp_at_one_is_fuel_min(family, pair, interval, a):
     lp = fuel_min_lp(odd, even, a, 1.0)
     l1 = fuel_min(fuel_constants(odd, even, a))
     assert (lp.c1p, lp.c2p, lp.c) == (l1.c1, l1.c2, l1.c)
-    assert_allclose([lp.b1, lp.b2, lp.min_value], [l1.b1, l1.b2, l1.min_fuel], rtol=1e-15, atol=0.0)
+    assert (lp.b1, lp.b2, lp.min_value) == (l1.b1, l1.b2, l1.min_fuel)
 
 
 def test_lp_minimum_computes_no_l1_norm(monkeypatch):
@@ -376,3 +399,53 @@ def test_lp_minimum_for_a_huge_target_is_exact():
     assert _rel(rep.b1 * rep.b2, rep.c) <= 1e-15
     assert _rel(rep.b1, math.sqrt(abs(rep.c)) * (rep.c2p / rep.c1p) ** 0.125) <= 1e-15
     assert _rel(rep.min_value, 2.0 * rep.c**2 * math.sqrt(rep.c1p * rep.c2p)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# one range-safe AM-GM minimum behind fuel_min and fuel_min_lp
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e170, 1e-170])
+def test_unbalanced_shapes_get_their_finite_minimum(scale):
+    # fuel_min refused "b2 of the fuel minimum for c = 3.75"; fuel_min_lp at p = 1 put b2 3.0e-5 off where
+    # c2p / c1p was subnormal, and raised ZeroDivisionError where it underflowed
+    u1, u2 = basis_signal(LEGENDRE, 1, scale=scale), basis_signal(LEGENDRE, 2, scale=1.0 / scale)
+    consts = fuel_constants(u1, u2, 1.0)
+    report = fuel_min(consts)
+    _assert_near_mp_minimum((report.b1, report.b2, report.min_fuel), consts.c, consts.c1, consts.c2)
+    lp = fuel_min_lp(u1, u2, 1.0, 1.0)
+    _assert_near_mp_minimum((lp.b1, lp.b2, lp.min_value), lp.c, lp.c1p, lp.c2p)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_lp_at_one_is_fuel_min_bit_for_bit(name):
+    family, interval, params = GROUPS[name]
+    for n in LOWER_INDICES[::3]:
+        pair = (n, n) if family == "trig" else (n, n + 1)
+        odd, even = pair_signals(family, pair, interval, params)
+        lp, l1 = fuel_min_lp(odd, even, TARGET, 1.0), fuel_min(fuel_constants(odd, even, TARGET))
+        assert (lp.b1, lp.b2, lp.min_value) == (l1.b1, l1.b2, l1.min_fuel), pair
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    exponent=st.integers(-150, 150),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
+    a=st.sampled_from([0.37, -12.5, 1e-3, 1e100]),
+)
+def test_lp_minimum_agrees_with_mpmath_across_shape_scales(exponent, p, a):
+    # shapes scaled by 10^(e/p) and 10^(-e/p): their Lp norms span 1e-150 to 1e150 at every p, and the
+    # coupling stays the pair's own, since a zero-coupling refusal is absolute
+    odd, even = pair_signals(LEGENDRE, (2, 3))
+    u1, u2 = scale_signal(odd, 10.0 ** (exponent / p)), scale_signal(even, 10.0 ** (-exponent / p))
+    rep = fuel_min_lp(u1, u2, a, p)
+    _assert_near_mp_minimum((rep.b1, rep.b2, rep.min_value), rep.c, rep.c1p, rep.c2p, p)
+
+
+@pytest.mark.parametrize("exponent", [-150, -100, -4, -3, -2, 0, 2, 3, 4, 100, 150])
+def test_the_grid_is_centred_on_the_minimum_of_unbalanced_shapes(exponent):
+    # the grid was sqrt(|c|) times four decades: 0.86% above the minimum at a scale of 1e2, 56 times at 1e4
+    scale = 10.0**exponent
+    u1, u2 = basis_signal(LEGENDRE, 1, scale=scale), basis_signal(LEGENDRE, 2, scale=1.0 / scale)
+    report = fuel_min(fuel_constants(u1, u2, 1.0))
+    assert 0.0 <= report.grid_min_fuel / report.min_fuel - 1.0 <= 1e-6

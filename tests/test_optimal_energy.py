@@ -237,6 +237,12 @@ def test_an_overflowing_weighted_cost_is_refused(cost):
         weighted_cost(sig, sig, cost)
 
 
+def test_a_weighted_cost_near_the_float_limit_is_finite():
+    # both channels are finite, but their sum overflowed: the cost came out inf with no refusal
+    sig = basis_signal(LEGENDRE, 1, scale=1.6e154)
+    assert weighted_cost(sig, sig, unit_cost()) == 1.7066666666666665e308  # (1.6e154)^2 * 2 / 3, correctly rounded
+
+
 def test_weighted_cost_with_callable_channel_weights_matches_quad():
     u1, u2 = _two_term_pair(SHIFTED_INTERVAL)
     cost = WeightedCost(a1=lambda t: 1.0 + t * t, a2=np.exp, interval=SHIFTED_INTERVAL)

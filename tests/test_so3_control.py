@@ -1,10 +1,12 @@
 import collections
 import dataclasses
+import json
 import math
 import re
 
 import numpy as np
 import pytest
+import mpmath
 from numpy.testing import assert_allclose
 
 from nhsteer.dynamics import Rotation, _rotation_quaternion, exp_rotation, integrate_so3, log_rotation
@@ -440,3 +442,41 @@ def test_weighted_rate_plan_refuses_a_nan_weight():
     # `min(q) <= 0` is False for NaN, so a NaN weight used to pass the positivity check
     with pytest.raises(ValueError, match="must be positive"):
         weighted_rate_plan(np.eye(3), np.eye(3), 1.0, lambda t: math.nan)
+
+
+@pytest.mark.parametrize("duration", [1e-160, 1e-300, 1e-308])
+def test_tiny_durations_get_finite_rates_and_cost(duration):
+    # ||omega||^2 overflowed with numpy RuntimeWarnings, and the cost came out inf: plan so3 wrote
+    # "cost": Infinity, which its own reader refused
+    g1 = exp_rotation(np.array([0.3, -1.2, 0.5]))
+    angle = log_rotation(g1)
+    constant = constant_omega_plan(np.eye(3), g1, duration)
+    weighted = weighted_rate_plan(np.eye(3), g1, duration, lambda t: 0.5)
+    for plan, names, length in (
+        (constant, ("w1", "w2", "w3"), duration),
+        (weighted, ("c1", "c2", "c3"), weighted.params["rate_integral"]),
+    ):
+        assert [plan.params[name] for name in names] == [float(x) / length for x in angle]
+        with mpmath.workdps(40):
+            want = mpmath.fsum(mpmath.mpf(float(x)) ** 2 for x in angle) / mpmath.mpf(length)
+            assert abs((plan.cost - want) / want) <= 1e-15
+    assert AttitudePlan.from_json_dict(json.loads(constant.to_json())).cost == constant.cost
+
+
+@pytest.mark.parametrize(
+    "planner, duration",
+    [
+        (constant_omega_plan, 1e-310),
+        (constant_omega_plan, 5e-324),
+        (lambda g0, g1, T: weighted_rate_plan(g0, g1, T, lambda t: 0.5), 1e-310),
+    ],
+)
+def test_durations_whose_rates_overflow_are_refused(planner, duration):
+    with pytest.raises(DomainError, match="a rate over .* is not finite"):
+        planner(np.eye(3), exp_rotation(np.array([0.3, -1.2, 0.5])), duration)
+
+
+def test_a_rate_integral_that_underflows_is_refused():
+    # over [0, 5e-324] the integral of 1/q is zero, and the rates divided by it with a numpy RuntimeWarning
+    with pytest.raises(DomainError, match=r"the integral of 1/q over \[0, 5e-324\] underflows to 0.0"):
+        weighted_rate_plan(np.eye(3), exp_rotation(np.array([0.3, -1.2, 0.5])), 5e-324, lambda t: 2.0)
