@@ -9,8 +9,9 @@ b1 b2 = c = a / D, and the fuel  J = integral |u1| + |u2| = |b1| c1 + |b2| c2
 
 by the arithmetic-geometric inequality.  ``fuel_min`` cross-checks it against
 a dense logarithmic grid (four decades built once per point count, read-only,
-centred on the decade of |b1|); ``compare_families`` ranks shape pairs for one
-target and refuses a report whose transfer does not survive simulation.
+centred on the decade of |b1|, searched by bisection, exact by convexity);
+``compare_families`` ranks shape pairs for one target and refuses a report
+whose transfer does not survive simulation.
 ``fuel_min_lp`` solves the Lp fuel by the same inequality and the same
 range-safe helper, so at p = 1 the two agree bit for bit.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -144,29 +146,29 @@ def _grid_base(points: int) -> np.ndarray:
 def fuel_min(constants: FuelConstants, family=None, pair=None) -> FuelReport:
     """Closed-form fuel minimum plus an independent grid cross-check.
 
-    The grid sweeps ``GRID_POINTS`` (10000) logarithmically spaced |b1| values
-    over four decades (built once per point count, read-only) around the decade
-    of |b1|, sqrt(|c|) 10^round(log10(c2/c1)/2), and must land within 1e-6 of
-    the closed form — a deliberately redundant route kept as a live check.
+    The grid holds ``GRID_POINTS`` (10000) logarithmically spaced |b1| values over four decades (built
+    once per point count, read-only) around the decade of |b1|, sqrt(|c|) 10^round(log10(c2/c1)/2), and
+    its minimum must land within 1e-6 of the closed form — a deliberately redundant route kept as a live
+    check.  Its fuel is convex in |b1|, with second differences (8.5e-7 of it) far above rounding, so
+    bisecting on "the next point is lower" finds that minimum exactly in about 28 points, each formed as
+    a whole-grid array would form it.  Where a grid value leaves the normal range, all are evaluated.
     """
     c1, c2, c = constants.c1, constants.c2, constants.c
     b1, b2, min_fuel = _amgm_minimum(c, c1, c2, 1.0, "fuel minimum")
     k = round(0.5 * (math.log10(c2) - math.log10(c1)))
-    grid = math.sqrt(abs(c)) * 10.0 ** (k // 2) * 10.0 ** (k - k // 2) * _grid_base(GRID_POINTS)
-    fuel = grid * c1 + (abs(c) / grid) * c2
-    grid_min = float(np.min(fuel))
-    return FuelReport(
-        c1=c1,
-        c2=c2,
-        c=c,
-        b1=b1,
-        b2=b2,
-        min_fuel=min_fuel,
-        grid_min_fuel=grid_min,
-        a=constants.a,
-        family=family,
-        pair=None if pair is None else (int(pair[0]), int(pair[1])),
-    )
+    scale, base = math.sqrt(abs(c)) * 10.0 ** (k // 2) * 10.0 ** (k - k // 2), _grid_base(GRID_POINTS)
+    fuel = lambda g: g * c1 + (abs(c) / g) * c2  # at |b1| = g, in the order of operations of a whole-grid array
+    ends, tiny = (scale * base.item(0), scale * base.item(-1)), sys.float_info.min
+    if ends[0] >= tiny and all(tiny <= x < 2.0**1023 for g in ends for x in (g, abs(c) / g, g * c1, abs(c) / g * c2)):
+        lo, hi = 0, GRID_POINTS - 1
+        while lo < hi:  # the first point whose successor is not lower
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if fuel(scale * base.item(mid + 1)) < fuel(scale * base.item(mid)) else (lo, mid)
+        grid_min = float(fuel(scale * base.item(lo)))
+    else:  # a value beyond the normal range rounds coarsely or overflows: rounding may break the convexity
+        grid_min = float(np.min(fuel(scale * base)))
+    return FuelReport(c1=c1, c2=c2, c=c, b1=b1, b2=b2, min_fuel=min_fuel, grid_min_fuel=grid_min, a=constants.a,
+                      family=family, pair=None if pair is None else (int(pair[0]), int(pair[1])))
 
 
 def compare_families(specs, a: float, interval=None, jacobi_params=None) -> list[FuelReport]:
@@ -185,18 +187,12 @@ def compare_families(specs, a: float, interval=None, jacobi_params=None) -> list
     for family, pair in specs:
         odd, even, consts = _pair_constants(family, pair, a, interval, jacobi_params if family == JACOBI else None)
         report = fuel_min(consts, family=family, pair=pair)
-        tr = integrate_nhi(
-            (scale_signal(odd, report.b1), scale_signal(even, report.b2)),
-            steps=4000,
-        )
+        tr = integrate_nhi((scale_signal(odd, report.b1), scale_signal(even, report.b2)), steps=4000)
         end = tr.terminal
         err = abs(end["x3"] - a)
         rest = 1e-8 * max(1.0, abs(report.b1), abs(report.b2))
         if not (err <= 1e-6 * max(1.0, abs(a)) and abs(end["x1"]) <= rest and abs(end["x2"]) <= rest):
-            raise PlannerError(
-                f"fuel transfer for {family!r} pair {pair} missed its target "
-                f"(x3 error {err:.3e})"
-            )
+            raise PlannerError(f"fuel transfer for {family!r} pair {pair} missed its target (x3 error {err:.3e})")
         reports.append(replace(report, sim_error=err))
     reports.sort(key=lambda r: r.min_fuel)
     return reports

@@ -53,6 +53,7 @@ package (planning, quadrature tolerances) has been validated there.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import heapq
 import itertools
@@ -119,9 +120,7 @@ _EDGE_TOL = 1e-12
 def _check_interval(interval) -> tuple[float, float]:
     interval = (float(interval[0]), float(interval[1]))
     if interval not in (CANONICAL_INTERVAL, SHIFTED_INTERVAL):
-        raise ValueError(
-            f"interval must be {CANONICAL_INTERVAL} or {SHIFTED_INTERVAL}, got {interval}"
-        )
+        raise ValueError(f"interval must be {CANONICAL_INTERVAL} or {SHIFTED_INTERVAL}, got {interval}")
     return interval
 
 
@@ -157,9 +156,7 @@ class BasisElement:
         if self.index < 0:
             raise ValueError("index must be nonnegative")
         if self.index > INDEX_CAP:
-            raise CapabilityError(
-                f"index {self.index} exceeds the supported cap of {INDEX_CAP}"
-            )
+            raise CapabilityError(f"index {self.index} exceeds the supported cap of {INDEX_CAP}")
         if self.family == TRIG_SIN and self.index == 0:
             raise ValueError("trig_sin index 0 is the zero function")
 
@@ -190,24 +187,32 @@ def element_parity(element: BasisElement):
 # ---------------------------------------------------------------------------
 
 
-def _family_rows(family: str, params, indices, tau: np.ndarray) -> dict:
-    """{n: E_n(tau)} for each index n in ``indices`` of one family (Jacobi with ``params``).
+_ROW_MEMO: contextvars.ContextVar = contextvars.ContextVar("_ROW_MEMO", default=None)
 
-    A polynomial family runs its three-term recurrence once, up to the
-    largest index, holding two rows at a time and keeping only those asked for.
-    """
-    if family in (TRIG_SIN, TRIG_COS):
-        wave = np.sin if family == TRIG_SIN else np.cos
-        return {n: wave(n * np.pi * tau) for n in indices}
+
+class _row_memo:
+    """Within the block ``_family_rows`` keeps its rows in ``memo``, a fresh dict, or in none (None); reset on exit."""
+
+    def __init__(self, memo):
+        self.memo = memo
+
+    def __enter__(self):
+        self.token = _ROW_MEMO.set(self.memo)
+
+    def __exit__(self, *exc):
+        _ROW_MEMO.reset(self.token)
+
+
+def _recurrence(family: str, params, tau: np.ndarray):
+    """(E_1(tau), step) of a polynomial family, where step(k, E_k, E_{k-1}) is E_{k+1}; E_0 is 1."""
     if family == LEGENDRE:
-        first, step = tau.copy(), lambda k, cur, prev: ((2 * k + 1) * tau * cur - k * prev) / (k + 1)
-    elif family in (CHEBYSHEV_FIRST, CHEBYSHEV_SECOND):
+        return tau.copy(), lambda k, cur, prev: ((2 * k + 1) * tau * cur - k * prev) / (k + 1)
+    if family in (CHEBYSHEV_FIRST, CHEBYSHEV_SECOND):
         two_tau = 2.0 * tau  # 2.0 * tau * cur is (2.0 * tau) * cur: hoisting it keeps every bit
         first = tau.copy() if family == CHEBYSHEV_FIRST else two_tau
-        step = lambda k, cur, prev: two_tau * cur - prev
-    elif family == JACOBI:
+        return first, lambda k, cur, prev: two_tau * cur - prev
+    if family == JACOBI:
         alpha, beta = params
-        first = 0.5 * (alpha + beta + 2.0) * tau + 0.5 * (alpha - beta)
 
         def step(k, cur, prev):
             m = k + 1
@@ -218,9 +223,33 @@ def _family_rows(family: str, params, indices, tau: np.ndarray) -> dict:
             a4 = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * c
             return ((a2 + a3 * tau) * cur - a4 * prev) / a1
 
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    top = max(indices)
+        return 0.5 * (alpha + beta + 2.0) * tau + 0.5 * (alpha - beta), step
+    raise ValueError(f"unknown family {family!r}")
+
+
+def _family_rows(family: str, params, indices, tau: np.ndarray) -> dict:
+    """{n: E_n(tau)} for each index n in ``indices`` of one family (Jacobi with ``params``).
+
+    A polynomial family runs its three-term recurrence once, up to the
+    largest index, holding two rows at a time and keeping only those asked for.
+    Inside ``_row_memo`` (one coupling or inner product, minus its adaptive quadrature; off otherwise)
+    it keeps all rows, read-only, and extends them, keyed by family, ``repr(params)`` and node bytes.
+    """
+    if family in (TRIG_SIN, TRIG_COS):
+        wave = np.sin if family == TRIG_SIN else np.cos
+        return {n: wave(n * np.pi * tau) for n in indices}
+    top, memo = max(indices), _ROW_MEMO.get()
+    if memo is not None:
+        rows = memo.setdefault((family, repr(params), tau.shape, tau.tobytes()), [])
+        if len(rows) <= top:
+            (first, step), held = _recurrence(family, params, tau), len(rows)
+            rows += [np.ones_like(tau), first][held:]
+            while len(rows) <= top:
+                rows.append(step(len(rows) - 1, rows[-1], rows[-2]))
+            for row in rows[held:]:
+                row.setflags(write=False)
+        return {n: rows[n] for n in indices}
+    first, step = _recurrence(family, params, tau)
     prev, cur = np.ones_like(tau), first
     rows = {0: prev} if 0 in indices else {}
     for k in range(1, top + 1):
@@ -437,8 +466,7 @@ def integrate_smooth(f, lo: float, hi: float) -> float:
     an actually divergent integrand runs the panel budget out and raises
     ``IntegrabilityError``.
     """
-    lo = float(lo)
-    hi = float(hi)
+    lo, hi = float(lo), float(hi)
     if hi <= lo:
         if hi == lo:
             return 0.0
@@ -474,9 +502,7 @@ def integrate_smooth(f, lo: float, hi: float) -> float:
         counter += 1
         heapq.heappush(heap, (-er, counter, m, b, fr))
     if total_err > 1e3 * max(_ABS_TOL, _REL_TOL * abs(total)):
-        raise IntegrabilityError(
-            "quadrature failed to converge; integrand appears singular"
-        )
+        raise IntegrabilityError("quadrature failed to converge; integrand appears singular")
     return total
 
 
@@ -506,9 +532,7 @@ def integrate(
     if a == 0.0 and b == 0.0:
         return integrate_smooth(f_smooth, lo, hi)
     if a <= -1.0 or b <= -1.0:
-        raise IntegrabilityError(
-            f"endpoint exponents {exponents} are not integrable"
-        )
+        raise IntegrabilityError(f"endpoint exponents {exponents} are not integrable")
 
     def g(s):
         return _arc_weigh(np.asarray(f_smooth(_arc_time(box, s)), dtype=float), s, a, b)
@@ -936,7 +960,9 @@ def _product_integrals(factor_lists, box):
         elif trig and not poly and a == b == 0.0:
             tau, w = np.linspace(-1.0, 1.0, trig + 1, endpoint=False), np.full(trig + 1, 2.0 / (trig + 1))
         else:
-            yield integrate(functools.partial(_product, fns), box, (a, b), box=box)
+            with _row_memo(None):  # no adaptive node set repeats
+                part = integrate(functools.partial(_product, fns), box, (a, b), box=box)
+            yield part
             continue
         yield half * float(w @ _product(fns, mid + half * tau))
 
@@ -980,7 +1006,7 @@ def inner_product(f, g, w: InputSignal | float | None = None, interval=None) -> 
     operands = tuple(map(_as_signal, (f, g) if w is None else (f, g, w)))
     box = _infer_interval([op for op in operands if not isinstance(op, (int, float))], interval)
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _row_memo({}), np.errstate(over="ignore", invalid="ignore"):
         for part in _product_integrals(map(_factors, operands), box):
             total += part
     return _finite(total, "the inner product")
@@ -998,6 +1024,8 @@ def coupling_displacement(u1, u2, interval=None) -> float:
     integrated by parts, X1(hi) X2(hi) = integral of X1 u2 + X2 u1, which
     leaves only exact rules.  Bare callables and mixed trig and polynomial
     products go through adaptive quadrature; overflow is a ``DomainError``.
+    Within this call only (off by default) the factors share one recurrence per
+    family, parameters and node bytes: a pair (n, n + 1) takes n + 1 steps.
     """
     u1, u2 = _as_signal(u1), _as_signal(u2)
     interval = _infer_interval((u1, u2), interval)
@@ -1012,7 +1040,7 @@ def coupling_displacement(u1, u2, interval=None) -> float:
         return next(_product_integrals(((x,), (g,)), interval))
 
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _row_memo({}), np.errstate(over="ignore", invalid="ignore"):
         for (x1, f1), (x2, f2) in itertools.product(ops1, ops2):
             total += part(x1, f1, x2, f2)
         for (x2, f2), (x1, f1) in itertools.product(ops2, ops1):

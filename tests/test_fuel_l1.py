@@ -449,3 +449,66 @@ def test_the_grid_is_centred_on_the_minimum_of_unbalanced_shapes(exponent):
     u1, u2 = basis_signal(LEGENDRE, 1, scale=scale), basis_signal(LEGENDRE, 2, scale=1.0 / scale)
     report = fuel_min(fuel_constants(u1, u2, 1.0))
     assert 0.0 <= report.grid_min_fuel / report.min_fuel - 1.0 <= 1e-6
+
+
+def _full_grid_min(constants):
+    """The minimum over every grid point, each formed by the expression the grid was swept with."""
+    c1, c2, c = constants.c1, constants.c2, constants.c
+    k = round(0.5 * (math.log10(c2) - math.log10(c1)))
+    grid = math.sqrt(abs(c)) * 10.0 ** (k // 2) * 10.0 ** (k - k // 2) * np.logspace(-2.0, 2.0, fuel_l1.GRID_POINTS)
+    with np.errstate(all="ignore"):  # an extreme grid over- or underflows
+        return float(np.min(grid * c1 + (abs(c) / grid) * c2))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    e1=st.floats(-150.0, 150.0),
+    e2=st.floats(-150.0, 150.0),
+    equal=st.booleans(),
+    ec=st.floats(-100.0, 100.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_the_bisected_grid_minimum_is_the_full_grid_minimum(e1, e2, equal, ec, sign):
+    c1 = 10.0**e1
+    consts = FuelConstants(c1=c1, c2=c1 if equal else 10.0**e2, c=sign * 10.0**ec, coupling=1.0, a=1.0, interval=(-1.0, 1.0))
+    assert fuel_min(consts).grid_min_fuel == _full_grid_min(consts)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_the_bisected_grid_minimum_is_the_full_grid_minimum_on_every_digest_group(name):
+    family, interval, params = GROUPS[name]
+    for n in LOWER_INDICES[::3]:
+        odd, even = pair_signals(family, (n, n) if family == "trig" else (n, n + 1), interval, params)
+        consts = fuel_constants(odd, even, TARGET)
+        assert fuel_min(consts).grid_min_fuel == _full_grid_min(consts), n
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    e1=st.floats(-300.0, 300.0),
+    e2=st.floats(-300.0, 300.0),
+    ec=st.floats(-300.0, 300.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_the_grid_minimum_is_the_full_grid_minimum_beyond_the_normal_range(e1, e2, ec, sign):
+    # a part that underflows rounds coarsely, and one that overflows is infinite: there the grid is evaluated whole
+    consts = FuelConstants(c1=10.0**e1, c2=10.0**e2, c=sign * 10.0**ec, coupling=1.0, a=1.0, interval=(-1.0, 1.0))
+    with np.errstate(all="ignore"):
+        try:
+            report = fuel_min(consts)
+        except DomainError:  # the optimum itself overflows
+            return
+    assert report.grid_min_fuel == _full_grid_min(consts)
+
+
+@pytest.mark.parametrize(
+    "c1,c2,c",
+    [
+        (8.5e157, 8.4e157, 1e300),  # J* = 1.7e308: the grid's ends overflow
+        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-257),  # |c|/|b1| underflows
+    ],
+)
+def test_a_grid_beyond_the_normal_range_is_evaluated_whole(c1, c2, c):
+    consts = FuelConstants(c1=c1, c2=c2, c=c, coupling=1.0, a=1.0, interval=(-1.0, 1.0))
+    with np.errstate(all="ignore"):
+        assert fuel_min(consts).grid_min_fuel == _full_grid_min(consts)

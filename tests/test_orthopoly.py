@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate as sp_integrate
 from scipy import special as sp_special
 
+from nhsteer import orthopoly
 from nhsteer.errors import CapabilityError, DomainError, IntegrabilityError
 from nhsteer.orthopoly import (
     CANONICAL_INTERVAL,
@@ -1063,3 +1064,65 @@ def test_jacobi_parameters_must_be_finite_and_above_minus_one(params):
         BasisElement(JACOBI, 2, jacobi_params=params)
     with pytest.raises(ValueError, match="jacobi parameters"):
         weight_fn(JACOBI, jacobi_params=params)
+
+
+# ---------------------------------------------------------------------------
+# one recurrence per family and node set within a coupling or an inner product
+
+
+def _count_steps(monkeypatch):
+    """A list whose length is the number of recurrence steps taken from now on."""
+    steps, recurrence = [], orthopoly._recurrence
+
+    def spied(family, params, tau):
+        first, step = recurrence(family, params, tau)
+        return first, lambda k, cur, prev: steps.append(k) or step(k, cur, prev)
+
+    monkeypatch.setattr(orthopoly, "_recurrence", spied)
+    return steps
+
+
+def test_a_coupling_runs_one_recurrence_per_family_and_node_set(monkeypatch):
+    u1, u2 = basis_signal(LEGENDRE, 24), basis_signal(LEGENDRE, 25)
+    want = coupling_displacement(u1, u2)  # builds the 26-node rule outside the count
+    steps = _count_steps(monkeypatch)
+    assert coupling_displacement(u1, u2) == want
+    assert steps == list(range(1, 26))  # one pass up to P_26, where each of the four factors ran its own: 96 steps
+    steps.clear()
+    assert inner_product(u2, u2) == inner_product(u2, u2) and len(steps) == 2 * 24  # once per call, not per factor
+
+
+def test_the_row_memo_is_fresh_within_exact_rules_only_and_reset_when_they_raise(monkeypatch):
+    seen = []
+
+    def refusing(*args):
+        seen.append(orthopoly._ROW_MEMO.get())
+        raise DomainError("refused")
+
+    u, v = basis_signal(LEGENDRE, 3), basis_signal(LEGENDRE, 4)
+    coupling_displacement(u, v)
+    assert orthopoly._ROW_MEMO.get() is None
+    with monkeypatch.context() as patched:
+        patched.setattr(orthopoly, "_gauss_jacobi", refusing)  # the exact rule, asked for inside the memo
+        for call in (coupling_displacement, inner_product):
+            with pytest.raises(DomainError, match="refused"):
+                call(u, v)
+            assert orthopoly._ROW_MEMO.get() is None
+    assert seen == [{}, {}]
+    with pytest.raises(DomainError, match="refused"):
+        coupling_displacement(u, refusing)  # adaptive quadrature, whose nodes never repeat, keeps no rows
+    assert seen[2] is None and orthopoly._ROW_MEMO.get() is None
+    with pytest.raises(DomainError, match="coupling displacement"):
+        coupling_displacement(scale_signal(u, 1e200), scale_signal(v, 1e200))
+    assert orthopoly._ROW_MEMO.get() is None
+
+
+def test_memo_rows_are_read_only_and_shared_by_equal_nodes():
+    tau = np.linspace(-1.0, 1.0, 7)
+    with orthopoly._row_memo({}):
+        rows = _family_rows(LEGENDRE, None, {2, 5}, tau)
+        again = _family_rows(LEGENDRE, None, {5}, tau.copy())
+    assert again[5] is rows[5]
+    assert rows[5].tolist() == _family_rows(LEGENDRE, None, {5}, tau)[5].tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        rows[2][0] = 0.0
