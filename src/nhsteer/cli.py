@@ -2,8 +2,11 @@
 
 Outputs are deterministic: identical arguments produce byte-identical JSON
 and CSV.  One sink, ``_emit``, writes them to ``--out`` (relative paths land
-under ``$NHSTEER_OUT_DIR`` when that is set), opened once the result is
-computed, or else to stdout; a trajectory streams there from its columns.
+under ``$NHSTEER_OUT_DIR`` when that is set) or else to stdout, either only
+once the whole output is written, so a command that fails leaves no output
+(an ``--out`` that is a device or a FIFO is written in place).
+A steering plan's trajectory streams there chunk by chunk as it is
+integrated, and ``verify`` keeps only its running state.
 
 Exit codes: 0 success, 1 domain/planner error or OSError (message on stderr), 2 usage.
 """
@@ -41,11 +44,11 @@ from .so3_control import AttitudePlan, constant_omega_plan, simulate_attitude, u
 from .steering import (
     PLAN_FAMILIES,
     SteeringPlan,
+    _PlanReplay,
     default_pair,
     pair_signals,
     plan_gnhi,
     plan_nhi,
-    simulate_plan,
 )
 
 __all__ = ["main", "entry"]
@@ -141,13 +144,48 @@ def _resolve_out(path: str) -> Path:
 
 
 def _emit(args, write) -> None:
-    """Call ``write`` with the output handle: the ``--out`` file, opened once, or stdout."""
+    """Call ``write`` with a handle whose text goes to ``--out`` or stdout once all of it is written.
+
+    An ``--out`` that is a regular file or none, links followed, is written
+    to a new file beside it and moved over it by ``os.replace``; the new file
+    keeps the mode of the one it replaces, or gets the mode ``open`` gives a
+    new file under the umask.  Any other ``--out`` (a device, a FIFO) is
+    opened and written in place.  stdout gets the text from an anonymous
+    temporary file.  A ``write`` that fails leaves a regular ``--out`` file
+    as it was, no temporary file and nothing on stdout.
+    """
+    import shutil  # at the first output, off the start-up path
+    import stat
+    import tempfile
+
     if not getattr(args, "out", None):
-        write(sys.stdout)
+        with tempfile.TemporaryFile("w+", newline="") as spool:
+            write(spool)
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
         return
     path = _resolve_out(args.out)
-    with open(path, "w", newline="") as fh:
-        write(fh)
+    try:
+        existing = os.stat(path)
+    except FileNotFoundError:
+        existing = None
+    target = Path(os.path.realpath(path))  # a descriptor link may resolve to no path
+    same = existing is not None and os.path.exists(target) and os.path.samestat(existing, os.stat(target))
+    if existing is not None and not (stat.S_ISREG(existing.st_mode) and same):
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    else:
+        part = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.part")
+        fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", newline="") as fh:
+                if existing is not None:
+                    os.fchmod(fh.fileno(), stat.S_IMODE(existing.st_mode))
+                write(fh)
+            os.replace(part, target)
+        except BaseException:
+            os.unlink(part)
+            raise
     print(f"wrote {path}", file=sys.stderr)
 
 
@@ -216,30 +254,34 @@ def _cmd_plan_so3(args) -> int:
 # simulate / verify
 
 
-def _simulate_plan_file(args):
-    """The simulation of the plan file ``args.plan`` and its endpoint error.
-
-    The simulation is a ``SimulationResult``, or the ``Trajectory`` of an so3 plan.
-    """
+def _read_plan(args):
+    """The plan of the plan file ``args.plan``: an ``AttitudePlan`` or a ``SteeringPlan``."""
     try:
         data = json.loads(Path(args.plan).read_text())
     except json.JSONDecodeError as exc:
         raise NhsteerError(f"malformed plan file {args.plan}: {exc}") from exc
     data = _planfile.document(data, f"plan file {args.plan}")
     if data.choice("system", ("nhi", "gnhi", "so3")) == "so3":
-        return simulate_attitude(AttitudePlan.from_json_dict(data), steps=args.steps)
-    plan = SteeringPlan.from_json_dict(data)
-    result = simulate_plan(plan, steps=args.steps)
-    return result, max(abs(result.terminal[name] - value) for name, value in plan.predicted_endpoint.items())
+        return AttitudePlan.from_json_dict(data)
+    return SteeringPlan.from_json_dict(data)
 
 
 def _cmd_simulate(args) -> int:
-    _emit(args, _simulate_plan_file(args)[0].to_csv)
+    plan = _read_plan(args)
+    if isinstance(plan, AttitudePlan):
+        _emit(args, simulate_attitude(plan, steps=args.steps)[0].to_csv)
+    else:  # the CSV is written as the chunks are integrated
+        _emit(args, _PlanReplay(plan, args.steps).to_csv)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    err = _simulate_plan_file(args)[1]
+    plan = _read_plan(args)
+    if isinstance(plan, AttitudePlan):
+        err = simulate_attitude(plan, steps=args.steps)[1]
+    else:
+        end = _PlanReplay(plan, args.steps).terminal()
+        err = max(abs(end[name] - value) for name, value in plan.predicted_endpoint.items())
     print(f"endpoint error: {err:.6e}")
     if err < 1e-6:
         print("within tolerance 1e-06")
@@ -300,12 +342,12 @@ def _cmd_paper_repro(args) -> int:
 
     # two-phase steering with Legendre shapes reaches (0, 0, 1)
     plan = plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), family=LEGENDRE)
-    end = simulate_plan(plan, steps=4000).terminal
+    end = _PlanReplay(plan, 4000).terminal()
     match("steering endpoint x3, Legendre pair", 1.0, end["x3"], 1e-6)
 
     # closed-form minimum-energy transfer: endpoint and weighted cost
     solution = cheb_optimal_inputs(1.0)
-    closed_end = simulate_plan(solution_to_plan(solution), steps=4000).terminal
+    closed_end = _PlanReplay(solution_to_plan(solution), 4000).terminal()
     match("closed-form endpoint x3", 1.0, closed_end["x3"], 1e-6)
     match(
         "closed-form weighted energy, a=1",

@@ -7,19 +7,27 @@ Models:
   x1' = u1, x2' = u2, x3' = x1 u2 - x2 u1
 * ``integrate_so3``  —  g' = hat(omega) g on the rotation group
 
-Both bilinear integrators are views of one core, ``_integrate_bilinear``,
-which serves every m >= 2 and names the cross coordinates as asked; the
-pairs (i, j), i < j, always come in the lexicographic order of ``_pairs``.
-The core implements classical RK4, but since the inputs depend on time only,
-the stage combinations collapse to closed-form per-step updates that
-vectorize over the whole grid.  A phase evaluates its inputs once, on the
-nodes and midpoints together, and a cross coordinate of two zero channels
-skips its pass.  Its columns are the rows of one float block (direct
-states, cross states, inputs), written in place: the block a caller passes
-as ``out=`` (``steering.simulate_plan`` passes each phase a slice of one
-block for the whole simulation) or one of its own, so a simulation makes
-no array per column, and its overflow check reads only the last sample of
-each state row.  Inputs carrying endpoint weight factors are integrated in
+Both bilinear integrators are views of one core, ``_bilinear_chunks``,
+which serves every m >= 2; ``_bilinear_args`` maps either state type to its
+coordinates and names the cross coordinates as asked, and the pairs (i, j),
+i < j, always come in the lexicographic order of ``_pairs``.  The core
+implements classical RK4, but since the inputs depend on time only, the
+stage combinations collapse to closed-form per-step updates that vectorize
+over a grid.  It integrates a phase in chunks of at most N steps into one
+reused float block of N + 1 columns whose rows are the direct states, the
+cross states and the inputs, written in place: each chunk evaluates its
+inputs once, on its nodes and midpoints together, starts from the sample
+the chunk before ended on, and seeds its first ``np.cumsum`` summand with
+the running sums carried from there, so that every chunk has the bits of
+the whole grid.  A cross coordinate of two zero channels skips its pass,
+and the overflow check reads only the last sample of each state row.
+``_integrate_bilinear``, behind both public integrators, is the one-chunk
+case: N = steps, in the block a caller passes as ``out=`` or one of its
+own.  ``steering._PlanReplay`` runs a plan's phases through the core: for
+``steering.simulate_plan`` each phase as one chunk in its slice of one
+block for the whole simulation, for the CLI in chunks of ``_CHUNK_STEPS``
+through one block, which it streams to CSV (``_write_csv``, also behind
+``Trajectory.to_csv``) or reads only the final state of.  Inputs carrying endpoint weight factors are integrated in
 the arc variable s of ``orthopoly``'s map t = mid - half*cos(s), where the
 weight (1-tau)^a (1+tau)^b times dt/ds is cos(s/2)^(2a+1) sin(s/2)^(2b+1) up
 to a constant.  That is smooth, keeping the full fourth order, when 2a + 1
@@ -80,6 +88,8 @@ __all__ = [
 ]
 
 _MIN_STEPS = 100
+# steps per chunk of a streamed phase: a phase of the default 4000 steps is one chunk
+_CHUNK_STEPS = 4096
 _CSV_BLOCK_CELLS = 4096
 
 
@@ -212,24 +222,31 @@ class Trajectory:
 
     def to_csv(self, path, *following: Trajectory) -> None:
         """A header line, then one line of ``repr`` floats per sample of this
-        trajectory and then of each of ``following``, which have its columns.
-
-        Rows go out in blocks of about ``_CSV_BLOCK_CELLS`` cells, each turned
-        into text at once by ``_csvtext.csv_block``, to a text handle or to the
-        file ``path``.
-        """
-        from ._csvtext import csv_block  # at the first CSV write, off the start-up path
-
+        trajectory and then of each of ``following``, which have its columns
+        (``_write_csv``)."""
         names = ["t", *self.state_names, *self.input_names]
-        block = max(1, _CSV_BLOCK_CELLS // len(names))  # rows
-        last = np.arange(block * len(names)) % len(names) == len(names) - 1
-        with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as fh:
-            fh.write(",".join(names) + "\n")
-            for traj in (self, *following):
-                cols = [np.asarray(c, dtype=float) for c in (traj.t, *(traj.columns[n] for n in names[1:]))]
-                for lo in range(0, len(cols[0]), block):
-                    cells = np.stack([col[lo : lo + block] for col in cols], axis=1).ravel()
-                    fh.write(csv_block(cells, last[: len(cells)]))
+        _write_csv(path, names, ((tr.t, [tr.columns[n] for n in names[1:]]) for tr in (self, *following)))
+
+
+def _write_csv(path, names, pieces) -> None:
+    """A header line of ``names``, then one line of ``repr`` floats per sample
+    of each (t, columns) piece, to a text handle or to the file ``path``.
+
+    Rows go out in blocks of about ``_CSV_BLOCK_CELLS`` cells, each turned
+    into text at once by ``_csvtext.csv_block``, so ``pieces`` may be
+    computed as they are written.
+    """
+    from ._csvtext import csv_block  # at the first CSV write, off the start-up path
+
+    block = max(1, _CSV_BLOCK_CELLS // len(names))  # rows
+    last = np.arange(block * len(names)) % len(names) == len(names) - 1
+    with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + "\n")
+        for t, columns in pieces:
+            cols = [np.asarray(c, dtype=float) for c in (t, *columns)]
+            for lo in range(0, len(cols[0]), block):
+                cells = np.stack([col[lo : lo + block] for col in cols], axis=1).ravel()
+                fh.write(csv_block(cells, last[: len(cells)]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +254,33 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _grids(inputs, interval, steps, reparam):
-    """Node times, the step, and per-channel values at the nodes and midpoints.
+def _grids(inputs, interval, steps, reparam, k0=0, k1=None):
+    """Node times, the step, and per-channel values at the nodes and midpoints of steps k0 ... k1.
 
     The grid is uniform in a variable v: v = t on the plain map, and on the
     arc map of ``orthopoly`` (``reparam``) v = s, where a channel's value is
-    its effective integrand u(t) dt/ds.  Every channel is evaluated once, on
-    the nodes followed by the midpoints, and the rows are sliced.
+    its effective integrand u(t) dt/ds.  Node k is ``np.linspace``'s: k times
+    the step plus the start (k / steps times the length where the step
+    underflows), the last node the end itself, so a chunk of the grid has the
+    bits of the whole one.  Every channel is evaluated once, on the nodes
+    followed by the midpoints, and the rows are sliced.
     """
+    k1 = steps if k1 is None else k1
     lo, hi = (0.0, np.pi) if reparam else interval
-    nodes = np.linspace(lo, hi, steps + 1)
+    step = (hi - lo) / steps
+    nodes = np.arange(k0, k1 + 1, dtype=float)
+    if step:
+        nodes *= step
+    else:
+        nodes /= steps
+        nodes *= hi - lo
+    nodes += lo
+    if k1 == steps:
+        nodes[-1] = hi
     points = np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:])))
     values = _stacked_values(inputs, points, interval if reparam else None)
     t_nodes = _arc_time(interval, nodes) if reparam else nodes
-    return t_nodes, (hi - lo) / steps, values[:, : steps + 1], values[:, steps + 1 :]
+    return t_nodes, step, values[:, : k1 - k0 + 1], values[:, k1 - k0 + 1 :]
 
 
 def _check_simulable(u, interval) -> None:
@@ -269,34 +299,145 @@ def _check_simulable(u, interval) -> None:
         )
 
 
+def _phase_grid(u, interval) -> tuple[tuple[float, float], bool]:
+    """The checked interval of a phase with inputs ``u``, and whether it is integrated in the arc variable."""
+    interval = _infer_interval(u, interval)
+    _check_simulable(u, interval)
+    return interval, any(isinstance(sig, InputSignal) and sig.is_weighted for sig in u)
+
+
+def _bilinear_args(u, state) -> tuple:
+    """(u, direct coordinates, cross coordinates, cross names) of a phase from ``state``.
+
+    ``state`` is an ``NhiState``, whose cross coordinate is named x3, or a ``GnhiState``.
+    """
+    u = tuple(u)
+    if isinstance(state, NhiState):
+        if len(u) != 2:
+            raise ValueError("the three-state model takes exactly two inputs")
+        return u, (state.x1, state.x2), (state.x3,), ("x3",)
+    m = state.m
+    if len(u) != m:
+        raise ValueError(f"state has m={m} direct coordinates but {len(u)} inputs given")
+    return u, state.x, state.flat()[m:], pair_names(m)
+
+
+def _bilinear_chunks(u, x0, xx0, interval, reparam, steps, block):
+    """Classical-RK4 chunks of one phase of the m-input model, m = len(u), in ``block``.
+
+    ``x0`` holds the m direct coordinates and ``xx0`` the cross coordinates
+    in the order of ``_pairs(m)``; ``interval`` and ``reparam`` are those of
+    ``_phase_grid``.  With inputs depending on time only, the four stages
+    combine exactly into a Simpson update for each direct coordinate and,
+    for each cross coordinate, a Simpson term in the direct states plus an
+    h^2 correction in the stage inputs; this reproduces RK4 to the last bit
+    while running as pure array arithmetic.  Each cross coordinate gets its
+    own 1-D pass: one stacked (pairs x steps) array costs more time and
+    memory at m = 8.  A pass whose channels are both zero signals (no terms)
+    is skipped: after sample 0 its path is ``start + 0.0``, as the sum of
+    its +0.0 increments is.
+
+    ``block`` is a float array of 2m + m(m-1)/2 rows (the direct states,
+    the cross states in ``_pairs`` order, then the inputs on the nodes) and
+    N + 1 columns, N <= steps.  The steps go in chunks of at most N, the
+    first the shortest, so the last chunk ends in the last column; each
+    yields (its node times, the block's columns 0 ... n) once its rows are
+    written, column 0 holding the sample the chunk before ended on.  A
+    direct state is x0 + (h / 6) * cumsum and a cross path start + cumsum,
+    and ``np.cumsum`` adds in sequence, so a chunk whose first summand is
+    seeded with the running sum carried from the chunk before has the bits
+    of the whole grid.  Each operation writes into its destination with the
+    operands, order and grouping of the plain expressions: the direct
+    states by ``np.cumsum(..., out=)``, each cross pass through three
+    scratch vectors reused by every pass and then its own path row.  The
+    overflow check reads the last sample of each state row only: a running
+    sum that is inf or nan stays so, and a direct state that overflows
+    mid-grid makes every cross pass it enters non-finite from there on.
+    Inputs that overflow where they are evaluated are refused as not
+    finite, without a numpy warning.
+    """
+    m, n_cross, width = len(u), len(xx0), block.shape[1] - 1
+    x, paths, inputs = block[:m], block[m : m + n_cross], block[m + n_cross :]
+    x[:, 0], paths[:, 0] = x0, xx0
+    x_first = x[:, :1].copy()
+    zero = [isinstance(sig, InputSignal) and not sig.terms for sig in u]
+    a, b, c = np.empty((3, width))
+    x_sum, path_sum = np.empty(m), np.empty(n_cross)  # the running sums carried into the next chunk
+
+    def advance(k0, k1):
+        """Steps k0 ... k1 into columns 1 ... k1 - k0, from the sample in column 0; their node times.
+
+        The chunk's arrays other than the block are freed on return, before the next chunk's.
+        """
+        n = k1 - k0
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_nodes, h, u_nodes, u_mid = _grids(u, interval, steps, reparam, k0, k1)
+            if not (np.isfinite(u_nodes).all() and np.isfinite(u_mid).all()):
+                raise DomainError("inputs must be finite on the interval")
+            u0 = u_nodes[:, :-1]
+            u1 = u_nodes[:, 1:]
+            s_sum = np.multiply(4.0, u_mid)  # u0 + 4.0 * u_mid + u1
+            np.add(u0, s_sum, out=s_sum)
+            np.add(s_sum, u1, out=s_sum)
+            x_new = x[:, 1 : n + 1]
+            first = s_sum[:, 0].copy()
+            if k0:
+                s_sum[:, 0] += x_sum
+            np.cumsum(s_sum, axis=1, out=x_new)  # x0 + (h / 6.0) * cumsum
+            s_sum[:, 0], x_sum[:] = first, x_new[:, -1]
+            np.multiply(h / 6.0, x_new, out=x_new)
+            np.add(x_first, x_new, out=x_new)
+            x_start = x[:, :n]
+            sa, sb, sc = a[:n], b[:n], c[:n]
+            for k, (path, (i, j), start) in enumerate(zip(paths, _pairs(m), xx0)):
+                tail = path[1 : n + 1]
+                if zero[i] and zero[j]:  # every increment would be +0.0
+                    tail[...] = start + 0.0
+                    continue
+                # incr = (h / 6.0) * (x_start[i] * s_sum[j] - x_start[j] * s_sum[i])
+                #   + (h * h / 6.0) * ((u0[i] * u_mid[j] - u0[j] * u_mid[i]) + (u_mid[i] * u1[j] - u_mid[j] * u1[i]))
+                # with tail as the fourth operand; then tail = start + cumsum(incr)
+                np.multiply(x_start[i], s_sum[j], out=sa)
+                np.multiply(x_start[j], s_sum[i], out=sb)
+                np.subtract(sa, sb, out=sa)
+                np.multiply(h / 6.0, sa, out=sa)
+                np.multiply(u0[i], u_mid[j], out=sb)
+                np.multiply(u0[j], u_mid[i], out=sc)
+                np.subtract(sb, sc, out=sb)
+                np.multiply(u_mid[i], u1[j], out=sc)
+                np.multiply(u_mid[j], u1[i], out=tail)
+                np.subtract(sc, tail, out=sc)
+                np.add(sb, sc, out=sb)
+                np.multiply(h * h / 6.0, sb, out=sb)
+                np.add(sa, sb, out=sa)
+                if k0:
+                    sa[0] += path_sum[k]
+                np.cumsum(sa, out=tail)
+                path_sum[k] = tail[-1]
+                np.add(start, tail, out=tail)
+        if k1 == steps and not np.isfinite(block[: m + n_cross, n]).all():
+            raise DomainError("inputs overflow the integrator: a state coordinate is not finite")
+        inputs[:, : n + 1] = u_nodes
+        return t_nodes
+
+    k0, k1, n = 0, (steps - 1) % width + 1, 0
+    while k0 < steps:
+        if k0:
+            block[:, 0] = block[:, n]
+        n = k1 - k0
+        yield advance(k0, k1), block[:, : n + 1]
+        k0, k1 = k1, k1 + width
+
+
 def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps, out=None) -> Trajectory:
-    """Classical-RK4 trajectory of the m-input model, m = len(u).
+    """Classical-RK4 trajectory of the m-input model, m = len(u): the one-chunk case of ``_bilinear_chunks``.
 
     ``x0`` holds the m direct coordinates, ``xx0`` the cross coordinates in
-    the order of ``_pairs(m)`` and ``cross_names`` their column names.  With
-    inputs depending on time only, the four stages combine exactly into a
-    Simpson update for each direct coordinate and, for each cross
-    coordinate, a Simpson term in the direct states plus an h^2 correction
-    in the stage inputs; this reproduces RK4 to the last bit while running
-    as pure array arithmetic.  Each cross coordinate gets its own 1-D pass:
-    one stacked (pairs x steps) array costs more time and memory at m = 8.
-    The inputs come from one evaluation on nodes and midpoints (``_grids``).
-    A pass whose channels are both zero signals (no terms) is skipped: after
-    sample 0 its path is ``start + 0.0``, as the sum of its +0.0 increments is.
-
+    the order of ``_pairs(m)`` and ``cross_names`` their column names.
     Every column is a row of one float block of shape (2m + m(m-1)/2,
     steps + 1): the direct states, the cross states in ``_pairs`` order,
     then the inputs on the nodes.  ``out`` is that block, written in place
-    (a new one when it is None).  Each operation writes into its
-    destination with the operands, order and grouping of the plain
-    expressions, so the bits are theirs: the direct states by
-    ``np.cumsum(..., out=)``, each cross pass through three scratch vectors
-    reused by every pass and then its own path row.  The overflow check
-    reads the last sample of each state row only: a running sum that is
-    inf or nan stays so, and a direct state that overflows mid-grid makes
-    every cross pass it enters non-finite from there on.  Inputs that
-    overflow where they are evaluated are refused as not finite, without a
-    numpy warning.
+    (a new one when it is None).
     """
     if steps < _MIN_STEPS:
         raise ValueError(f"steps must be at least {_MIN_STEPS}")
@@ -305,61 +446,21 @@ def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps, out=None) -> T
     shape = (2 * m + n_cross, steps + 1)
     if out is not None and not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64):
         raise ValueError(f"out must be a float64 array of shape {shape}")
-    interval = _infer_interval(u, interval)
-    _check_simulable(u, interval)
+    interval, reparam = _phase_grid(u, interval)
     if out is None:
         out = np.empty(shape)
-    reparam = any(isinstance(sig, InputSignal) and sig.is_weighted for sig in u)
-    x, paths, inputs = out[:m], out[m : m + n_cross], out[m + n_cross :]
-    state_names = [f"x{i + 1}" for i in range(m)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        t_nodes, h, u_nodes, u_mid = _grids(u, interval, steps, reparam)
-        if not (np.isfinite(u_nodes).all() and np.isfinite(u_mid).all()):
-            raise DomainError("inputs must be finite on the interval")
-        u0 = u_nodes[:, :-1]
-        u1 = u_nodes[:, 1:]
-        s_sum = np.multiply(4.0, u_mid)  # u0 + 4.0 * u_mid + u1
-        np.add(u0, s_sum, out=s_sum)
-        np.add(s_sum, u1, out=s_sum)
-        x[:, 0] = x0
-        np.cumsum(s_sum, axis=1, out=x[:, 1:])  # x0 + (h / 6.0) * cumsum
-        np.multiply(h / 6.0, x[:, 1:], out=x[:, 1:])
-        np.add(x[:, :1], x[:, 1:], out=x[:, 1:])
-        x_start = x[:, :-1]
-        zero = [isinstance(sig, InputSignal) and not sig.terms for sig in u]
-        a, b, c = np.empty((3, steps))
-        for path, (i, j), start in zip(paths, _pairs(m), xx0):
-            path[0] = start
-            if zero[i] and zero[j]:  # every increment would be +0.0
-                path[1:] = start + 0.0
-                continue
-            # incr = (h / 6.0) * (x_start[i] * s_sum[j] - x_start[j] * s_sum[i])
-            #   + (h * h / 6.0) * ((u0[i] * u_mid[j] - u0[j] * u_mid[i]) + (u_mid[i] * u1[j] - u_mid[j] * u1[i]))
-            # with path[1:] as the fourth operand; then path[1:] = start + cumsum(incr)
-            tail = path[1:]
-            np.multiply(x_start[i], s_sum[j], out=a)
-            np.multiply(x_start[j], s_sum[i], out=b)
-            np.subtract(a, b, out=a)
-            np.multiply(h / 6.0, a, out=a)
-            np.multiply(u0[i], u_mid[j], out=b)
-            np.multiply(u0[j], u_mid[i], out=c)
-            np.subtract(b, c, out=b)
-            np.multiply(u_mid[i], u1[j], out=c)
-            np.multiply(u_mid[j], u1[i], out=tail)
-            np.subtract(c, tail, out=c)
-            np.add(b, c, out=b)
-            np.multiply(h * h / 6.0, b, out=b)
-            np.add(a, b, out=a)
-            np.cumsum(a, out=tail)
-            np.add(start, tail, out=tail)
-    if not np.isfinite(out[: m + n_cross, -1]).all():
-        raise DomainError("inputs overflow the integrator: a state coordinate is not finite")
-    inputs[...] = u_nodes
+    ((t_nodes, _),) = _bilinear_chunks(u, x0, xx0, interval, reparam, steps, out)
+    return _bilinear_trajectory(t_nodes, out, [*(f"x{i + 1}" for i in range(m)), *cross_names], interval, reparam)
+
+
+def _bilinear_trajectory(t_nodes, block, state_names, interval, reparam) -> Trajectory:
+    """The ``Trajectory`` over ``t_nodes`` whose columns are the rows of a one-chunk ``block``: ``state_names``, then u1 ... um."""
+    m = len(block) - len(state_names)
     input_names = tuple(f"u{i + 1}" for i in range(m))
     return Trajectory(
         t=t_nodes,
-        columns=dict(zip((*state_names, *cross_names, *input_names), out)),
-        state_names=(*state_names, *cross_names),
+        columns=dict(zip((*state_names, *input_names), block)),
+        state_names=tuple(state_names),
         input_names=input_names,
         scheme="rk4_reparam" if reparam else "rk4",
         interval=interval,
@@ -373,11 +474,7 @@ def integrate_nhi(u, x0=NhiState(), interval=None, steps: int = 2000, *, out=Non
     named x3 instead of x12.  ``out``, a float block of shape (5, steps + 1),
     receives the rows x1, x2, x3, u1, u2 in place and backs the columns.
     """
-    u = tuple(u)
-    if len(u) != 2:
-        raise ValueError("the three-state model takes exactly two inputs")
-    x0 = NhiState.from_array(x0)
-    return _integrate_bilinear(u, (x0.x1, x0.x2), (x0.x3,), ("x3",), interval, steps, out)
+    return _integrate_bilinear(*_bilinear_args(u, NhiState.from_array(x0)), interval, steps, out)
 
 
 def integrate_gnhi(u, s0: GnhiState, interval=None, steps: int = 2000, *, out=None) -> Trajectory:
@@ -387,11 +484,7 @@ def integrate_gnhi(u, s0: GnhiState, interval=None, steps: int = 2000, *, out=No
     rows x1..xm, the cross coordinates in ``pair_names`` order and u1..um in
     place and backs the columns; without it each call allocates its own.
     """
-    u = tuple(u)
-    m = s0.m
-    if len(u) != m:
-        raise ValueError(f"state has m={m} direct coordinates but {len(u)} inputs given")
-    return _integrate_bilinear(u, s0.x, s0.flat()[m:], pair_names(m), interval, steps, out)
+    return _integrate_bilinear(*_bilinear_args(u, s0), interval, steps, out)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PlannerError, _finite, _finite_ldexp
+from .errors import DomainError, PlannerError, _finite, _finite_ldexp
 from .dynamics import coupling_displacement, integrate_nhi
 from .orthopoly import JACOBI, InputSignal, l1_norm, lp_norm, scale_signal
 from .steering import _nonzero_coupling, pair_signals
@@ -235,7 +235,8 @@ def _root(n: float, p: float) -> tuple[float, int]:
 
 
 def _amgm_minimum(c: float, n1: float, n2: float, p: float, what: str) -> tuple[float, float, float]:
-    """(b1, b2, J*) least in |b1|^p n1 + |b2|^p n2 with b1 b2 = c; ``DomainError`` names one that overflows.
+    """(b1, b2, J*) least in |b1|^p n1 + |b2|^p n2 with b1 b2 = c; ``DomainError`` names one that overflows,
+    or a coefficient that underflows to zero.
 
     With r = n^(1/p): |b1| = sqrt(|c| r2 / r1), |b2| = sqrt(|c| r1 / r2), J* = 2 sqrt(|c| r1 r2)^p.  Each root is of a
     mantissa product, scaled back by a power of two: the plain expression's bits where it stays normal, else finite.
@@ -250,6 +251,9 @@ def _amgm_minimum(c: float, n1: float, n2: float, p: float, what: str) -> tuple[
         return _finite_ldexp(math.sqrt(math.ldexp(m, e % 2)), e // 2, "%s of the %s for c = %r", name, what, c)
 
     b1, b2 = root(mc * m2 / m1, ec + e2 - e1, "b1"), root(mc * m1 / m2, ec + e1 - e2, "b2")
+    for name, b in (("b1", b1), ("b2", b2)):
+        if b == 0.0:
+            raise DomainError(f"{name} of the {what} for c = {c!r} underflows to zero: it cannot reach the target")
     s = root(mc * m1 * m2, ec + e1 + e2, "J*")  # J* = 2 s^p, so an infinite s is an infinite J*
     power = s**p if s < 2.0 ** (1023.0 / p) else math.inf  # a float power above the range raises
     return b1, math.copysign(b2, c), _finite(2.0 * power, "J* of the %s for c = %r", what, c)

@@ -191,7 +191,8 @@ _ROW_MEMO: contextvars.ContextVar = contextvars.ContextVar("_ROW_MEMO", default=
 
 
 class _row_memo:
-    """Within the block ``_family_rows`` keeps its rows in ``memo``, a fresh dict, or in none (None); reset on exit."""
+    """Within the block ``_family_rows`` keeps its rows and ``_to_canonical`` its maps in ``memo``, a fresh dict,
+    or in none (None); reset on exit."""
 
     def __init__(self, memo):
         self.memo = memo
@@ -293,8 +294,24 @@ def _deriv_canonical(family: str, index: int, params, tau: np.ndarray, order: in
 
 
 def _to_canonical(element_interval: tuple[float, float], t):
-    """Map points of the element's interval to the canonical variable tau."""
+    """Map points of the element's interval to the canonical variable tau.
+
+    Inside ``_row_memo`` each node array is mapped once per interval, and its
+    tau is shared read-only by every factor evaluated on it.
+    """
     t = np.asarray(t, dtype=float)
+    memo = _ROW_MEMO.get()
+    if memo is None:
+        return _canonical(element_interval, t)
+    key = ("tau", element_interval, t.shape, t.tobytes())
+    if key not in memo:
+        memo[key] = _canonical(element_interval, t)
+        memo[key].setflags(write=False)
+    return memo[key]
+
+
+def _canonical(element_interval: tuple[float, float], t: np.ndarray) -> np.ndarray:
+    """``_to_canonical`` of a float array, range-checked (``DomainError``) and clipped."""
     lo, hi = element_interval
     if (t < lo - _EDGE_TOL).any() or (t > hi + _EDGE_TOL).any():  # array methods: no np.any dispatch
         raise DomainError(f"evaluation point outside [{lo}, {hi}]")

@@ -12,9 +12,10 @@ not move at all; the predicted endpoints are exact, not approximations.
 
 For m = 2 both channels carry one balanced scale, and a negative target is
 handled by swapping which channel carries the odd shape, which flips the
-sign of the coupling displacement.  ``simulate_plan`` replays either kind of
-plan through the matching public integrator, every phase writing into its
-slice of one block.
+sign of the coupling displacement.  ``_PlanReplay`` replays either kind of
+plan phase by phase: ``simulate_plan`` gives every phase its slice of one
+block, and the CLI streams the phases with the same bits through one reused
+chunk block.
 """
 
 from __future__ import annotations
@@ -48,12 +49,16 @@ from .dynamics import (
     GnhiState,
     NhiState,
     Trajectory,
+    _CHUNK_STEPS,
     _MIN_STEPS,
+    _bilinear_args,
+    _bilinear_chunks,
+    _bilinear_trajectory,
     _check_simulable,
     _pairs,
+    _phase_grid,
+    _write_csv,
     coupling_displacement,
-    integrate_gnhi,
-    integrate_nhi,
     pair_names,
 )
 
@@ -431,6 +436,21 @@ def scale_pair(u1, u2, target: float, interval=None) -> tuple[float, float]:
     return (root, math.copysign(root, ratio))
 
 
+def _end_to_end(phases):
+    """Each (t, columns) chunk of each (interval, chunks) phase on one time axis.
+
+    The axis starts at 0 and runs through the phases back to back; every
+    chunk but the first drops its first sample, the one it shares with the
+    chunk or phase before.
+    """
+    offset, sel = 0.0, slice(None)
+    for (lo, hi), chunks in phases:
+        for t, columns in chunks:
+            yield offset + (t[sel] - lo), [col[sel] for col in columns]
+            sel = slice(1, None)
+        offset += hi - lo
+
+
 @dataclass
 class SimulationResult:
     """Per-phase trajectories and the final state; ``merged``, the phases end to end, is built on first access.
@@ -443,65 +463,104 @@ class SimulationResult:
     trajectories: list[Trajectory]
     terminal: dict
 
+    def _names(self) -> list[str]:
+        first = self.trajectories[0]
+        return [*first.state_names, *first.input_names]
+
     def _end_to_end(self):
-        """Each phase on the joint time axis, without the sample it shares with the phase before."""
-        offset = 0.0
-        for idx, tr in enumerate(self.trajectories):
-            lo, hi = tr.interval
-            sel = slice(1, None) if idx > 0 else slice(None)
-            yield Trajectory(
-                t=offset + (tr.t[sel] - lo),
-                columns={n: tr.columns[n][sel] for n in (*tr.state_names, *tr.input_names)},
-                state_names=tr.state_names,
-                input_names=tr.input_names,
-                scheme=tr.scheme,
-                interval=(offset, offset + (hi - lo)),
-            )
-            offset += hi - lo
+        names = self._names()
+        return _end_to_end((tr.interval, [(tr.t, [tr.columns[n] for n in names])]) for tr in self.trajectories)
 
     @functools.cached_property
     def merged(self) -> Trajectory:
-        parts = list(self._end_to_end())
-        schemes = {tr.scheme for tr in parts}
+        first, end = self.trajectories[0], 0.0
+        for lo, hi in (tr.interval for tr in self.trajectories):
+            end += hi - lo
+        t, columns = zip(*self._end_to_end())
+        schemes = {tr.scheme for tr in self.trajectories}
         return Trajectory(
-            t=np.concatenate([tr.t for tr in parts]),
-            columns={n: np.concatenate([tr.columns[n] for tr in parts]) for n in parts[0].columns},
-            state_names=parts[0].state_names,
-            input_names=parts[0].input_names,
+            t=np.concatenate(t),
+            columns={n: np.concatenate(col) for n, col in zip(self._names(), zip(*columns))},
+            state_names=first.state_names,
+            input_names=first.input_names,
             scheme=schemes.pop() if len(schemes) == 1 else "mixed",
-            interval=(0.0, parts[-1].interval[1]),
+            interval=(0.0, end),
         )
 
     def to_csv(self, path) -> None:
         """The CSV of ``merged``, written phase after phase without building it."""
-        first, *rest = self._end_to_end()
-        first.to_csv(path, *rest)
+        _write_csv(path, ["t", *self._names()], self._end_to_end())
 
 
 def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:
     """Integrate every phase of a plan in sequence from its stored start state.
 
     Every phase writes its rows into its own slice of one float block of
-    shape (phases, 2m + m(m-1)/2, steps + 1), through the ``out=`` of the
-    public integrator; a plan without phases integrates zero inputs into a
+    shape (phases, 2m + m(m-1)/2, steps + 1), as one chunk of
+    ``_PlanReplay``; a plan without phases integrates zero inputs into a
     block of one.
     """
-    if steps < _MIN_STEPS:
-        raise ValueError(f"steps must be at least {_MIN_STEPS}")
-    names = _plan_coordinates(plan.system, plan.predicted_endpoint)
-    if plan.system == "nhi":
-        m, integrate, state_of = 2, integrate_nhi, NhiState.from_array
-    else:
-        m = sum(1 for n in names if len(n) == 2)
-        integrate, state_of = integrate_gnhi, functools.partial(GnhiState.from_flat, m)
-    state = state_of([plan.initial[n] for n in names])
-    legs = [(ph.inputs, ph.interval) for ph in plan.phases]
-    if not legs:
-        legs = [((InputSignal(terms=(), interval=plan.interval),) * m, plan.interval)]
-    block = np.empty((len(legs), m + len(names), steps + 1))
+    replay = _PlanReplay(plan, steps)
+    block = np.empty((len(replay.legs), replay.rows, steps + 1))
     trajs = []
-    for (inputs, interval), out in zip(legs, block):
-        trajs.append(integrate(inputs, state, interval=interval, steps=steps, out=out))
-        end = trajs[-1].terminal
-        state = state_of([end[n] for n in names])
+    for (interval, reparam, chunks), out in zip(replay.phases(block), block):
+        ((t, _),) = chunks
+        trajs.append(_bilinear_trajectory(t, out, replay.names, interval, reparam))
     return SimulationResult(trajectories=trajs, terminal=trajs[-1].terminal)
+
+
+class _PlanReplay:
+    """The phases of ``plan`` integrated in sequence over ``steps`` steps each, from its stored start state.
+
+    ``simulate_plan`` gives each phase a whole block.  ``to_csv`` and
+    ``terminal()`` run the phases through one reused block of at most
+    ``_CHUNK_STEPS`` + 1 columns, with the same bits: ``to_csv`` writes the
+    samples of ``SimulationResult.merged`` chunk by chunk, with the bytes of
+    ``SimulationResult.to_csv``, and ``terminal()`` keeps the final state
+    alone.  A plan without phases integrates zero inputs over its interval.
+    """
+
+    def __init__(self, plan: SteeringPlan, steps: int = 4000):
+        if steps < _MIN_STEPS:
+            raise ValueError(f"steps must be at least {_MIN_STEPS}")
+        self.names = _plan_coordinates(plan.system, plan.predicted_endpoint)
+        if plan.system == "nhi":
+            m, self._state_of = 2, NhiState.from_array
+        else:
+            m = sum(1 for n in self.names if len(n) == 2)
+            self._state_of = functools.partial(GnhiState.from_flat, m)
+        legs = [(ph.inputs, ph.interval) for ph in plan.phases]
+        self.legs = legs or [((InputSignal(terms=(), interval=plan.interval),) * m, plan.interval)]
+        self._start = self._state_of([plan.initial[n] for n in self.names])
+        self._steps = steps
+        self.rows = m + len(self.names)
+        self.columns = ["t", *self.names, *(f"u{i + 1}" for i in range(m))]
+
+    def phases(self, blocks):
+        """(interval, reparam, chunks) of each phase, integrated into its block of ``blocks``.
+
+        A phase starts where the one before ended, in the last column of
+        its block, so its chunks must be consumed before the next phase.
+        """
+        state, n = self._start, len(self.names)
+        for (inputs, interval), block in zip(self.legs, blocks):
+            u, x0, xx0, _ = _bilinear_args(inputs, state)
+            interval, reparam = _phase_grid(u, interval)
+            yield interval, reparam, _bilinear_chunks(u, x0, xx0, interval, reparam, self._steps, block)
+            state = self._state_of(block[:n, -1])
+
+    def _streamed(self):
+        """``phases`` through one chunk block, reused by every chunk of every phase."""
+        block = np.empty((self.rows, min(self._steps, _CHUNK_STEPS) + 1))
+        return block, self.phases(itertools.repeat(block))
+
+    def to_csv(self, path) -> None:
+        _, phases = self._streamed()
+        _write_csv(path, self.columns, _end_to_end((interval, chunks) for interval, _, chunks in phases))
+
+    def terminal(self) -> dict:
+        block, phases = self._streamed()
+        for _, _, chunks in phases:
+            for _ in chunks:
+                pass
+        return dict(zip(self.names, block[: len(self.names), -1].tolist()))

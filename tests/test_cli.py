@@ -1,11 +1,14 @@
 import argparse
+import io
 import itertools
 import json
 import math
 import os
+import stat
 import string
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -755,7 +758,7 @@ def test_running_out_of_memory_is_an_error_line(capsys, monkeypatch, exc):
     def exhausted(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "simulate_plan", exhausted)
+    monkeypatch.setattr(cli, "_PlanReplay", exhausted)
     code, out, err = run(capsys, "verify", "--plan", str(GOLDEN / "plan_nhi_legendre.json"))
     assert (code, out) == (1, "")
     assert err == f"error: {str(exc) or 'MemoryError'}\n"
@@ -802,13 +805,14 @@ def test_trajectory_csv_peak_memory_is_one_block(tmp_path, gnhi8):
 
 
 def test_simulate_out_peak_memory_is_the_trajectories(tmp_path, capsys, gnhi8):
+    # the CSV streams from one chunk block, a small fraction of the merged trajectory
     plan_file, merged = gnhi8
-    nbytes = merged.t.nbytes + sum(col.nbytes for col in merged.columns.values())
+    block = (len(merged.state_names) + len(merged.input_names)) * (min(SINK_STEPS, dynamics._CHUNK_STEPS) + 1) * 8
     argv = ["simulate", "--plan", str(plan_file), "--steps", str(SINK_STEPS), "--out", str(tmp_path / "traj.csv")]
     codes = []
     peak = _traced_peak(lambda: codes.append(main(argv)))
     assert codes == [0], capsys.readouterr().err
-    assert peak <= nbytes + 8e6
+    assert peak <= block + 8e6
 
 
 def test_a_failed_simulation_leaves_the_out_file_as_it_was(tmp_path, capsys):
@@ -837,6 +841,149 @@ def test_simulate_writes_the_same_bytes_to_stdout_and_out(tmp_path, capsys, rows
     code, _, err = run(capsys, *argv, "--out", str(path))
     assert (code, err) == (0, f"wrote {path}\n")
     assert path.read_bytes() == out.encode()
+
+
+def _plan_file(tmp_path, name):
+    """The file of a plan of two or more phases: planar, plain or weighted, or three- or eight-input."""
+    if name == "gnhi3":
+        return GOLDEN / "plan_gnhi_m3_trig.json"
+    if name == "gnhi8":  # moves x12 and x78
+        target = np.zeros(36)
+        target[[8, 35]] = (1.5, -0.75)
+        plan = nhsteer.plan_gnhi(nhsteer.GnhiState.zeros(8), nhsteer.GnhiState.from_flat(8, target))
+    else:
+        family = "chebyshev_second" if name == "nhi-weighted" else "legendre"
+        plan = nhsteer.plan_nhi((0.5, -0.25, 0.0), (1.0, 1.0, 1.0), family=family)
+    path = tmp_path / f"{name}.json"
+    path.write_text(plan.to_json())
+    return path
+
+
+def _first_difference(text, want):
+    """None if ``text`` is ``want``, else the offset where they part: a diff of megabytes would take minutes."""
+    if text == want:
+        return None
+    return next((k for k, (a, b) in enumerate(zip(text, want)) if a != b), min(len(text), len(want)))
+
+
+_STREAMED = ["nhi", "nhi-weighted", "gnhi3", "gnhi8"]
+_CHUNK_COUNTS = [-1, 0, 1, dynamics._CHUNK_STEPS + 1]  # steps: N - 1, N, N + 1 and 2N + 1 for chunks of N
+
+
+@pytest.mark.parametrize("extra", _CHUNK_COUNTS, ids=["N-1", "N", "N+1", "2N+1"])
+@pytest.mark.parametrize("name", _STREAMED)
+def test_simulate_streams_the_bytes_of_the_simulation_result(tmp_path, capsys, name, extra):
+    plan_file, steps = _plan_file(tmp_path, name), dynamics._CHUNK_STEPS + extra
+    result = steering.simulate_plan(steering.SteeringPlan.from_json(plan_file.read_text()), steps)
+    assert len(result.trajectories) >= 2
+    assert result.trajectories[-1].scheme == ("rk4_reparam" if name == "nhi-weighted" else "rk4")
+    buf = io.StringIO()
+    result.to_csv(buf)
+    argv = ["simulate", "--plan", str(plan_file), "--steps", str(steps)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and _first_difference(out, buf.getvalue()) is None
+    path = tmp_path / "traj.csv"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    assert _first_difference(path.read_text(), out) is None
+
+
+@pytest.mark.parametrize("extra", _CHUNK_COUNTS, ids=["N-1", "N", "N+1", "2N+1"])
+@pytest.mark.parametrize("name", _STREAMED)
+def test_verify_reaches_the_terminal_state_of_the_simulation_result(tmp_path, capsys, name, extra):
+    plan_file, steps = _plan_file(tmp_path, name), dynamics._CHUNK_STEPS + extra
+    plan = steering.SteeringPlan.from_json(plan_file.read_text())
+    want = steering.simulate_plan(plan, steps).terminal
+    got = steering._PlanReplay(plan, steps).terminal()
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()] and list(got) == list(want)
+    err = max(abs(want[n] - value) for n, value in plan.predicted_endpoint.items())
+    code, out, _ = run(capsys, "verify", "--plan", str(plan_file), "--steps", str(steps))
+    assert out.startswith(f"endpoint error: {err:.6e}\n") and code == (0 if err < 1e-6 else 1)
+
+
+@pytest.mark.parametrize("steps", [4000, 40000])
+def test_verify_peak_memory_is_one_chunk_block_at_any_step_count(tmp_path, capsys, steps):
+    # the m = 8 plan from zeros to 1.5 has eight phases; simulate_plan's block for them takes
+    # 11.3 MB at 4000 steps and 113 MB at 40000
+    plan = nhsteer.plan_gnhi(nhsteer.GnhiState.zeros(8), nhsteer.GnhiState.from_flat(8, [1.5] * 36))
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(plan.to_json())
+    codes = []
+    peak = _traced_peak(lambda: codes.append(main(["verify", "--plan", str(plan_file), "--steps", str(steps)])))
+    assert codes == [0], capsys.readouterr()
+    assert peak <= 3e6
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_a_simulation_whose_last_phase_overflows_writes_nothing(tmp_path, capsys, out):
+    # the phases before the last are written before it fails; none of it may reach the sink
+    data = json.loads((GOLDEN / "plan_gnhi_m3_trig.json").read_text())
+    assert len(data["phases"]) >= 3
+    for channel, scale in zip(data["phases"][-1]["inputs"], (1e300, -1e300, 1e300)):
+        for term in channel["terms"]:
+            term["scale"] = scale
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(data))
+    existing = tmp_path / "traj.csv"
+    existing.write_bytes(b"t,x1\n0.0,1.0\n")
+    before = sorted(tmp_path.iterdir())
+    argv = ["simulate", "--plan", str(plan_file), "--steps", str(dynamics._CHUNK_STEPS + 1)]
+    code, stdout, err = run(capsys, *argv, *(["--out", str(existing)] if out else []))
+    assert (code, stdout) == (1, "")
+    assert err == "error: inputs overflow the integrator: a state coordinate is not finite\n"
+    assert existing.read_bytes() == b"t,x1\n0.0,1.0\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_out_gets_the_mode_open_gives_a_new_file(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        code, _, err = run(capsys, "plan", "nhi", *_TO, "--out", str(tmp_path / "plan.json"))
+    finally:
+        os.umask(old)
+    assert code == 0, err
+    assert (tmp_path / "plan.json").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_out_replacing_a_file_keeps_its_mode(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text("old")
+    path.chmod(0o604)
+    code, _, err = run(capsys, "plan", "nhi", *_TO, "--out", str(path))
+    assert code == 0, err
+    assert path.stat().st_mode & 0o7777 == 0o604 and path.read_text() != "old"
+
+
+def test_out_through_a_symlink_writes_the_file_it_names(tmp_path, capsys):
+    target, link = tmp_path / "real" / "traj.csv", tmp_path / "traj.csv"
+    target.parent.mkdir()
+    target.write_text("old")
+    link.symlink_to(target)
+    argv = ["simulate", "--plan", str(GOLDEN / "plan_nhi_legendre.json"), "--steps", "200"]
+    out = run(capsys, *argv)[1]
+    assert run(capsys, *argv, "--out", str(link))[0] == 0
+    assert link.is_symlink() and target.read_text() == out
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["real", "traj.csv", "traj.csv"]
+
+
+def test_out_to_a_fifo_writes_through_it(tmp_path, capsys):
+    # a FIFO cannot be replaced by a file: its reader gets the rows, and it stays a FIFO
+    fifo = tmp_path / "traj.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    argv = ["simulate", "--plan", str(GOLDEN / "plan_nhi_legendre.json"), "--steps", "200"]
+    try:
+        code, _, err = run(capsys, *argv, "--out", str(fifo))
+    finally:
+        if reader.is_alive() and not received:  # unblock a reader whose writer never opened the FIFO
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(10)
+    assert code == 0, err
+    assert received == [run(capsys, *argv)[1]]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.listdir(tmp_path) == ["traj.fifo"]
 
 
 # ---------------------------------------------------------------------------

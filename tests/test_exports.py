@@ -2,8 +2,8 @@
 package imports nothing at run time beyond the standard library and numpy,
 only ``orthopoly`` integrates products of signals, only ``_planfile`` types
 the fields of a plan file, numpy's error state is set only where a number is
-computed, the CLI writes its output through one sink, and a plan does not
-load the CSV kernel."""
+computed, the CLI writes its output through one sink and never holds a whole
+simulation, and a plan does not load the CSV kernel."""
 
 import ast
 import importlib
@@ -150,6 +150,13 @@ def test_only_the_cli_sink_opens_or_writes_files():
     inside = Counter(n for n in _identifiers(emit) if n in file_calls)
     outside = Counter(n for n in _identifiers(tree) if n in file_calls) - inside
     assert "open" in inside and outside == Counter()
+
+
+def test_the_cli_replays_a_steering_plan_through_one_chunk_block():
+    # simulate_plan allocates every sample of every phase and a SimulationResult holds them;
+    # the CLI streams a steering plan through _PlanReplay instead, or keeps only its running state
+    assert {"simulate_plan", "SimulationResult"} & set(_identifiers(_tree("nhsteer.cli"))) == set()
+    assert "_PlanReplay" in set(_identifiers(_tree("nhsteer.cli")))
 
 
 def test_a_cold_plan_does_not_import_the_csv_kernel(tmp_path):

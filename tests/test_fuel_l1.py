@@ -287,6 +287,23 @@ def test_fuel_min_lp_refuses_a_minimum_or_coefficient_that_overflows():
     assert rep.b1 == pytest.approx(1.6990442448471226e200, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "c1,c2,c,name",
+    [
+        # b2 was -0.0, and the grid minimum 9.49e-120 fell below the minimum 1.373e-118
+        (4.95585334411085e-201, 2.0112828243748652e206, -4.728477576719535e-243, "b2"),
+        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-257, "b2"),
+        (2.0112828243748652e206, 4.95585334411085e-201, 4.728477576719535e-243, "b1"),
+    ],
+)
+def test_a_coefficient_that_underflows_to_zero_is_refused(c1, c2, c, name):
+    consts = FuelConstants(c1=c1, c2=c2, c=c, coupling=1.0, a=1.0, interval=(-1.0, 1.0))
+    with pytest.raises(DomainError, match=rf"{name} of the fuel minimum for c = .* underflows to zero"):
+        fuel_min(consts)
+    with pytest.raises(DomainError, match=rf"{name} of the L1 fuel minimum for c = .* underflows to zero"):
+        fuel_l1._amgm_minimum(c, c1, c2, 1.0, "L1 fuel minimum")
+
+
 def test_compare_families_passes_jacobi_params_to_jacobi_entries_only():
     specs = [(LEGENDRE, (1, 2)), (JACOBI, (1, 2))]
     reports = {r.family: r for r in compare_families(specs, 1.0, jacobi_params=(0.5, 0.5))}
@@ -505,7 +522,8 @@ def test_the_grid_minimum_is_the_full_grid_minimum_beyond_the_normal_range(e1, e
     "c1,c2,c",
     [
         (8.5e157, 8.4e157, 1e300),  # J* = 1.7e308: the grid's ends overflow
-        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-257),  # |c|/|b1| underflows
+        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-224),  # |c|/|b1| is subnormal
+        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-250),  # b2 subnormal, |c|/g to 0.0
     ],
 )
 def test_a_grid_beyond_the_normal_range_is_evaluated_whole(c1, c2, c):

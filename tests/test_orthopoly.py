@@ -1126,3 +1126,19 @@ def test_memo_rows_are_read_only_and_shared_by_equal_nodes():
     assert rows[5].tolist() == _family_rows(LEGENDRE, None, {5}, tau)[5].tolist()
     with pytest.raises(ValueError, match="read-only"):
         rows[2][0] = 0.0
+
+
+@pytest.mark.parametrize("interval", [CANONICAL_INTERVAL, SHIFTED_INTERVAL])
+def test_a_coupling_maps_each_node_set_once(monkeypatch, interval):
+    u1, u2 = basis_signal(LEGENDRE, 3, interval=interval), basis_signal(LEGENDRE, 4, interval=interval)
+    want = coupling_displacement(u1, u2)  # builds the rule outside the count
+    mapped, canonical = [], orthopoly._canonical
+    monkeypatch.setattr(orthopoly, "_canonical", lambda box, t: mapped.append(t.tobytes()) or canonical(box, t))
+    assert coupling_displacement(u1, u2) == want
+    # both parts of a single-term pair share one node set, which each of the four factors mapped
+    assert len(mapped) == len(set(mapped)) == 1
+    with orthopoly._row_memo({}):
+        tau = _to_canonical(interval, np.array([0.25, 0.5]))
+        assert _to_canonical(interval, np.array([0.25, 0.5])) is tau and not tau.flags.writeable
+        with pytest.raises(DomainError, match="outside"):
+            _to_canonical(interval, np.array([2.0]))
