@@ -7,36 +7,35 @@ Models:
   x1' = u1, x2' = u2, x3' = x1 u2 - x2 u1
 * ``integrate_so3``  —  g' = hat(omega) g on the rotation group
 
-Both bilinear integrators are views of one core, ``_bilinear_chunks``,
-which serves every m >= 2; ``_bilinear_args`` maps either state type to its
-coordinates and names the cross coordinates as asked, and the pairs (i, j),
-i < j, always come in the lexicographic order of ``_pairs``.  The core
-implements classical RK4, but since the inputs depend on time only, the
-stage combinations collapse to closed-form per-step updates that vectorize
-over a grid.  It integrates a phase in chunks of at most N steps into one
-reused float block of N + 1 columns whose rows are the direct states, the
-cross states and the inputs, written in place: each chunk evaluates its
-inputs once, on its nodes and midpoints together, starts from the sample
-the chunk before ended on, and seeds its first ``np.cumsum`` summand with
-the running sums carried from there, so that every chunk has the bits of
-the whole grid.  A cross coordinate of two zero channels skips its pass,
-and the overflow check reads only the last sample of each state row.
-``_integrate_bilinear``, behind both public integrators, is the one-chunk
-case: N = steps, in the block a caller passes as ``out=`` or one of its
-own.  ``steering._PlanReplay`` runs a plan's phases through the core: for
-``steering.simulate_plan`` each phase as one chunk in its slice of one
-block for the whole simulation, for the CLI in chunks of ``_CHUNK_STEPS``
-through one block, which it streams to CSV (``_write_csv``, also behind
-``Trajectory.to_csv``) or reads only the final state of.  Inputs carrying endpoint weight factors are integrated in
-the arc variable s of ``orthopoly``'s map t = mid - half*cos(s), where the
-weight (1-tau)^a (1+tau)^b times dt/ds is cos(s/2)^(2a+1) sin(s/2)^(2b+1) up
-to a constant.  That is smooth, keeping the full fourth order, when 2a + 1
-and 2b + 1 are nonnegative integers; otherwise the order drops to about
-min(4, 2a + 2) (2b + 2 at the other end): weighted Jacobi plans at
-a = b = -0.45 end 7.6e-5 off at 4000 steps.  The trajectory samples t
-non-uniformly and the input columns record u * dt/ds on the s-grid.  Weight
-exponents below -1/2 make that integrand infinite at an endpoint and are
-refused with ``CapabilityError``.
+Both bilinear integrators are views of one core, ``_bilinear_chunks``, which
+serves every m >= 2; the pairs (i, j), i < j, always come in the
+lexicographic order of ``_pairs``.  The core implements classical RK4, but
+since the inputs depend on time only, the stage combinations collapse to
+closed-form per-step updates that vectorize over a grid.  It integrates a
+phase in chunks of at most N steps into one reused float block of N + 1
+columns whose rows are the direct states, the cross states and the inputs,
+written in place: each chunk evaluates its inputs once, on its nodes and
+midpoints together, starts from the sample the chunk before ended on, and
+seeds its first ``np.cumsum`` summand with the running sums carried from
+there, so that every chunk has the bits of the whole grid.  A cross
+coordinate of two zero channels skips its pass, and the overflow check reads
+only the last sample of each state row.  One driver, ``_replay``, runs the
+core over (inputs, interval) legs, each starting where the one before ended:
+``_trajectories`` gives each leg one chunk in its slice of one block
+(``integrate_nhi``, ``integrate_gnhi`` and ``steering.simulate_plan``), and
+``steering._PlanReplay`` reuses one block of ``_CHUNK_STEPS`` + 1 columns
+for every chunk, which the CLI streams to CSV (``_write_csv``, also behind
+``Trajectory.to_csv``) or reads only the final state of.
+
+Inputs carrying endpoint weight factors are integrated in the arc variable s
+of ``orthopoly``'s map t = mid - half*cos(s), where the weight (1-tau)^a
+(1+tau)^b times dt/ds is cos(s/2)^(2a+1) sin(s/2)^(2b+1) up to a constant.
+That is smooth, keeping the full fourth order, when 2a + 1 and 2b + 1 are
+nonnegative integers; otherwise the order drops to about min(4, 2a+2) (2b+2
+at the other end): weighted Jacobi plans at a = b = -0.45 end 7.6e-5 off at
+4000 steps.  The trajectory samples t non-uniformly and the input columns
+record u * dt/ds on the s-grid.  Weight exponents below -1/2 make that
+integrand infinite at an endpoint and are refused with ``CapabilityError``.
 
 ``integrate_so3`` takes one step rule, the two-stage fourth-order Magnus
 step, and computes every step's Magnus vector and every step's Rodrigues
@@ -48,8 +47,9 @@ the ``__array_function__`` dispatch of ``np.dot``), in chunks of 256 steps
 that each end in the drift check.  The quaternion helpers live here too,
 with the one rotation logarithm ``_quaternion_log`` (w >= 0, the half-turn
 tie-break) behind ``log_rotation`` and the shooting residual of
-``so3_control``.  All three integrators refuse reversed or empty intervals (``ValueError``) and
-non-finite bounds, inputs or rates (``DomainError``) before integrating.
+``so3_control``.  All three integrators refuse reversed or empty intervals
+(``ValueError``) and non-finite bounds, inputs or rates (``DomainError``)
+before integrating.
 """
 
 from __future__ import annotations
@@ -220,12 +220,10 @@ class Trajectory:
     def terminal(self) -> dict[str, float]:
         return {name: float(self.columns[name][-1]) for name in self.state_names}
 
-    def to_csv(self, path, *following: Trajectory) -> None:
-        """A header line, then one line of ``repr`` floats per sample of this
-        trajectory and then of each of ``following``, which have its columns
-        (``_write_csv``)."""
-        names = ["t", *self.state_names, *self.input_names]
-        _write_csv(path, names, ((tr.t, [tr.columns[n] for n in names[1:]]) for tr in (self, *following)))
+    def to_csv(self, path) -> None:
+        """A header line, then one line of ``repr`` floats per sample (``_write_csv``)."""
+        names = [*self.state_names, *self.input_names]
+        _write_csv(path, ["t", *names], [(self.t, [self.columns[n] for n in names])])
 
 
 def _write_csv(path, names, pieces) -> None:
@@ -299,35 +297,26 @@ def _check_simulable(u, interval) -> None:
         )
 
 
-def _phase_grid(u, interval) -> tuple[tuple[float, float], bool]:
-    """The checked interval of a phase with inputs ``u``, and whether it is integrated in the arc variable."""
-    interval = _infer_interval(u, interval)
-    _check_simulable(u, interval)
-    return interval, any(isinstance(sig, InputSignal) and sig.is_weighted for sig in u)
-
-
-def _bilinear_args(u, state) -> tuple:
-    """(u, direct coordinates, cross coordinates, cross names) of a phase from ``state``.
-
-    ``state`` is an ``NhiState``, whose cross coordinate is named x3, or a ``GnhiState``.
-    """
-    u = tuple(u)
+def _coordinates(state) -> tuple[int, list[str], list[float]]:
+    """(m, coordinate names, values) of an ``NhiState``, whose cross coordinate is x3, or a ``GnhiState``."""
     if isinstance(state, NhiState):
-        if len(u) != 2:
-            raise ValueError("the three-state model takes exactly two inputs")
-        return u, (state.x1, state.x2), (state.x3,), ("x3",)
+        return 2, ["x1", "x2", "x3"], [state.x1, state.x2, state.x3]
     m = state.m
-    if len(u) != m:
-        raise ValueError(f"state has m={m} direct coordinates but {len(u)} inputs given")
-    return u, state.x, state.flat()[m:], pair_names(m)
+    return m, [f"x{i + 1}" for i in range(m)] + pair_names(m), state.flat().tolist()
+
+
+def _check_steps(steps) -> None:
+    """``ValueError`` for fewer than ``_MIN_STEPS`` steps, before anything is allocated."""
+    if steps < _MIN_STEPS:
+        raise ValueError(f"steps must be at least {_MIN_STEPS}")
 
 
 def _bilinear_chunks(u, x0, xx0, interval, reparam, steps, block):
     """Classical-RK4 chunks of one phase of the m-input model, m = len(u), in ``block``.
 
     ``x0`` holds the m direct coordinates and ``xx0`` the cross coordinates
-    in the order of ``_pairs(m)``; ``interval`` and ``reparam`` are those of
-    ``_phase_grid``.  With inputs depending on time only, the four stages
+    in the order of ``_pairs(m)``; ``interval`` and ``reparam`` are those
+    ``_replay`` checked.  With inputs depending on time only, the four stages
     combine exactly into a Simpson update for each direct coordinate and,
     for each cross coordinate, a Simpson term in the direct states plus an
     h^2 correction in the stage inputs; this reproduces RK4 to the last bit
@@ -429,62 +418,61 @@ def _bilinear_chunks(u, x0, xx0, interval, reparam, steps, block):
         k0, k1 = k1, k1 + width
 
 
-def _integrate_bilinear(u, x0, xx0, cross_names, interval, steps, out=None) -> Trajectory:
-    """Classical-RK4 trajectory of the m-input model, m = len(u): the one-chunk case of ``_bilinear_chunks``.
+def _replay(legs, state, steps, blocks):
+    """(interval, reparam, chunks) of each (inputs, interval) leg from ``state``, integrated into its block of ``blocks``.
 
-    ``x0`` holds the m direct coordinates, ``xx0`` the cross coordinates in
-    the order of ``_pairs(m)`` and ``cross_names`` their column names.
-    Every column is a row of one float block of shape (2m + m(m-1)/2,
-    steps + 1): the direct states, the cross states in ``_pairs`` order,
-    then the inputs on the nodes.  ``out`` is that block, written in place
-    (a new one when it is None).
+    ``state`` is an ``NhiState`` or a ``GnhiState``.  A leg's chunks, those of
+    ``_bilinear_chunks``, start where the leg before ended, in the last column
+    of its block, so they must be consumed before the next leg's.
     """
-    if steps < _MIN_STEPS:
-        raise ValueError(f"steps must be at least {_MIN_STEPS}")
-    m = len(u)
-    n_cross = len(cross_names)
-    shape = (2 * m + n_cross, steps + 1)
-    if out is not None and not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64):
-        raise ValueError(f"out must be a float64 array of shape {shape}")
-    interval, reparam = _phase_grid(u, interval)
-    if out is None:
-        out = np.empty(shape)
-    ((t_nodes, _),) = _bilinear_chunks(u, x0, xx0, interval, reparam, steps, out)
-    return _bilinear_trajectory(t_nodes, out, [*(f"x{i + 1}" for i in range(m)), *cross_names], interval, reparam)
+    m, _, values = _coordinates(state)
+    for (u, interval), block in zip(legs, blocks):
+        u = tuple(u)
+        if len(u) != m:
+            if isinstance(state, NhiState):
+                raise ValueError("the three-state model takes exactly two inputs")
+            raise ValueError(f"state has m={m} direct coordinates but {len(u)} inputs given")
+        interval = _infer_interval(u, interval)
+        _check_simulable(u, interval)
+        reparam = any(isinstance(sig, InputSignal) and sig.is_weighted for sig in u)
+        yield interval, reparam, _bilinear_chunks(u, values[:m], values[m:], interval, reparam, steps, block)
+        values = block[: len(values), -1].tolist()
 
 
-def _bilinear_trajectory(t_nodes, block, state_names, interval, reparam) -> Trajectory:
-    """The ``Trajectory`` over ``t_nodes`` whose columns are the rows of a one-chunk ``block``: ``state_names``, then u1 ... um."""
-    m = len(block) - len(state_names)
-    input_names = tuple(f"u{i + 1}" for i in range(m))
-    return Trajectory(
-        t=t_nodes,
-        columns=dict(zip((*state_names, *input_names), block)),
-        state_names=tuple(state_names),
-        input_names=input_names,
-        scheme="rk4_reparam" if reparam else "rk4",
-        interval=interval,
-    )
+def _trajectories(legs, state, steps) -> list[Trajectory]:
+    """The ``Trajectory`` of each leg of ``_replay`` from ``state``, as one chunk in its slice of one block.
+
+    The block has shape (legs, 2m + m(m-1)/2, steps + 1); its rows are the columns.
+    """
+    _check_steps(steps)
+    m, names, _ = _coordinates(state)
+    inputs = tuple(f"u{i + 1}" for i in range(m))
+    block = np.empty((len(legs), m + len(names), steps + 1))
+    return [
+        Trajectory(
+            t=t_nodes,
+            columns=dict(zip((*names, *inputs), rows)),
+            state_names=tuple(names),
+            input_names=inputs,
+            scheme="rk4_reparam" if reparam else "rk4",
+            interval=interval,
+        )
+        for (interval, reparam, ((t_nodes, _),)), rows in zip(_replay(legs, state, steps, block), block)
+    ]
 
 
-def integrate_nhi(u, x0=NhiState(), interval=None, steps: int = 2000, *, out=None) -> Trajectory:
+def integrate_nhi(u, x0=NhiState(), interval=None, steps: int = 2000) -> Trajectory:
     """Integrate the three-state bilinear model driven by two inputs.
 
     This is the m = 2 case of ``integrate_gnhi`` with the cross coordinate
-    named x3 instead of x12.  ``out``, a float block of shape (5, steps + 1),
-    receives the rows x1, x2, x3, u1, u2 in place and backs the columns.
+    named x3 instead of x12.
     """
-    return _integrate_bilinear(*_bilinear_args(u, NhiState.from_array(x0)), interval, steps, out)
+    return _trajectories([(u, interval)], NhiState.from_array(x0), steps)[0]
 
 
-def integrate_gnhi(u, s0: GnhiState, interval=None, steps: int = 2000, *, out=None) -> Trajectory:
-    """Integrate the m-input generalization with all cross coordinates.
-
-    ``out``, a float block of shape (2m + m(m-1)/2, steps + 1), receives the
-    rows x1..xm, the cross coordinates in ``pair_names`` order and u1..um in
-    place and backs the columns; without it each call allocates its own.
-    """
-    return _integrate_bilinear(*_bilinear_args(u, s0), interval, steps, out)
+def integrate_gnhi(u, s0: GnhiState, interval=None, steps: int = 2000) -> Trajectory:
+    """Integrate the m-input generalization with all cross coordinates."""
+    return _trajectories([(u, interval)], s0, steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +515,7 @@ def exp_rotation(v) -> np.ndarray:
     """Matrix exponential of hat(v) via the Rodrigues formula."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
-        raise ValueError("hat expects a 3-vector")
+        raise ValueError("exp_rotation expects a 3-vector")
     return _exp_rotations(v[None])[0]
 
 
@@ -665,8 +653,7 @@ def integrate_so3(omega, g0=None, interval=(0.0, 1.0), steps: int = 2000) -> Tra
     omega = tuple(omega)
     if len(omega) != 3:
         raise ValueError("omega must be a triple of rate callables")
-    if steps < _MIN_STEPS:
-        raise ValueError(f"steps must be at least {_MIN_STEPS}")
+    _check_steps(steps)
     if g0 is None:
         g0 = Rotation.identity()
     if not isinstance(g0, Rotation):

@@ -236,7 +236,7 @@ def _root(n: float, p: float) -> tuple[float, int]:
 
 def _amgm_minimum(c: float, n1: float, n2: float, p: float, what: str) -> tuple[float, float, float]:
     """(b1, b2, J*) least in |b1|^p n1 + |b2|^p n2 with b1 b2 = c; ``DomainError`` names one that overflows,
-    or a coefficient that underflows to zero.
+    or a coefficient that underflows below the normal range.
 
     With r = n^(1/p): |b1| = sqrt(|c| r2 / r1), |b2| = sqrt(|c| r1 / r2), J* = 2 sqrt(|c| r1 r2)^p.  Each root is of a
     mantissa product, scaled back by a power of two: the plain expression's bits where it stays normal, else finite.
@@ -252,8 +252,9 @@ def _amgm_minimum(c: float, n1: float, n2: float, p: float, what: str) -> tuple[
 
     b1, b2 = root(mc * m2 / m1, ec + e2 - e1, "b1"), root(mc * m1 / m2, ec + e1 - e2, "b2")
     for name, b in (("b1", b1), ("b2", b2)):
-        if b == 0.0:
-            raise DomainError(f"{name} of the {what} for c = {c!r} underflows to zero: it cannot reach the target")
+        if b < sys.float_info.min:  # a subnormal b has too few bits for b1 b2 to be c
+            how = "to zero" if b == 0.0 else f"below the normal range, to {b!r}"
+            raise DomainError(f"{name} of the {what} for c = {c!r} underflows {how}: it cannot reach the target")
     s = root(mc * m1 * m2, ec + e1 + e2, "J*")  # J* = 2 s^p, so an infinite s is an infinite J*
     power = s**p if s < 2.0 ** (1023.0 / p) else math.inf  # a float power above the range raises
     return b1, math.copysign(b2, c), _finite(2.0 * power, "J* of the %s for c = %r", what, c)

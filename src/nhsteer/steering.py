@@ -12,10 +12,11 @@ not move at all; the predicted endpoints are exact, not approximations.
 
 For m = 2 both channels carry one balanced scale, and a negative target is
 handled by swapping which channel carries the odd shape, which flips the
-sign of the coupling displacement.  ``_PlanReplay`` replays either kind of
-plan phase by phase: ``simulate_plan`` gives every phase its slice of one
-block, and the CLI streams the phases with the same bits through one reused
-chunk block.
+sign of the coupling displacement.  ``_PlanReplay`` turns either kind of
+plan into the legs of ``dynamics._replay``, the one driver of the RK4 core:
+``simulate_plan`` gives every phase its slice of one block
+(``dynamics._trajectories``), and the CLI streams the phases with the same
+bits through one reused chunk block.
 """
 
 from __future__ import annotations
@@ -50,13 +51,11 @@ from .dynamics import (
     NhiState,
     Trajectory,
     _CHUNK_STEPS,
-    _MIN_STEPS,
-    _bilinear_args,
-    _bilinear_chunks,
-    _bilinear_trajectory,
     _check_simulable,
+    _check_steps,
     _pairs,
-    _phase_grid,
+    _replay,
+    _trajectories,
     _write_csv,
     coupling_displacement,
     pair_names,
@@ -497,70 +496,50 @@ def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:
 
     Every phase writes its rows into its own slice of one float block of
     shape (phases, 2m + m(m-1)/2, steps + 1), as one chunk of
-    ``_PlanReplay``; a plan without phases integrates zero inputs into a
-    block of one.
+    ``dynamics._trajectories``; a plan without phases integrates zero inputs
+    into a block of one.
     """
     replay = _PlanReplay(plan, steps)
-    block = np.empty((len(replay.legs), replay.rows, steps + 1))
-    trajs = []
-    for (interval, reparam, chunks), out in zip(replay.phases(block), block):
-        ((t, _),) = chunks
-        trajs.append(_bilinear_trajectory(t, out, replay.names, interval, reparam))
+    trajs = _trajectories(replay.legs, replay.start, steps)
     return SimulationResult(trajectories=trajs, terminal=trajs[-1].terminal)
 
 
 class _PlanReplay:
-    """The phases of ``plan`` integrated in sequence over ``steps`` steps each, from its stored start state.
+    """The phases of ``plan`` as the (inputs, interval) legs of ``_replay`` from its start state, ``steps`` steps each.
 
-    ``simulate_plan`` gives each phase a whole block.  ``to_csv`` and
-    ``terminal()`` run the phases through one reused block of at most
-    ``_CHUNK_STEPS`` + 1 columns, with the same bits: ``to_csv`` writes the
-    samples of ``SimulationResult.merged`` chunk by chunk, with the bytes of
-    ``SimulationResult.to_csv``, and ``terminal()`` keeps the final state
-    alone.  A plan without phases integrates zero inputs over its interval.
+    ``to_csv`` and ``terminal()`` replay the legs through one block of at
+    most ``_CHUNK_STEPS`` + 1 columns, with the bits of ``simulate_plan``:
+    ``to_csv`` writes the bytes of ``SimulationResult.to_csv`` chunk by
+    chunk, and ``terminal()`` keeps the final state alone.  A plan without
+    phases integrates zero inputs over its interval.
     """
 
     def __init__(self, plan: SteeringPlan, steps: int = 4000):
-        if steps < _MIN_STEPS:
-            raise ValueError(f"steps must be at least {_MIN_STEPS}")
+        _check_steps(steps)
         self.names = _plan_coordinates(plan.system, plan.predicted_endpoint)
+        start = [plan.initial[n] for n in self.names]
         if plan.system == "nhi":
-            m, self._state_of = 2, NhiState.from_array
+            m, self.start = 2, NhiState.from_array(start)
         else:
             m = sum(1 for n in self.names if len(n) == 2)
-            self._state_of = functools.partial(GnhiState.from_flat, m)
+            self.start = GnhiState.from_flat(m, start)
         legs = [(ph.inputs, ph.interval) for ph in plan.phases]
         self.legs = legs or [((InputSignal(terms=(), interval=plan.interval),) * m, plan.interval)]
-        self._start = self._state_of([plan.initial[n] for n in self.names])
         self._steps = steps
-        self.rows = m + len(self.names)
         self.columns = ["t", *self.names, *(f"u{i + 1}" for i in range(m))]
 
-    def phases(self, blocks):
-        """(interval, reparam, chunks) of each phase, integrated into its block of ``blocks``.
-
-        A phase starts where the one before ended, in the last column of
-        its block, so its chunks must be consumed before the next phase.
-        """
-        state, n = self._start, len(self.names)
-        for (inputs, interval), block in zip(self.legs, blocks):
-            u, x0, xx0, _ = _bilinear_args(inputs, state)
-            interval, reparam = _phase_grid(u, interval)
-            yield interval, reparam, _bilinear_chunks(u, x0, xx0, interval, reparam, self._steps, block)
-            state = self._state_of(block[:n, -1])
-
     def _streamed(self):
-        """``phases`` through one chunk block, reused by every chunk of every phase."""
-        block = np.empty((self.rows, min(self._steps, _CHUNK_STEPS) + 1))
-        return block, self.phases(itertools.repeat(block))
+        """``_replay`` of the legs through one chunk block, reused by every chunk of every leg."""
+        block = np.empty((len(self.columns) - 1, min(self._steps, _CHUNK_STEPS) + 1))
+        return block, _replay(self.legs, self.start, self._steps, itertools.repeat(block))
 
     def to_csv(self, path) -> None:
-        _, phases = self._streamed()
-        _write_csv(path, self.columns, _end_to_end((interval, chunks) for interval, _, chunks in phases))
+        _, legs = self._streamed()
+        _write_csv(path, self.columns, _end_to_end((interval, chunks) for interval, _, chunks in legs))
 
     def terminal(self) -> dict:
-        block, phases = self._streamed()
-        for _, _, chunks in phases:
+        block, legs = self._streamed()
+        for _, _, chunks in legs:
             for _ in chunks:
                 pass
         return dict(zip(self.names, block[: len(self.names), -1].tolist()))

@@ -353,8 +353,9 @@ def test_exp_rotation_matches_scipy():
     for row, mat in zip(v, want):
         assert_allclose(exp_rotation(row), mat, atol=1e-12)
     assert_allclose(exp_rotation(np.zeros(3)), np.eye(3))
-    with pytest.raises(ValueError, match="3-vector"):
-        exp_rotation(np.zeros(4))
+    for bad in (np.zeros(4), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match="exp_rotation expects a 3-vector"):
+            exp_rotation(bad)
 
 
 def test_log_rotation_round_trip():
@@ -761,15 +762,21 @@ def _assert_same_trajectory(got, want):
 
 
 def _assert_same_outcome(case):
-    with warnings.catch_warnings():
-        # the column core let an overflow in evaluating the inputs warn; the block core does not
-        warnings.simplefilter("ignore", RuntimeWarning)
-        want = _outcome(_reference_bilinear, *case)
-    got = _outcome(dynamics._integrate_bilinear, *case)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        _assert_same_trajectory(got, want)
+    # through integrate_gnhi, and for m = 2 through integrate_nhi as well, its cross coordinate named x3
+    u, x0, xx0, cross_names, interval, steps = case
+    arms = [(cross_names, lambda: integrate_gnhi(u, GnhiState.from_flat(len(u), [*x0, *xx0]), interval, steps))]
+    if len(u) == 2:
+        arms.append((("x3",), lambda: integrate_nhi(u, (*x0, *xx0), interval, steps)))
+    for names, integrate in arms:
+        with warnings.catch_warnings():
+            # the column core let an overflow in evaluating the inputs warn; the block core does not
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = _outcome(_reference_bilinear, u, x0, xx0, names, interval, steps)
+        got = _outcome(integrate)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_trajectory(got, want)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -787,25 +794,3 @@ def test_block_core_is_bit_equal_on_long_intervals(length):
     for scale in (1.0, 1e-290, 1e10, 1e300):
         u = (lambda t, c=scale: c * wave(t), _zero, lambda t: np.cos(np.asarray(t) / length))
         _assert_same_outcome((u, (0.0, -0.0, 1.0), (-0.0, 0.0, 2.0), ("x12", "x13", "x23"), (0.0, length), 300))
-
-
-@pytest.mark.parametrize("m", [2, 3, 8])
-def test_integrators_write_their_rows_into_out(m):
-    u = tuple(basis_signal(LEGENDRE, k + 1, scale=0.5 + k) for k in range(m))
-    rows = 2 * m + m * (m - 1) // 2
-    out = np.full((rows, 201), np.nan)
-    if m == 2:
-        traj = integrate_nhi(u, (0.1, -0.0, 0.3), steps=200, out=out)
-        alone = integrate_nhi(u, (0.1, -0.0, 0.3), steps=200)
-    else:
-        traj = integrate_gnhi(u, GnhiState.zeros(m), steps=200, out=out)
-        alone = integrate_gnhi(u, GnhiState.zeros(m), steps=200)
-    names = (*traj.state_names, *traj.input_names)
-    for row, name in zip(out, names):
-        assert traj.columns[name].base is out and np.shares_memory(traj.columns[name], row)
-        assert traj.columns[name].tobytes() == alone.columns[name].tobytes()
-    assert alone.columns[names[0]].base.shape == (rows, 201)
-    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
-        integrate_gnhi(u, GnhiState.zeros(m), steps=200, out=np.empty((rows, 200)))
-    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
-        integrate_gnhi(u, GnhiState.zeros(m), steps=200, out=np.empty((rows, 201), dtype=np.float32))

@@ -2,8 +2,9 @@
 package imports nothing at run time beyond the standard library and numpy,
 only ``orthopoly`` integrates products of signals, only ``_planfile`` types
 the fields of a plan file, numpy's error state is set only where a number is
-computed, the CLI writes its output through one sink and never holds a whole
-simulation, and a plan does not load the CSV kernel."""
+computed, the bilinear RK4 core has one driver, the CLI writes its output
+through one sink and never holds a whole simulation, and a plan does not load
+the CSV kernel."""
 
 import ast
 import importlib
@@ -114,6 +115,27 @@ def test_numpy_error_state_is_set_only_where_the_number_is_computed(name):
         return
     translation_cost = [("_plan_bilinear", ["cost += float(np.sum(np.square(v))) * duration"])]
     assert sites == (translation_cost if name == "nhsteer.steering" else [])
+
+
+CORE_DRIVERS = {"_bilinear_chunks", "_replay"}
+
+
+def test_the_bilinear_core_has_one_driver():
+    # _replay alone runs _bilinear_chunks; the whole-block trajectories and the CLI's
+    # streamed replay are its only callers, so no second phase loop drives the core
+    users = {
+        (name, getattr(top, "name", "<module>"), ref)
+        for name in ["nhsteer", *MODULES]
+        for top in _tree(name).body
+        if not isinstance(top, (ast.Import, ast.ImportFrom))
+        for ref in _identifiers(top)
+        if ref in CORE_DRIVERS and ref != getattr(top, "name", None)
+    }
+    assert users == {
+        ("nhsteer.dynamics", "_replay", "_bilinear_chunks"),
+        ("nhsteer.dynamics", "_trajectories", "_replay"),
+        ("nhsteer.steering", "_PlanReplay", "_replay"),
+    }
 
 
 @pytest.mark.parametrize("name", ["nhsteer.optimal_energy", "nhsteer.fuel_l1"])

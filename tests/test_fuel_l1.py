@@ -288,19 +288,23 @@ def test_fuel_min_lp_refuses_a_minimum_or_coefficient_that_overflows():
 
 
 @pytest.mark.parametrize(
-    "c1,c2,c,name",
+    "c1,c2,c,name,how",
     [
         # b2 was -0.0, and the grid minimum 9.49e-120 fell below the minimum 1.373e-118
-        (4.95585334411085e-201, 2.0112828243748652e206, -4.728477576719535e-243, "b2"),
-        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-257, "b2"),
-        (2.0112828243748652e206, 4.95585334411085e-201, 4.728477576719535e-243, "b1"),
+        (4.95585334411085e-201, 2.0112828243748652e206, -4.728477576719535e-243, "b2", "to zero"),
+        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-257, "b2", "to zero"),
+        (2.0112828243748652e206, 4.95585334411085e-201, 4.728477576719535e-243, "b1", "to zero"),
+        # b2 was -5e-324, so b1 b2 was 1.864 c, and the grid minimum 1.643e-220 fell below the minimum 3.062e-220
+        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-253, "b2", "below the normal range, to 5e-324"),
+        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-224, "b2", "below the normal range, to 8.38"),
+        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-250, "b2", "below the normal range, to 8.4e-323"),
     ],
 )
-def test_a_coefficient_that_underflows_to_zero_is_refused(c1, c2, c, name):
+def test_a_coefficient_that_underflows_is_refused(c1, c2, c, name, how):
     consts = FuelConstants(c1=c1, c2=c2, c=c, coupling=1.0, a=1.0, interval=(-1.0, 1.0))
-    with pytest.raises(DomainError, match=rf"{name} of the fuel minimum for c = .* underflows to zero"):
+    with pytest.raises(DomainError, match=rf"{name} of the fuel minimum for c = .* underflows {how}"):
         fuel_min(consts)
-    with pytest.raises(DomainError, match=rf"{name} of the L1 fuel minimum for c = .* underflows to zero"):
+    with pytest.raises(DomainError, match=rf"{name} of the L1 fuel minimum for c = .* underflows {how}"):
         fuel_l1._amgm_minimum(c, c1, c2, 1.0, "L1 fuel minimum")
 
 
@@ -522,8 +526,7 @@ def test_the_grid_minimum_is_the_full_grid_minimum_beyond_the_normal_range(e1, e
     "c1,c2,c",
     [
         (8.5e157, 8.4e157, 1e300),  # J* = 1.7e308: the grid's ends overflow
-        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-224),  # |c|/|b1| is subnormal
-        (3.217890288475277e-291, 5.775547203278553e103, -1.2610279971203571e-250),  # b2 subnormal, |c|/g to 0.0
+        (3.217890288475277e-291, 5.775547203278553e103, -4.5e-219),  # b2 = -5.0e-307: the grid's end is subnormal
     ],
 )
 def test_a_grid_beyond_the_normal_range_is_evaluated_whole(c1, c2, c):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nhsteer import steering
-from nhsteer.dynamics import GnhiState, NhiState, integrate_nhi
+from nhsteer.dynamics import GnhiState, NhiState, integrate_gnhi, integrate_nhi, integrate_so3
 from nhsteer.errors import CapabilityError, DomainError, PlannerError
 from nhsteer.orthopoly import (
     CHEBYSHEV_FIRST,
@@ -519,13 +520,21 @@ def test_a_simulation_writes_every_phase_into_one_block(plan, phases):
     assert list(sim.terminal.values()) == owner[-1, : len(last.state_names), -1].tolist()
 
 
-def test_simulate_plan_refuses_too_few_steps_before_allocating(monkeypatch):
-    plan = plan_nhi((0.3, -0.7, 0.2), (-1.1, 0.4, 2.5))
-
+@pytest.mark.parametrize(
+    "integrate",
+    [
+        functools.partial(simulate_plan, plan_nhi((0.3, -0.7, 0.2), (-1.1, 0.4, 2.5))),
+        functools.partial(integrate_nhi, (basis_signal(LEGENDRE, 1), basis_signal(LEGENDRE, 2))),
+        functools.partial(integrate_gnhi, (basis_signal(LEGENDRE, 1),) * 3, GnhiState.zeros(3)),
+        functools.partial(integrate_so3, (math.cos, math.sin, abs)),
+    ],
+    ids=["simulate_plan", "integrate_nhi", "integrate_gnhi", "integrate_so3"],
+)
+def test_simulate_plan_refuses_too_few_steps_before_allocating(monkeypatch, integrate):
     def no_block(*args, **kwargs):
         raise AssertionError("a block was allocated")
 
     monkeypatch.setattr(steering.np, "empty", no_block)
     for steps in (99, -2):  # not numpy's "negative dimensions are not allowed"
         with pytest.raises(ValueError, match="steps must be at least 100"):
-            simulate_plan(plan, steps=steps)
+            integrate(steps=steps)
