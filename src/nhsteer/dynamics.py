@@ -22,10 +22,11 @@ coordinate of two zero channels skips its pass, and the overflow check reads
 only the last sample of each state row.  One driver, ``_replay``, runs the
 core over (inputs, interval) legs, each starting where the one before ended:
 ``_trajectories`` gives each leg one chunk in its slice of one block
-(``integrate_nhi``, ``integrate_gnhi`` and ``steering.simulate_plan``), and
-``steering._PlanReplay`` reuses one block of ``_CHUNK_STEPS`` + 1 columns
-for every chunk, which the CLI streams to CSV (``_write_csv``, also behind
-``Trajectory.to_csv``) or reads only the final state of.
+(``integrate_nhi``, ``integrate_gnhi`` and the trajectories of a
+``steering.SimulationResult``), and ``steering._PlanReplay`` reuses one
+block of ``_CHUNK_STEPS`` + 1 columns for every chunk, which
+``steering.simulate_plan`` and the CLI stream to CSV (``_write_csv``, also
+behind ``Trajectory.to_csv``) or read only the final state of.
 
 Inputs carrying endpoint weight factors are integrated in the arc variable s
 of ``orthopoly``'s map t = mid - half*cos(s), where the weight (1-tau)^a

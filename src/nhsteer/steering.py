@@ -13,10 +13,11 @@ not move at all; the predicted endpoints are exact, not approximations.
 For m = 2 both channels carry one balanced scale, and a negative target is
 handled by swapping which channel carries the odd shape, which flips the
 sign of the coupling displacement.  ``_PlanReplay`` turns either kind of
-plan into the legs of ``dynamics._replay``, the one driver of the RK4 core:
-``simulate_plan`` gives every phase its slice of one block
-(``dynamics._trajectories``), and the CLI streams the phases with the same
-bits through one reused chunk block.
+plan into the legs of ``dynamics._replay``, the one driver of the RK4 core,
+and runs them through one reused chunk block: ``simulate_plan`` and the CLI
+keep the final state or stream the CSV from it, and a ``SimulationResult``
+gives every phase its slice of one block (``dynamics._trajectories``), with
+the same bits, only when its trajectories are read.
 """
 
 from __future__ import annotations
@@ -196,13 +197,13 @@ def _phase(interval, inputs, names, values, moves) -> Phase:
     )
 
 
-def _plan_coordinates(system: str, names) -> list[str]:
-    """A plan's coordinates in order; for gnhi, those of the m channels that ``names`` has room for."""
+def _plan_coordinates(system: str, names) -> tuple[int, list[str]]:
+    """A plan's m and coordinates in order; for gnhi, those of the m channels that ``names`` has room for."""
     if system == "nhi":
-        return ["x1", "x2", "x3"]
+        return 2, ["x1", "x2", "x3"]
     if system == "gnhi":
         m = (math.isqrt(8 * len(names) + 1) - 1) // 2  # m(m + 1)/2 <= len(names): built no larger
-        return [f"x{i + 1}" for i in range(m)] + pair_names(m)
+        return m, [f"x{i + 1}" for i in range(m)] + pair_names(m)
     raise ValueError(f"unknown plan system {system!r}")
 
 
@@ -248,7 +249,7 @@ class SteeringPlan:
         """Rebuild a plan; its start and endpoint must name the system's coordinates in order."""
         data = _planfile.document(data)
         system = data.choice("system", ("nhi", "gnhi"))
-        names = _plan_coordinates(system, data.child("initial_state").value)
+        _, names = _plan_coordinates(system, data.child("initial_state").value)
         return SteeringPlan(
             system=system,
             family=data.choice("family", PLAN_FAMILIES),
@@ -452,86 +453,82 @@ def _end_to_end(phases):
 
 @dataclass
 class SimulationResult:
-    """Per-phase trajectories and the final state; ``merged``, the phases end to end, is built on first access.
+    """The final state of a plan's simulation; ``trajectories``, per phase, and ``merged`` are built on first access.
 
-    The columns of every phase are rows of the one block ``simulate_plan``
-    allocated, so keeping one phase's trajectory (or one column) keeps the
-    whole simulation's block alive; copy a column to keep it alone.
+    ``simulate_plan`` reaches ``terminal`` through ``source``, the plan's
+    ``_PlanReplay``, in one reused chunk block, and ``to_csv`` streams the
+    CSV of ``merged`` from it the same way.  Reading ``trajectories`` (or
+    ``merged``, built from them) integrates the plan a second time, into one
+    block of shape (phases, 2m + m(m-1)/2, steps + 1) that every phase's
+    columns are rows of, with the bits of ``terminal``; keeping one column
+    keeps the whole block alive, so copy a column to keep it alone.
     """
 
-    trajectories: list[Trajectory]
+    source: _PlanReplay
     terminal: dict
 
-    def _names(self) -> list[str]:
-        first = self.trajectories[0]
-        return [*first.state_names, *first.input_names]
-
-    def _end_to_end(self):
-        names = self._names()
-        return _end_to_end((tr.interval, [(tr.t, [tr.columns[n] for n in names])]) for tr in self.trajectories)
+    @functools.cached_property
+    def trajectories(self) -> list[Trajectory]:
+        return _trajectories(self.source.legs, self.source.start, self.source.steps)
 
     @functools.cached_property
     def merged(self) -> Trajectory:
-        first, end = self.trajectories[0], 0.0
-        for lo, hi in (tr.interval for tr in self.trajectories):
+        trajs, names, end = self.trajectories, self.source.columns[1:], 0.0
+        for lo, hi in (tr.interval for tr in trajs):
             end += hi - lo
-        t, columns = zip(*self._end_to_end())
-        schemes = {tr.scheme for tr in self.trajectories}
+        t, columns = zip(*_end_to_end((tr.interval, [(tr.t, [tr.columns[n] for n in names])]) for tr in trajs))
+        schemes = {tr.scheme for tr in trajs}
         return Trajectory(
             t=np.concatenate(t),
-            columns={n: np.concatenate(col) for n, col in zip(self._names(), zip(*columns))},
-            state_names=first.state_names,
-            input_names=first.input_names,
+            columns={n: np.concatenate(col) for n, col in zip(names, zip(*columns))},
+            state_names=trajs[0].state_names,
+            input_names=trajs[0].input_names,
             scheme=schemes.pop() if len(schemes) == 1 else "mixed",
             interval=(0.0, end),
         )
 
     def to_csv(self, path) -> None:
-        """The CSV of ``merged``, written phase after phase without building it."""
-        _write_csv(path, ["t", *self._names()], self._end_to_end())
+        """The CSV of ``merged``, streamed by ``_PlanReplay.to_csv`` without building it."""
+        self.source.to_csv(path)
 
 
 def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:
     """Integrate every phase of a plan in sequence from its stored start state.
 
-    Every phase writes its rows into its own slice of one float block of
-    shape (phases, 2m + m(m-1)/2, steps + 1), as one chunk of
-    ``dynamics._trajectories``; a plan without phases integrates zero inputs
-    into a block of one.
+    The phases run through one reused block of at most ``_CHUNK_STEPS`` + 1
+    columns, which keeps only the final state, so memory does not grow with
+    ``steps``; every refusal of the integrator is raised here.  A plan
+    without phases integrates zero inputs over its interval.
     """
-    replay = _PlanReplay(plan, steps)
-    trajs = _trajectories(replay.legs, replay.start, steps)
-    return SimulationResult(trajectories=trajs, terminal=trajs[-1].terminal)
+    source = _PlanReplay(plan, steps)
+    return SimulationResult(source, source.terminal())
 
 
 class _PlanReplay:
     """The phases of ``plan`` as the (inputs, interval) legs of ``_replay`` from its start state, ``steps`` steps each.
 
     ``to_csv`` and ``terminal()`` replay the legs through one block of at
-    most ``_CHUNK_STEPS`` + 1 columns, with the bits of ``simulate_plan``:
-    ``to_csv`` writes the bytes of ``SimulationResult.to_csv`` chunk by
-    chunk, and ``terminal()`` keeps the final state alone.  A plan without
-    phases integrates zero inputs over its interval.
+    most ``_CHUNK_STEPS`` + 1 columns, with the bits of the whole-block
+    ``dynamics._trajectories``: ``to_csv`` writes the bytes of
+    ``SimulationResult.merged.to_csv`` chunk by chunk, and ``terminal()``
+    keeps the final state alone.  A plan without phases integrates zero
+    inputs over its interval.
     """
 
     def __init__(self, plan: SteeringPlan, steps: int = 4000):
         _check_steps(steps)
-        self.names = _plan_coordinates(plan.system, plan.predicted_endpoint)
+        m, self.names = _plan_coordinates(plan.system, plan.predicted_endpoint)
         start = [plan.initial[n] for n in self.names]
-        if plan.system == "nhi":
-            m, self.start = 2, NhiState.from_array(start)
-        else:
-            m = sum(1 for n in self.names if len(n) == 2)
-            self.start = GnhiState.from_flat(m, start)
+        self.start = NhiState.from_array(start) if plan.system == "nhi" else GnhiState.from_flat(m, start)
         legs = [(ph.inputs, ph.interval) for ph in plan.phases]
         self.legs = legs or [((InputSignal(terms=(), interval=plan.interval),) * m, plan.interval)]
-        self._steps = steps
+        self.steps = steps
         self.columns = ["t", *self.names, *(f"u{i + 1}" for i in range(m))]
 
     def _streamed(self):
         """``_replay`` of the legs through one chunk block, reused by every chunk of every leg."""
-        block = np.empty((len(self.columns) - 1, min(self._steps, _CHUNK_STEPS) + 1))
-        return block, _replay(self.legs, self.start, self._steps, itertools.repeat(block))
+        block = np.empty((len(self.columns) - 1, min(self.steps, _CHUNK_STEPS) + 1))
+        return block, _replay(self.legs, self.start, self.steps, itertools.repeat(block))
 
     def to_csv(self, path) -> None:
         _, legs = self._streamed()

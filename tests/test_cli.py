@@ -873,15 +873,19 @@ _CHUNK_COUNTS = [-1, 0, 1, dynamics._CHUNK_STEPS + 1]  # steps: N - 1, N, N + 1 
 @pytest.mark.parametrize("extra", _CHUNK_COUNTS, ids=["N-1", "N", "N+1", "2N+1"])
 @pytest.mark.parametrize("name", _STREAMED)
 def test_simulate_streams_the_bytes_of_the_simulation_result(tmp_path, capsys, name, extra):
+    # the CLI and SimulationResult.to_csv stream through one chunk block; merged is the whole-block path
     plan_file, steps = _plan_file(tmp_path, name), dynamics._CHUNK_STEPS + extra
     result = steering.simulate_plan(steering.SteeringPlan.from_json(plan_file.read_text()), steps)
     assert len(result.trajectories) >= 2
     assert result.trajectories[-1].scheme == ("rk4_reparam" if name == "nhi-weighted" else "rk4")
     buf = io.StringIO()
-    result.to_csv(buf)
+    result.merged.to_csv(buf)
     argv = ["simulate", "--plan", str(plan_file), "--steps", str(steps)]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "") and _first_difference(out, buf.getvalue()) is None
+    streamed = io.StringIO()
+    result.to_csv(streamed)
+    assert _first_difference(streamed.getvalue(), out) is None
     path = tmp_path / "traj.csv"
     assert run(capsys, *argv, "--out", str(path))[0] == 0
     assert _first_difference(path.read_text(), out) is None
@@ -892,24 +896,45 @@ def test_simulate_streams_the_bytes_of_the_simulation_result(tmp_path, capsys, n
 def test_verify_reaches_the_terminal_state_of_the_simulation_result(tmp_path, capsys, name, extra):
     plan_file, steps = _plan_file(tmp_path, name), dynamics._CHUNK_STEPS + extra
     plan = steering.SteeringPlan.from_json(plan_file.read_text())
-    want = steering.simulate_plan(plan, steps).terminal
-    got = steering._PlanReplay(plan, steps).terminal()
-    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()] and list(got) == list(want)
+    result = steering.simulate_plan(plan, steps)
+    want = result.trajectories[-1].terminal  # the last column of the whole block
+    for got in (result.terminal, steering._PlanReplay(plan, steps).terminal()):
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()] and list(got) == list(want)
     err = max(abs(want[n] - value) for n, value in plan.predicted_endpoint.items())
     code, out, _ = run(capsys, "verify", "--plan", str(plan_file), "--steps", str(steps))
     assert out.startswith(f"endpoint error: {err:.6e}\n") and code == (0 if err < 1e-6 else 1)
 
 
+def _gnhi8_to_one_and_a_half():
+    """The m = 8 plan from zeros to 1.5: eight phases, whose whole block of trajectories takes
+    11.3 MB at 4000 steps and 113 MB at 40000."""
+    return nhsteer.plan_gnhi(nhsteer.GnhiState.zeros(8), nhsteer.GnhiState.from_flat(8, [1.5] * 36))
+
+
 @pytest.mark.parametrize("steps", [4000, 40000])
 def test_verify_peak_memory_is_one_chunk_block_at_any_step_count(tmp_path, capsys, steps):
-    # the m = 8 plan from zeros to 1.5 has eight phases; simulate_plan's block for them takes
-    # 11.3 MB at 4000 steps and 113 MB at 40000
-    plan = nhsteer.plan_gnhi(nhsteer.GnhiState.zeros(8), nhsteer.GnhiState.from_flat(8, [1.5] * 36))
+    plan = _gnhi8_to_one_and_a_half()
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(plan.to_json())
     codes = []
     peak = _traced_peak(lambda: codes.append(main(["verify", "--plan", str(plan_file), "--steps", str(steps)])))
     assert codes == [0], capsys.readouterr()
+    assert peak <= 3e6
+
+
+@pytest.mark.parametrize("steps", [4000, 40000])
+@pytest.mark.parametrize("read", ["terminal", "to_csv"])
+def test_simulate_plan_peak_memory_is_one_chunk_block_at_any_step_count(tmp_path, read, steps):
+    # the phase block is built only when a result's trajectories are read
+    plan = _gnhi8_to_one_and_a_half()
+    nhsteer.simulate_plan(plan, 100).to_csv(io.StringIO())  # the CSV kernel's tables, built at its first write
+    if read == "terminal":
+        peak = _traced_peak(lambda: nhsteer.simulate_plan(plan, steps).terminal)
+    else:
+        path = tmp_path / "traj.csv"
+        peak = _traced_peak(lambda: nhsteer.simulate_plan(plan, steps).to_csv(path))
+        assert path.read_bytes().count(b"\n") == 1 + 8 * steps + 1
+        path.unlink()  # about 200 MB at 40000 steps
     assert peak <= 3e6
 
 

@@ -2,9 +2,9 @@
 package imports nothing at run time beyond the standard library and numpy,
 only ``orthopoly`` integrates products of signals, only ``_planfile`` types
 the fields of a plan file, numpy's error state is set only where a number is
-computed, the bilinear RK4 core has one driver, the CLI writes its output
-through one sink and never holds a whole simulation, and a plan does not load
-the CSV kernel."""
+computed, the bilinear RK4 core has one driver, ``simulate_plan`` builds no
+phase block, the CLI writes its output through one sink and never holds a
+whole simulation, and a plan does not load the CSV kernel."""
 
 import ast
 import importlib
@@ -175,10 +175,19 @@ def test_only_the_cli_sink_opens_or_writes_files():
 
 
 def test_the_cli_replays_a_steering_plan_through_one_chunk_block():
-    # simulate_plan allocates every sample of every phase and a SimulationResult holds them;
+    # a SimulationResult allocates every sample of every phase when its trajectories are read;
     # the CLI streams a steering plan through _PlanReplay instead, or keeps only its running state
     assert {"simulate_plan", "SimulationResult"} & set(_identifiers(_tree("nhsteer.cli"))) == set()
     assert "_PlanReplay" in set(_identifiers(_tree("nhsteer.cli")))
+
+
+def test_simulate_plan_builds_no_phase_block():
+    # simulate_plan reaches the terminal through _PlanReplay's one chunk block; the whole block of
+    # _trajectories is built only when a SimulationResult's trajectories are read
+    tree = _tree("nhsteer.steering")
+    simulate = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "simulate_plan")
+    assert "_trajectories" not in set(_identifiers(simulate))
+    assert "_PlanReplay" in set(_identifiers(simulate))
 
 
 def test_a_cold_plan_does_not_import_the_csv_kernel(tmp_path):

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,6 +508,7 @@ def _gnhi_plan(m, seed):
 )
 def test_a_simulation_writes_every_phase_into_one_block(plan, phases):
     sim = simulate_plan(plan, steps=150)
+    assert sim.trajectories is sim.trajectories  # built once, on first access
     assert len(plan.phases) == phases and len(sim.trajectories) == max(phases, 1)
     first = sim.trajectories[0]
     owner = first.columns["x1"].base
@@ -518,6 +520,17 @@ def test_a_simulation_writes_every_phase_into_one_block(plan, phases):
     last = sim.trajectories[-1]
     assert sim.terminal == {name: float(last.columns[name][-1]) for name in last.state_names}
     assert list(sim.terminal.values()) == owner[-1, : len(last.state_names), -1].tolist()
+
+
+def test_simulate_plan_refuses_an_overflowing_last_phase_in_the_call():
+    # the terminal is integrated inside simulate_plan, so its refusal is not left to a later read
+    data = json.loads((Path(__file__).parent / "golden" / "plan_gnhi_m3_trig.json").read_text())
+    for channel, scale in zip(data["phases"][-1]["inputs"], (1e300, -1e300, 1e300)):
+        for term in channel["terms"]:
+            term["scale"] = scale
+    plan = SteeringPlan.from_json_dict(data)
+    with pytest.raises(DomainError, match="inputs overflow the integrator"):
+        simulate_plan(plan)
 
 
 @pytest.mark.parametrize(
