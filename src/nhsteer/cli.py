@@ -43,12 +43,13 @@ from .orthopoly import (
 from .so3_control import AttitudePlan, constant_omega_plan, simulate_attitude, underactuated_plan
 from .steering import (
     PLAN_FAMILIES,
+    SimulationResult,
     SteeringPlan,
-    _PlanReplay,
     default_pair,
     pair_signals,
     plan_gnhi,
     plan_nhi,
+    simulate_plan,
 )
 
 __all__ = ["main", "entry"]
@@ -271,7 +272,7 @@ def _cmd_simulate(args) -> int:
     if isinstance(plan, AttitudePlan):
         _emit(args, simulate_attitude(plan, steps=args.steps)[0].to_csv)
     else:  # the CSV is written as the chunks are integrated
-        _emit(args, _PlanReplay(plan, args.steps).to_csv)
+        _emit(args, SimulationResult(plan, args.steps).to_csv)
     return 0
 
 
@@ -280,7 +281,7 @@ def _cmd_verify(args) -> int:
     if isinstance(plan, AttitudePlan):
         err = simulate_attitude(plan, steps=args.steps)[1]
     else:
-        end = _PlanReplay(plan, args.steps).terminal()
+        end = simulate_plan(plan, args.steps).terminal
         err = max(abs(end[name] - value) for name, value in plan.predicted_endpoint.items())
     print(f"endpoint error: {err:.6e}")
     if err < 1e-6:
@@ -342,12 +343,12 @@ def _cmd_paper_repro(args) -> int:
 
     # two-phase steering with Legendre shapes reaches (0, 0, 1)
     plan = plan_nhi((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), family=LEGENDRE)
-    end = _PlanReplay(plan, 4000).terminal()
+    end = simulate_plan(plan, 4000).terminal
     match("steering endpoint x3, Legendre pair", 1.0, end["x3"], 1e-6)
 
     # closed-form minimum-energy transfer: endpoint and weighted cost
     solution = cheb_optimal_inputs(1.0)
-    closed_end = _PlanReplay(solution_to_plan(solution), 4000).terminal()
+    closed_end = simulate_plan(solution_to_plan(solution), 4000).terminal
     match("closed-form endpoint x3", 1.0, closed_end["x3"], 1e-6)
     match(
         "closed-form weighted energy, a=1",

@@ -23,10 +23,10 @@ only the last sample of each state row.  One driver, ``_replay``, runs the
 core over (inputs, interval) legs, each starting where the one before ended:
 ``_trajectories`` gives each leg one chunk in its slice of one block
 (``integrate_nhi``, ``integrate_gnhi`` and the trajectories of a
-``steering.SimulationResult``), and ``steering._PlanReplay`` reuses one
-block of ``_CHUNK_STEPS`` + 1 columns for every chunk, which
-``steering.simulate_plan`` and the CLI stream to CSV (``_write_csv``, also
-behind ``Trajectory.to_csv``) or read only the final state of.
+``steering.SimulationResult``), and the ``terminal`` and ``to_csv`` of a
+``SimulationResult`` reuse one block of ``_CHUNK_STEPS`` + 1 columns for
+every chunk, keeping only the final state or streaming the CSV
+(``_write_csv``, also behind ``Trajectory.to_csv``).
 
 Inputs carrying endpoint weight factors are integrated in the arc variable s
 of ``orthopoly``'s map t = mid - half*cos(s), where the weight (1-tau)^a
@@ -648,8 +648,10 @@ def integrate_so3(omega, g0=None, interval=(0.0, 1.0), steps: int = 2000) -> Tra
 
     The step vectors of all steps and their exponentials are built at once,
     as one (steps, 3, 3) stack; the loop only multiplies the running
-    product.  Non-finite interval bounds or rate values raise
-    ``DomainError``.
+    product.  The commutator term is (√3/12) h^2 (w_a x w_b); where h^2
+    overflows, as at durations near 1e300, it is (√3/12) (h w_a) x (h w_b),
+    so tiny rates over a huge interval integrate as their rescaled problem
+    does.  Non-finite interval bounds or rate values raise ``DomainError``.
     """
     omega = tuple(omega)
     if len(omega) != 3:
@@ -668,7 +670,9 @@ def integrate_so3(omega, g0=None, interval=(0.0, 1.0), steps: int = 2000) -> Tra
         if not np.isfinite(rates).all():
             raise DomainError("rates must be finite on the interval")
         w_nodes, wa, wb = np.split(rates, [steps + 1, 2 * steps + 1], axis=1)
-        steps_vec = 0.5 * h * (wa + wb).T - (_SQ3 / 12.0) * h * h * np.cross(wa.T, wb.T)
+        hh = (_SQ3 / 12.0) * h * h  # past h ~ 1e154 this overflows: cross the step angles h * w instead
+        cross = hh * np.cross(wa.T, wb.T) if math.isfinite(hh) else (_SQ3 / 12.0) * np.cross(h * wa.T, h * wb.T)
+        steps_vec = 0.5 * h * (wa + wb).T - cross
         rots = _exp_rotations(steps_vec)
     if not np.isfinite(rots).all():
         raise DomainError("rates overflow the integrator: a step rotation is not finite")

@@ -12,12 +12,12 @@ not move at all; the predicted endpoints are exact, not approximations.
 
 For m = 2 both channels carry one balanced scale, and a negative target is
 handled by swapping which channel carries the odd shape, which flips the
-sign of the coupling displacement.  ``_PlanReplay`` turns either kind of
-plan into the legs of ``dynamics._replay``, the one driver of the RK4 core,
-and runs them through one reused chunk block: ``simulate_plan`` and the CLI
-keep the final state or stream the CSV from it, and a ``SimulationResult``
-gives every phase its slice of one block (``dynamics._trajectories``), with
-the same bits, only when its trajectories are read.
+sign of the coupling displacement.  A ``SimulationResult`` turns either
+kind of plan into the legs of ``dynamics._replay``, the one driver of the
+RK4 core, and runs them through one reused chunk block to its final state
+(``simulate_plan``, the CLI's ``verify``) or its CSV (the CLI's
+``simulate``); only when its trajectories are read does every phase get its
+slice of one block (``dynamics._trajectories``), with the same bits.
 """
 
 from __future__ import annotations
@@ -451,68 +451,19 @@ def _end_to_end(phases):
         offset += hi - lo
 
 
-@dataclass
 class SimulationResult:
-    """The final state of a plan's simulation; ``trajectories``, per phase, and ``merged`` are built on first access.
+    """A plan's phases as the (inputs, interval) legs of ``_replay`` from its start state, ``steps`` steps each.
 
-    ``simulate_plan`` reaches ``terminal`` through ``source``, the plan's
-    ``_PlanReplay``, in one reused chunk block, and ``to_csv`` streams the
-    CSV of ``merged`` from it the same way.  Reading ``trajectories`` (or
-    ``merged``, built from them) integrates the plan a second time, into one
-    block of shape (phases, 2m + m(m-1)/2, steps + 1) that every phase's
-    columns are rows of, with the bits of ``terminal``; keeping one column
-    keeps the whole block alive, so copy a column to keep it alone.
-    """
-
-    source: _PlanReplay
-    terminal: dict
-
-    @functools.cached_property
-    def trajectories(self) -> list[Trajectory]:
-        return _trajectories(self.source.legs, self.source.start, self.source.steps)
-
-    @functools.cached_property
-    def merged(self) -> Trajectory:
-        trajs, names, end = self.trajectories, self.source.columns[1:], 0.0
-        for lo, hi in (tr.interval for tr in trajs):
-            end += hi - lo
-        t, columns = zip(*_end_to_end((tr.interval, [(tr.t, [tr.columns[n] for n in names])]) for tr in trajs))
-        schemes = {tr.scheme for tr in trajs}
-        return Trajectory(
-            t=np.concatenate(t),
-            columns={n: np.concatenate(col) for n, col in zip(names, zip(*columns))},
-            state_names=trajs[0].state_names,
-            input_names=trajs[0].input_names,
-            scheme=schemes.pop() if len(schemes) == 1 else "mixed",
-            interval=(0.0, end),
-        )
-
-    def to_csv(self, path) -> None:
-        """The CSV of ``merged``, streamed by ``_PlanReplay.to_csv`` without building it."""
-        self.source.to_csv(path)
-
-
-def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:
-    """Integrate every phase of a plan in sequence from its stored start state.
-
-    The phases run through one reused block of at most ``_CHUNK_STEPS`` + 1
-    columns, which keeps only the final state, so memory does not grow with
-    ``steps``; every refusal of the integrator is raised here.  A plan
-    without phases integrates zero inputs over its interval.
-    """
-    source = _PlanReplay(plan, steps)
-    return SimulationResult(source, source.terminal())
-
-
-class _PlanReplay:
-    """The phases of ``plan`` as the (inputs, interval) legs of ``_replay`` from its start state, ``steps`` steps each.
-
-    ``to_csv`` and ``terminal()`` replay the legs through one block of at
-    most ``_CHUNK_STEPS`` + 1 columns, with the bits of the whole-block
-    ``dynamics._trajectories``: ``to_csv`` writes the bytes of
-    ``SimulationResult.merged.to_csv`` chunk by chunk, and ``terminal()``
-    keeps the final state alone.  A plan without phases integrates zero
-    inputs over its interval.
+    Building it integrates nothing.  ``terminal``, on first access, and
+    ``to_csv`` replay the legs through one block of at most ``_CHUNK_STEPS``
+    + 1 columns, with the bits of the whole-block ``dynamics._trajectories``:
+    ``terminal`` keeps the final state alone, and ``to_csv`` writes the bytes
+    of ``merged.to_csv`` chunk by chunk.  Reading ``trajectories`` (or
+    ``merged``, built from them) integrates the plan again, into one block of
+    shape (phases, 2m + m(m-1)/2, steps + 1) that every phase's columns are
+    rows of; keeping one column keeps the whole block alive, so copy a column
+    to keep it alone.  A plan without phases integrates zero inputs over its
+    interval.
     """
 
     def __init__(self, plan: SteeringPlan, steps: int = 4000):
@@ -530,13 +481,45 @@ class _PlanReplay:
         block = np.empty((len(self.columns) - 1, min(self.steps, _CHUNK_STEPS) + 1))
         return block, _replay(self.legs, self.start, self.steps, itertools.repeat(block))
 
-    def to_csv(self, path) -> None:
-        _, legs = self._streamed()
-        _write_csv(path, self.columns, _end_to_end((interval, chunks) for interval, _, chunks in legs))
-
+    @functools.cached_property
     def terminal(self) -> dict:
         block, legs = self._streamed()
         for _, _, chunks in legs:
             for _ in chunks:
                 pass
         return dict(zip(self.names, block[: len(self.names), -1].tolist()))
+
+    def to_csv(self, path) -> None:
+        _, legs = self._streamed()
+        _write_csv(path, self.columns, _end_to_end((interval, chunks) for interval, _, chunks in legs))
+
+    @functools.cached_property
+    def trajectories(self) -> list[Trajectory]:
+        return _trajectories(self.legs, self.start, self.steps)
+
+    @functools.cached_property
+    def merged(self) -> Trajectory:
+        trajs, names, end = self.trajectories, self.columns[1:], 0.0
+        for lo, hi in (tr.interval for tr in trajs):
+            end += hi - lo
+        t, columns = zip(*_end_to_end((tr.interval, [(tr.t, [tr.columns[n] for n in names])]) for tr in trajs))
+        schemes = {tr.scheme for tr in trajs}
+        return Trajectory(
+            t=np.concatenate(t),
+            columns={n: np.concatenate(col) for n, col in zip(names, zip(*columns))},
+            state_names=trajs[0].state_names,
+            input_names=trajs[0].input_names,
+            scheme=schemes.pop() if len(schemes) == 1 else "mixed",
+            interval=(0.0, end),
+        )
+
+
+def simulate_plan(plan: SteeringPlan, steps: int = 4000) -> SimulationResult:
+    """The ``SimulationResult`` of a plan, with its ``terminal`` read.
+
+    Every refusal of the integrator is raised in this call, and memory does
+    not grow with ``steps``.
+    """
+    result = SimulationResult(plan, steps)
+    result.terminal  # integrated here, so its refusals are raised in this call
+    return result

@@ -758,7 +758,7 @@ def test_running_out_of_memory_is_an_error_line(capsys, monkeypatch, exc):
     def exhausted(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "_PlanReplay", exhausted)
+    monkeypatch.setattr(cli, "simulate_plan", exhausted)
     code, out, err = run(capsys, "verify", "--plan", str(GOLDEN / "plan_nhi_legendre.json"))
     assert (code, out) == (1, "")
     assert err == f"error: {str(exc) or 'MemoryError'}\n"
@@ -772,6 +772,23 @@ def test_third_axis_targets_plan_phase_zero_and_verify(tmp_path, capsys, target)
     assert json.loads(Path(path).read_text())["params"]["phi"] == 0.0
     code, out, err = run(capsys, "verify", "--plan", path)
     assert code == 0, out + err
+
+
+def test_a_constant_rate_plan_over_1e300_verifies(tmp_path, capsys):
+    # (sqrt(3)/12) h * h overflowed at h = 2.5e296, so verify refused this plan although its rates are tiny
+    path = str(tmp_path / "plan.json")
+    code, _, err = run(capsys, *_SO3, "0,-1,0,1,0,0,0,0,1", "--duration", "1e300", "--out", path)
+    assert code == 0, err
+    code, out, err = run(capsys, "verify", "--plan", path)
+    assert (code, err) == (0, "") and out.endswith("within tolerance 1e-06\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_simulate_and_verify_integrate_each_phase_once(capsys, phase_runs, command):
+    plan = GOLDEN / "plan_gnhi_m3_trig.json"
+    phases = [tuple(ph["interval"]) for ph in json.loads(plan.read_text())["phases"]]
+    code, _, err = run(capsys, command, "--plan", str(plan), "--steps", "300")
+    assert (code, err) == (0, "") and len(phases) >= 3 and phase_runs == phases
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +915,7 @@ def test_verify_reaches_the_terminal_state_of_the_simulation_result(tmp_path, ca
     plan = steering.SteeringPlan.from_json(plan_file.read_text())
     result = steering.simulate_plan(plan, steps)
     want = result.trajectories[-1].terminal  # the last column of the whole block
-    for got in (result.terminal, steering._PlanReplay(plan, steps).terminal()):
+    for got in (result.terminal, steering.SimulationResult(plan, steps).terminal):
         assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()] and list(got) == list(want)
     err = max(abs(want[n] - value) for n, value in plan.predicted_endpoint.items())
     code, out, _ = run(capsys, "verify", "--plan", str(plan_file), "--steps", str(steps))

@@ -577,6 +577,18 @@ def test_integrate_so3_refuses_finite_rates_that_overflow(scheme):
     assert np.isfinite([trajectory.columns[name] for name in trajectory.state_names]).all()
 
 
+def test_tiny_rates_over_a_huge_interval_integrate_as_their_rescaled_problem():
+    # (sqrt(3)/12) h * h overflows past h ~ 1e154, which refused rates as tiny as 1e-300; the step
+    # angles h w are those of the problem on [0, 1], and dropping the commutator would miss by 1.6e-6
+    T = 1e300
+    unit = (lambda t: np.cos(3.0 * t), lambda t: np.sin(3.0 * t), _const(0.5))
+    huge = (lambda t: np.cos(3.0 * (t / T)) / T, lambda t: np.sin(3.0 * (t / T)) / T, _const(0.5 / T))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want, got = integrate_so3(unit, steps=400), integrate_so3(huge, interval=(0.0, T), steps=400)
+    assert max(abs(got.terminal[n] - want.terminal[n]) for n in want.state_names) < 1e-14
+
+
 def test_bilinear_integrators_refuse_finite_inputs_that_overflow():
     # x1 u2 - x2 u1 overflows to inf - inf, and x3 came out NaN with numpy overflow warnings
     big = (_const(1e200), _const(-1e200))

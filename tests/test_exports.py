@@ -121,7 +121,7 @@ CORE_DRIVERS = {"_bilinear_chunks", "_replay"}
 
 
 def test_the_bilinear_core_has_one_driver():
-    # _replay alone runs _bilinear_chunks; the whole-block trajectories and the CLI's
+    # _replay alone runs _bilinear_chunks; the whole-block trajectories and a SimulationResult's
     # streamed replay are its only callers, so no second phase loop drives the core
     users = {
         (name, getattr(top, "name", "<module>"), ref)
@@ -134,7 +134,7 @@ def test_the_bilinear_core_has_one_driver():
     assert users == {
         ("nhsteer.dynamics", "_replay", "_bilinear_chunks"),
         ("nhsteer.dynamics", "_trajectories", "_replay"),
-        ("nhsteer.steering", "_PlanReplay", "_replay"),
+        ("nhsteer.steering", "SimulationResult", "_replay"),
     }
 
 
@@ -176,18 +176,19 @@ def test_only_the_cli_sink_opens_or_writes_files():
 
 def test_the_cli_replays_a_steering_plan_through_one_chunk_block():
     # a SimulationResult allocates every sample of every phase when its trajectories are read;
-    # the CLI streams a steering plan through _PlanReplay instead, or keeps only its running state
-    assert {"simulate_plan", "SimulationResult"} & set(_identifiers(_tree("nhsteer.cli"))) == set()
-    assert "_PlanReplay" in set(_identifiers(_tree("nhsteer.cli")))
+    # the CLI streams a steering plan through its terminal or to_csv instead
+    names = set(_identifiers(_tree("nhsteer.cli")))
+    assert "SimulationResult" in names
+    assert {"trajectories", "merged", "_trajectories"} & names == set()
 
 
 def test_simulate_plan_builds_no_phase_block():
-    # simulate_plan reaches the terminal through _PlanReplay's one chunk block; the whole block of
-    # _trajectories is built only when a SimulationResult's trajectories are read
+    # simulate_plan reaches the terminal through a SimulationResult's one chunk block; the whole
+    # block of _trajectories is built only when its trajectories are read
     tree = _tree("nhsteer.steering")
     simulate = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "simulate_plan")
     assert "_trajectories" not in set(_identifiers(simulate))
-    assert "_PlanReplay" in set(_identifiers(simulate))
+    assert "SimulationResult" in set(_identifiers(simulate))
 
 
 def test_a_cold_plan_does_not_import_the_csv_kernel(tmp_path):

@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import math
 from pathlib import Path
@@ -520,6 +521,22 @@ def test_a_simulation_writes_every_phase_into_one_block(plan, phases):
     last = sim.trajectories[-1]
     assert sim.terminal == {name: float(last.columns[name][-1]) for name in last.state_names}
     assert list(sim.terminal.values()) == owner[-1, : len(last.state_names), -1].tolist()
+
+
+def test_a_simulation_result_integrates_its_phases_once_per_reading(phase_runs):
+    # building the result integrates nothing; its terminal is integrated once, inside simulate_plan,
+    # and reading the trajectories integrates every phase a second time, into the whole block
+    plan = _gnhi_plan(3, 3)
+    phases = [ph.interval for ph in plan.phases]
+    result = steering.SimulationResult(plan, 150)
+    assert phase_runs == []
+    sim = simulate_plan(plan, steps=150)
+    assert phase_runs == phases and sim.terminal is sim.terminal and phase_runs == phases
+    assert sim.trajectories is sim.trajectories and phase_runs == phases * 2
+    assert sim.merged is sim.merged and phase_runs == phases * 2
+    result.to_csv(io.StringIO())
+    assert phase_runs == phases * 3
+    assert result.terminal == sim.terminal and phase_runs == phases * 4
 
 
 def test_simulate_plan_refuses_an_overflowing_last_phase_in_the_call():
